@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -303,7 +304,9 @@ def _add_output_flags(sub):
     sub.add_argument("--config", default=argparse.SUPPRESS)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="constagalois",
         description="constacyclic codes over GF(p^e) under Galois inner products")
@@ -397,19 +400,18 @@ def _apply_config(args, argv: List[str]) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.config:
-        try:
+    try:
+        if args.config:
             _apply_config(args, argv)
-        except (OSError, ValueError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
-    if args.cap is None:
-        args.cap = _enum_cap(None)
+        if args.cap is None:
+            args.cap = _enum_cap(None)
+    except (OSError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     try:
         records = args.func(args)
     except UsageError as exc:

@@ -24,7 +24,12 @@ def _enum_cap(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
     env = os.environ.get("CONSTAGALOIS_ENUM_CAP")
-    return int(env) if env else DEFAULT_ENUM_CAP
+    if not env:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CONSTAGALOIS_ENUM_CAP must be an integer, got {env!r}") from None
 
 
 def coset_poly(params: CodeParams, coset: QCoset) -> Poly:
@@ -219,12 +224,88 @@ def enumerate_codewords(code: ConstaCode, cap: Optional[int] = None) -> List[tup
 
 
 def min_weight(code: ConstaCode, cap: Optional[int] = None) -> Optional[int]:
-    """Exact minimum Hamming weight by exhaustion; None for the zero code."""
+    """Exact minimum Hamming weight by exhaustion; None for the zero code.
+
+    Raises ValueError when q^dim exceeds the cap, as enumerate_codewords
+    does.  Results are memoised per coset function on the params, after
+    the cap check, so a smaller cap still refuses a memoised code.
+    """
     if code.dim == 0:
         return None
-    best = code.params.n + 1
-    for word in enumerate_codewords(code, cap):
-        w = sum(1 for c in word if c)
-        if 0 < w < best:
-            best = w
+    params = code.params
+    if params.q ** code.dim > _enum_cap(cap):
+        raise ValueError("enumeration too large")
+    best = params._min_weights.get(code.phi)
+    if best is None:
+        best = params._min_weights[code.phi] = _packed_min_weight(code)
     return best
+
+
+# Messages per block of the Gray-order enumeration in _packed_min_weight;
+# the steps within a block are precomputed once per leading row.
+_GRAY_BLOCK = 1024
+
+
+def _packed_min_weight(code: ConstaCode) -> int:
+    """Minimum weight over the messages whose first nonzero entry is 1.
+
+    Weight is invariant under nonzero scalars, so these (q^k-1)/(q-1)
+    words meet every line of the code.  A word is one int: GF(p)-digit j
+    of coordinate i sits in the b-bit slot i*e + j, b leaving a guard bit
+    above any sum of two digits.  The messages with leading row t run
+    over the GF(p)-digits of rows t+1..k-1 in modular p-ary Gray order
+    (step s raises digit v_p(s) by one), so each word is the previous
+    one plus one packed X^j * row_i, reduced mod p in every slot at once.
+    """
+    params = code.params
+    p, e, n, k = params.p, params.e, params.n, code.dim
+    b = (2 * p - 1).bit_length() + 1
+    top = 1 << (b - 1)
+    ones = sum(1 << (b * i) for i in range(n * e))
+    guard = ones * top
+    wrap = ones * (top - p)  # trips the guard bit of every digit >= p
+    # a coordinate's e digits read as one (e*b)-bit number below 2^(e*b-1)
+    coord_ones = sum(1 << (b * e * i) for i in range(n))
+    coord_guard = coord_ones << (b * e - 1)
+    coord_nonzero = coord_ones * ((1 << (b * e - 1)) - 1)
+
+    def pack(vec) -> int:
+        return sum(c << (b * (i * e + j)) for i, x in enumerate(vec)
+                   for j, c in enumerate(x.coeffs))
+
+    field = params.field
+    g = code.generator.vector(n)
+    scaled_g = [pack([beta * c for c in g])
+                for beta in (field.element([0] * j + [1]) for j in range(e))]
+    row_shift = b * e  # row i is X^i * g: its packing moved up i coordinates
+    best = n
+    for t in range(k):
+        steps = [x << (row_shift * i) for i in range(t + 1, k) for x in scaled_g]
+        low = len(steps)
+        while p ** low > _GRAY_BLOCK:
+            low -= 1
+        block = [steps[_valuation(s, p)] for s in range(1, p ** low)]
+        word = scaled_g[0] << (row_shift * t)
+        for outer in range(p ** (len(steps) - low)):
+            if outer:
+                word += steps[low + _valuation(outer, p)]
+                word -= (((word + wrap) & guard) >> (b - 1)) * p
+            w = ((word + coord_nonzero) & coord_guard).bit_count()
+            if w < best:
+                best = w
+            for v in block:
+                word += v
+                word -= (((word + wrap) & guard) >> (b - 1)) * p
+                w = ((word + coord_nonzero) & coord_guard).bit_count()
+                if w < best:
+                    best = w
+    return best
+
+
+def _valuation(s: int, p: int) -> int:
+    """The exponent of p in s > 0."""
+    v = 0
+    while s % p == 0:
+        s //= p
+        v += 1
+    return v

@@ -91,6 +91,7 @@ class CodeParams:
         self._cosets: Dict[int, List[QCoset]] = {}
         self._coset_index: Dict[int, Dict[int, QCoset]] = {}
         self._coset_polys: Dict[Tuple[int, int], Poly] = {}
+        self._min_weights: Dict[CosetFunction, int] = {}
 
     # -- lazy splitting-field data -------------------------------------------
 

@@ -10,6 +10,7 @@ import itertools
 import math
 
 from constagalois import derive_params, make_field, q_cosets
+from constagalois.codes import enumerate_codewords
 from constagalois.oracle import naive_cosets
 
 
@@ -82,6 +83,12 @@ def brute_iso_selfdual_exists(params):
             if all(vals[perm[i]] == cap - vals[i] for i in range(len(cosets))):
                 return True
     return False
+
+
+def brute_min_weight(code):
+    """Minimum Hamming weight over every listed codeword; None for the zero code."""
+    weights = [sum(1 for c in word if c) for word in enumerate_codewords(code)]
+    return min((w for w in weights if w), default=None)
 
 
 def grid_instances(pe_pairs, n_max, max_cosets=6, max_multiplicity=9):

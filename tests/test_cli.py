@@ -4,7 +4,7 @@ import json
 import pytest
 
 from constagalois import derive_params, make_field, parse_poly
-from constagalois.cli import main, parse_phi
+from constagalois.cli import build_parser, main, parse_phi
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +208,41 @@ def test_enum_cap_env_var(capsys, monkeypatch):
     (record,) = run_json(capsys, "code", "--p", "3", "--e", "2", "--n", "4",
                          "--lambda", "-1", "--phi", "1:0,3:0,5:1,7:1")
     assert record["min_weight"] == 3
+
+
+def test_bad_enum_cap_env_var_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CONSTAGALOIS_ENUM_CAP", "abc")
+    code, out, err = run_cli(capsys, "code", "--p", "3", "--e", "2", "--n", "4",
+                             "--lambda", "-1", "--phi", "1:0,3:0,5:1,7:1")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "CONSTAGALOIS_ENUM_CAP" in err
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\ne=2\nn=4\nlambda=-1\nformat=csv\n")
+    search = ["search", "--p-list", "3", "--e-list", "2", "--n-min", "4",
+              "--n-max", "4", "--format", "csv"]
+    sequence = [
+        search + ["--orders", "2", "--with-weights"],
+        search,                                    # --orders and --with-weights omitted
+        ["--config", str(cfg), "params"],
+        ["params", "--p", "3", "--e", "2", "--n", "4", "--lambda", "-1"],
+        ["--cap", "10", "code", "--p", "3", "--e", "2", "--n", "4",
+         "--lambda", "-1", "--phi", "1:0,3:0,5:1,7:1"],
+        ["code", "--p", "3", "--e", "2", "--n", "4", "--lambda", "-1",
+         "--phi", "1:0,3:0,5:1,7:1"],              # --cap omitted
+        ["search", "--p-list", "3"],               # argparse error: SystemExit(2)
+        ["--format", "text", "exist", "--p", "3", "--e", "2", "--n", "4",
+         "--lambda", "-1", "--h", "1"],
+        ["cosets", "--p", "5"],                    # usage error from main
+        search + ["--orders", "2", "--with-weights"],
+    ]
+    reused = [run_cli(capsys, *argv) for argv in sequence]
+    assert build_parser() is build_parser()
+    for argv, got in zip(sequence, reused):
+        build_parser.cache_clear()
+        assert run_cli(capsys, *argv) == got, argv
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
+    assert reused[1][1] != reused[0][1] and reused[4][1] != reused[5][1]

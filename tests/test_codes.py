@@ -1,11 +1,15 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
 from constagalois import (CosetFunction, Poly, QuotientElem, build_code,
                           cf_poly, code_from_generator, coset_poly,
-                          derive_params, embed, make_field, q_cosets)
-from exhaustive import grid_instances
+                          derive_params, embed, galois_dual, make_field,
+                          q_cosets)
+from constagalois import codes
+from exhaustive import brute_min_weight, grid_instances
 
 
 def gf4_params():
@@ -203,6 +207,106 @@ def test_min_weight():
     assert zero_code.min_weight() is None
     params4 = gf4_params()
     assert build_code(params4, CosetFunction.from_values(params4, [1])).min_weight() == 2
+
+
+# The exhaustive oracle lists codewords at tens of microseconds each.
+ORACLE_WORDS = 343
+
+
+def _bounded_phi(rng, params, max_words):
+    """A random coset function, lowered until its code has <= max_words words."""
+    cosets = q_cosets(params, 1)
+    vals = [rng.randint(0, params.p ** params.nu) for _ in cosets]
+    while params.q ** sum(v * len(Q) for v, Q in zip(vals, cosets)) > max_words:
+        vals[rng.choice([i for i, v in enumerate(vals) if v])] -= 1
+    return CosetFunction.from_values(params, vals)
+
+
+def _kernel_grid():
+    """(p, e, n, r) over p in {2,3,5,7}, e in {1,2,3}, every lambda order and
+    lengths 1-4, p and 2p (so nu > 0), with splitting fields up to p^6."""
+    for p in (2, 3, 5, 7):
+        for e in (1, 2, 3):
+            q = p ** e
+            field = make_field(p, e)
+            for r in [d for d in range(1, q) if (q - 1) % d == 0]:
+                lam = field.generator ** ((q - 1) // r)
+                for n in sorted({1, 2, 3, 4, p, 2 * p}):
+                    params = derive_params(p, e, n, lam)
+                    if params.e * params.d <= 6:
+                        yield params
+
+
+def test_min_weight_matches_exhaustive_oracle_on_grid():
+    rng = random.Random(20151224)
+    repeated_root = full = other_residue = 0
+    for params in _kernel_grid():
+        phis = [CosetFunction.constant(params, 0), _bounded_phi(rng, params, ORACLE_WORDS)]
+        if params.q ** params.n <= ORACLE_WORDS:
+            phis.append(CosetFunction.constant(params, params.p ** params.nu))
+            full += 1
+        repeated_root += params.nu > 0
+        tested = [build_code(params, phi) for phi in phis]
+        # a Galois dual lives on another residue class when r > 2
+        dual = galois_dual(tested[1], params.e - 1)
+        if params.q ** dual.dim <= ORACLE_WORDS:
+            tested.append(dual)
+            other_residue += dual.residue != 1
+        for code in tested:
+            assert codes.min_weight(code) == brute_min_weight(code), code
+    assert min(repeated_root, full, other_residue) >= 20, (repeated_root, full, other_residue)
+
+
+# Repeated-root codes whose minimum weight is met only by combining rows
+# beyond row_t + c * row_(t+1), c in GF(p): skipped messages show here.
+MULTI_ROW_MINIMA = [(3, 2, 6, "g^4", {1: 1, 3: 2}), (5, 1, 10, "g^2", {1: 3, 3: 1}),
+                    (7, 1, 14, "g^2", {1: 3, 4: 1})]
+
+
+def test_min_weight_gray_blocks_split_anywhere(monkeypatch):
+    rng = random.Random(7)
+    tested = []
+    for p, e, n, lam, phi in MULTI_ROW_MINIMA:
+        params = derive_params(p, e, n, lam)
+        tested.append(build_code(params, CosetFunction(params, phi)))
+    for p, e, n, lam in [(2, 2, 6, 1), (3, 1, 9, -1), (2, 3, 7, 1), (5, 1, 5, 1),
+                         (3, 3, 2, 1), (7, 2, 4, -1)]:
+        params = derive_params(p, e, n, lam)
+        tested.append(build_code(params, _bounded_phi(rng, params, 7 ** 4)))
+    expected = [brute_min_weight(code) for code in tested]
+    # Small blocks push most Gray steps through the outer (carry) path.
+    for block in (1, 3, 8, codes._GRAY_BLOCK):
+        monkeypatch.setattr(codes, "_GRAY_BLOCK", block)
+        for code, d in zip(tested, expected):
+            code.params._min_weights.clear()
+            assert codes.min_weight(code) == d, (block, code)
+
+
+def test_min_weight_memo_respects_smaller_cap():
+    params = derive_params(3, 2, 4, -1)
+    code = build_code(params, CosetFunction.from_values(params, [0, 0, 1, 1]))
+    assert code.min_weight(cap=1000) == 3
+    assert code.phi in params._min_weights
+    with pytest.raises(ValueError, match="enumeration too large"):
+        code.min_weight(cap=80)  # 81 words
+    assert code.min_weight(cap=81) == 3
+
+
+def test_min_weight_streams_in_bounded_memory():
+    # GF(9), n = 8, k = 6: 531441 codewords, 66430 up to scaling.
+    params = derive_params(3, 2, 8, 1)
+    code = build_code(params, CosetFunction.from_values(params, [1] * 6 + [0] * 2))
+    assert code.dim == 6
+    code.generator  # built before measuring: only the enumeration is under test
+    params._min_weights.clear()
+    tracemalloc.start()
+    try:
+        d = codes.min_weight(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 3  # zeros theta^6, theta^7 are consecutive: MDS, d = n - k + 1
+    assert peak < 1 << 20, peak
 
 
 def test_factorization_identity_on_grid():
