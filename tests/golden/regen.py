@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Record or check the golden CLI corpus in ``corpus.json``.
+
+Each case is one ``constagalois`` invocation, run in-process through
+``cli.main`` with this directory as the working directory (so the
+``--config`` case finds ``example.cfg``) and ``CONSTAGALOIS_ENUM_CAP``
+unset.  The corpus stores its argv, exit code and exact stdout.
+
+    python tests/golden/regen.py           # compare; exit 1 on any difference
+    python tests/golden/regen.py --write   # rewrite corpus.json from this checkout
+
+Run from the repository root (``src/`` is put on the path); standard
+library only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CORPUS = os.path.join(HERE, "corpus.json")
+
+# The four worked examples of the acceptance suite.
+EX1 = ["--p", "2", "--e", "2", "--n", "2", "--lambda", "g^2"]        # GF(4), n = 2
+EX2 = ["--p", "3", "--e", "4", "--n", "12", "--lambda", "g^20"]      # GF(81), n = 12
+EX3 = ["--p", "3", "--e", "2", "--n", "4", "--lambda", "-1"]         # GF(9), n = 4
+EX4 = ["--p", "5", "--e", "2", "--n", "26", "--lambda", "-1"]        # GF(25), n = 26
+PHI2 = "1:1,5:2,9:1,13:2"
+PHI3 = "1:0,3:0,5:1,7:1"
+PHI4 = "1:0,3:0,5:0,7:0,9:1,11:0,13:0,27:1,29:1,31:1,33:0,35:1,37:1,39:1"
+
+CASES = [
+    ("params_ex4", ["params", *EX4]),
+    ("params_ex2_text", ["--format", "text", "params", *EX2]),
+    ("params_ex1_csv", ["params", *EX1, "--format", "csv"]),
+    ("params_vector_lambda", ["params", "--p", "3", "--e", "2", "--n", "8",
+                              "--lambda", "[1,2]"]),
+    ("cosets_big_field_vector_lambda", ["cosets", "--p", "257", "--e", "2",
+                                        "--n", "3", "--lambda", "[0,1]"]),
+    ("cosets_ex4_s_minus5", ["cosets", *EX4, "--s", "-5"]),
+    ("cosets_ex4_s_minus1_csv", ["cosets", *EX4, "--s", "-1", "--format", "csv"]),
+    ("factor_ex1", ["factor", *EX1]),
+    ("factor_ex2_text", ["factor", *EX2, "--format", "text"]),
+    ("code_ex1", ["code", *EX1, "--phi", "1:1"]),
+    ("code_ex3_csv", ["code", *EX3, "--phi", PHI3, "--format", "csv"]),
+    ("code_ex2_over_cap", ["code", *EX2, "--phi", PHI2, "--cap", "100"]),
+    ("dual_ex2_h1", ["dual", *EX2, "--phi", PHI2, "--h", "1"]),
+    ("dual_ex3_h1_text", ["dual", *EX3, "--phi", PHI3, "--h", "1", "--format", "text"]),
+    ("check_ex2_h1", ["check", *EX2, "--phi", PHI2, "--h", "1"]),
+    ("check_ex2_h2", ["check", *EX2, "--phi", PHI2, "--h", "2"]),
+    ("check_ex4_h1", ["check", *EX4, "--phi", PHI4, "--h", "1"]),
+    ("exist_ex1_h1", ["exist", *EX1, "--h", "1"]),
+    ("exist_ex2_h3", ["exist", *EX2, "--h", "3"]),
+    ("exist_ex4_text", ["exist", *EX4, "--format", "text"]),
+    ("exist_p7_negacyclic", ["exist", "--p", "7", "--e", "1", "--n", "8",
+                             "--lambda", "-1"]),
+    ("search_small_json", ["search", "--p-list", "2,3", "--e-list", "1,2",
+                           "--n-max", "8"]),
+    ("search_csv", ["search", "--p-list", "3,5,7", "--e-list", "1,2",
+                    "--n-max", "20", "--format", "csv"]),
+    ("search_text_max_multiplicity", ["search", "--p-list", "2,3", "--e-list", "2",
+                                      "--n-min", "4", "--n-max", "12",
+                                      "--max-multiplicity", "3", "--format", "text"]),
+    ("search_weights_gf9", ["search", "--p-list", "3", "--e-list", "2",
+                            "--n-max", "12", "--with-weights", "--cap", "4096",
+                            "--format", "csv"]),
+    ("search_gf2197", ["search", "--p-list", "13", "--e-list", "3",
+                       "--n-max", "26", "--orders", "1,2,4,6,12",
+                       "--h-list", "0,1,3", "--max-cosets", "12",
+                       "--with-weights", "--format", "csv"]),
+    ("verify_ex3_h0", ["verify", *EX3, "--phi", PHI3, "--h", "0"]),
+    ("verify_ex1_h1", ["verify", *EX1, "--phi", "1:1", "--h", "1"]),
+    ("verify_ex4_cosets", ["verify", *EX4]),
+    ("config_params", ["--config", "example.cfg", "params"]),
+    ("config_flag_wins", ["--config", "example.cfg", "exist", "--n", "8"]),
+    ("error_missing_p", ["params", "--e", "2", "--n", "4", "--lambda", "-1"]),
+    ("error_bad_phi", ["code", *EX3, "--phi", "1:0,3:0"]),
+    ("error_h_range", ["exist", *EX3, "--h", "5"]),
+    ("error_zero_lambda", ["params", "--p", "3", "--e", "2", "--n", "4",
+                           "--lambda", "0"]),
+    ("error_unknown_command", ["frobnicate"]),
+]
+
+
+def run_case(argv):
+    """(exit code, stdout) of one in-process CLI run, from this directory."""
+    from constagalois import cli
+
+    saved_cwd = os.getcwd()
+    saved_cap = os.environ.pop("CONSTAGALOIS_ENUM_CAP", None)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        os.chdir(HERE)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(saved_cwd)
+        if saved_cap is not None:
+            os.environ["CONSTAGALOIS_ENUM_CAP"] = saved_cap
+    return code, out.getvalue()
+
+
+def load_corpus():
+    with open(CORPUS) as handle:
+        return json.load(handle)
+
+
+def main(argv) -> int:
+    sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
+    write = "--write" in argv
+    if write:
+        records = []
+        for name, case_argv in CASES:
+            code, out = run_case(case_argv)
+            records.append({"name": name, "argv": case_argv, "exit": code,
+                            "stdout": out})
+        with open(CORPUS, "w") as handle:
+            json.dump(records, handle, indent=1)
+            handle.write("\n")
+        print(f"wrote {len(records)} cases to {CORPUS}")
+        return 0
+    bad = 0
+    for record in load_corpus():
+        code, out = run_case(record["argv"])
+        if (code, out) != (record["exit"], record["stdout"]):
+            bad += 1
+            print(f"DIFFERS: {record['name']}")
+    print(f"{bad} of the recorded cases differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
