@@ -19,11 +19,10 @@ from typing import List, Optional
 
 from .codes import _enum_cap, build_code, coset_poly, min_weight
 from .cosets import CodeParams, CosetFunction, derive_params, q_cosets, s_orbits
-from .duality import (galois_dual, is_galois_selfdual,
-                      is_iso_galois_selfdual, iso_witness_for)
+from .duality import galois_dual, is_galois_selfdual, is_iso_galois_selfdual
 from .existence import (duadic_exists, euclidean_selfdual_exists,
                         galois_selfdual_exists, hermitian_selfdual_exists,
-                        iso_selfdual_exists)
+                        iso_selfdual_exists, iso_selfdual_family)
 from .gf import format_element, make_field
 from .oracle import brute_dual, dual_basis, naive_cosets, spans_equal
 from .polyring import format_poly, poly_to_json
@@ -206,24 +205,24 @@ def _divisors(k: int) -> List[int]:
 def cmd_search(args) -> List[dict]:
     ps = parse_int_list(args.p_list)
     es = parse_int_list(args.e_list)
+    wanted = set(parse_int_list(args.orders)) if args.orders else None
+    h_list = parse_int_list(args.h_list) if args.h_list else None
     rows = []
     for p in sorted(ps):
         for e in sorted(es):
             q = p ** e
-            orders = _divisors(q - 1)
-            if args.orders:
-                wanted = set(parse_int_list(args.orders))
-                orders = [r for r in orders if r in wanted]
             field = make_field(p, e)
+            # one lambda per order r: g^((q-1)/r)
+            lams = [field.generator ** ((q - 1) // r) for r in _divisors(q - 1)
+                    if wanted is None or r in wanted]
+            hs = range(e + 1) if h_list is None else h_list
             for n in range(args.n_min, args.n_max + 1):
-                for r in orders:
-                    lam = field.generator ** ((q - 1) // r)
+                for lam in lams:
                     params = derive_params(p, e, n, lam)
                     if args.max_cosets and len(q_cosets(params, 1)) > args.max_cosets:
                         continue
                     if args.max_multiplicity and p ** params.nu > args.max_multiplicity:
                         continue
-                    hs = parse_int_list(args.h_list) if args.h_list else range(e + 1)
                     for h in hs:
                         rows.append(_search_row(params, h, args))
     rows.sort(key=lambda r: (r["p"], r["e"], r["n"], r["lambda"], r["h"]))
@@ -233,6 +232,7 @@ def cmd_search(args) -> List[dict]:
 def _search_row(params: CodeParams, h: int, args) -> dict:
     verdict = galois_selfdual_exists(params, h)
     iso = iso_selfdual_exists(params, h)
+    _, _, iso_witness = iso_selfdual_family(params)
     phi = verdict.witness_phi or iso.witness_phi
     dim = phi.weight() if phi else None
     d_min = None
@@ -241,9 +241,6 @@ def _search_row(params: CodeParams, h: int, args) -> dict:
             d_min = min_weight(build_code(params, phi), args.cap)
         except ValueError:
             d_min = None
-    iso_witness = None
-    if iso.exists:
-        iso_witness = iso_witness_for(params, iso.witness_phi)
     return {
         "p": params.p, "e": params.e, "n": params.n,
         "lambda": format_element(params.lam), "r": params.r,

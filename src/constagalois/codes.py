@@ -13,7 +13,7 @@ import itertools
 import os
 from typing import List, Optional
 
-from .cosets import CodeParams, CosetFunction, QCoset
+from .cosets import CodeParams, CosetFunction, QCoset, p_split
 from .gf import FieldElement
 from .polyring import Poly, QuotientElem, poly_to_json
 
@@ -162,6 +162,7 @@ class ConstaCode:
             "dim": self.dim,
         }
         if with_weight:
+            cap = _enum_cap(cap)  # a malformed env cap raises; only overflow gives None
             try:
                 record["min_weight"] = self.min_weight(cap)
             except ValueError:
@@ -284,11 +285,11 @@ def _packed_min_weight(code: ConstaCode) -> int:
         low = len(steps)
         while p ** low > _GRAY_BLOCK:
             low -= 1
-        block = [steps[_valuation(s, p)] for s in range(1, p ** low)]
+        block = [steps[p_split(p, s)[0]] for s in range(1, p ** low)]
         word = scaled_g[0] << (row_shift * t)
         for outer in range(p ** (len(steps) - low)):
             if outer:
-                word += steps[low + _valuation(outer, p)]
+                word += steps[low + p_split(p, outer)[0]]
                 word -= (((word + wrap) & guard) >> (b - 1)) * p
             w = ((word + coord_nonzero) & coord_guard).bit_count()
             if w < best:
@@ -300,12 +301,3 @@ def _packed_min_weight(code: ConstaCode) -> int:
                 if w < best:
                     best = w
     return best
-
-
-def _valuation(s: int, p: int) -> int:
-    """The exponent of p in s > 0."""
-    v = 0
-    while s % p == 0:
-        s //= p
-        v += 1
-    return v

@@ -21,18 +21,26 @@ from .gf import Field, FieldElement, make_field, mult_order, format_element, par
 from .polyring import Poly
 
 
+def p_split(p: int, k: int) -> Tuple[int, int]:
+    """(v, k / p^v) for the p-adic valuation v of a nonzero integer k."""
+    if k == 0:
+        raise ValueError("valuation of zero is undefined")
+    v = 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v, k
+
+
 class QCoset:
     """One orbit of k -> q*k on the residues of a fixed class mod r."""
 
-    __slots__ = ("residue", "members")
+    __slots__ = ("residue", "members", "rep")
 
     def __init__(self, residue: int, members: Iterable[int]):
         self.residue = residue
         self.members = tuple(sorted(members))
-
-    @property
-    def rep(self) -> int:
-        return self.members[0]
+        self.rep = self.members[0]
 
     def __len__(self):
         return len(self.members)
@@ -64,11 +72,7 @@ class CodeParams:
         self.lam = lam
         self.field = lam.field
         self.r = mult_order(lam)
-        nu = 0
-        nprime = n
-        while nprime % p == 0:
-            nprime //= p
-            nu += 1
+        nu, nprime = p_split(p, n)
         self.nu = nu
         self.nprime = nprime
         self.period = nprime * self.r      # the modulus n'r for coset arithmetic
@@ -89,9 +93,11 @@ class CodeParams:
         self._theta_pows: Dict[int, FieldElement] = {}
         self._lam_pows: Dict[int, FieldElement] = {}
         self._cosets: Dict[int, List[QCoset]] = {}
-        self._coset_index: Dict[int, Dict[int, QCoset]] = {}
+        self._coset_tables: Dict[int, List[QCoset]] = {}
         self._coset_polys: Dict[Tuple[int, int], Poly] = {}
         self._min_weights: Dict[CosetFunction, int] = {}
+        # (label, witness phi, witness s) of the isometric family, or None
+        self._iso_family: Optional[tuple] = None
 
     # -- lazy splitting-field data -------------------------------------------
 
@@ -177,32 +183,43 @@ class CodeParams:
         cached = self._cosets.get(c)
         if cached is not None:
             return cached
-        period = self.period
-        ambient = sorted({(c + self.r * k) % period for k in range(self.nprime)})
-        seen = set()
+        period, r = self.period, self.r
+        table: List[Optional[QCoset]] = [None] * self.nprime
         cosets = []
-        for start in ambient:
-            if start in seen:
+        # members are walked upwards, so each new coset starts at its rep
+        for j in range(self.nprime):
+            if table[j] is not None:
                 continue
-            members = []
-            k = start
-            while k not in seen:
-                seen.add(k)
+            start = c + r * j
+            members = [start]
+            k = (start * self.q) % period
+            while k != start:
                 members.append(k)
                 k = (k * self.q) % period
-            cosets.append(QCoset(c, members))
-        cosets.sort(key=lambda Q: Q.rep)
+            Q = QCoset(c, members)
+            for k in members:
+                table[k // r] = Q
+            cosets.append(Q)
         self._cosets[c] = cosets
-        self._coset_index[c] = {Q.rep: Q for Q in cosets}
+        self._coset_tables[c] = table
         return cosets
+
+    def coset_table(self, residue: int) -> List[QCoset]:
+        """Index of a class: entry k // r is the q-coset containing k, for
+        every k = residue mod r in [0, n'r).  s*Q is again a q-coset, so
+        it is ``coset_table(s * Q.rep)[(s * Q.rep) % n'r // r]``."""
+        c = residue % self.r if self.r > 0 else 0
+        if c not in self._coset_tables:
+            self.cosets_on(c)
+        return self._coset_tables[c]
 
     def coset_of(self, k: int, residue: Optional[int] = None) -> QCoset:
         """The q-coset containing k (residue defaults to k mod r)."""
         c = (k if residue is None else residue) % self.r if self.r else 0
-        for Q in self.cosets_on(c):
-            if k % self.period in Q.members:
-                return Q
-        raise ValueError(f"{k} is not in the class {c} mod {self.r}")
+        m = k % self.period
+        if m % self.r != c:
+            raise ValueError(f"{k} is not in the class {c} mod {self.r}")
+        return self.coset_table(c)[m // self.r]
 
     # -- misc ----------------------------------------------------------------------
 
@@ -270,10 +287,11 @@ def s_orbits(params: CodeParams, s: int,
         raise ValueError("mu_s does not preserve the class 1 + r*Z")
     if cosets is None:
         cosets = params.cosets_on(1)
-    index = {Q.rep: Q for Q in cosets}
+    r = params.r
+    table = params.coset_table(cosets[0].residue)
 
     def act(Q: QCoset) -> QCoset:
-        return index[min((s * k) % period for k in Q.members)]
+        return table[(s * Q.rep) % period // r]
 
     assigned = set()
     orbits = []
@@ -365,10 +383,11 @@ class CosetFunction:
         period = self.params.period
         if math.gcd(s, period) != 1:
             raise ValueError("s must be coprime to n'r")
+        r = self.params.r
+        table = self.params.coset_table(s * self.residue)
         new_assignment = {}
         for Q in self.params.cosets_on(self.residue):
-            new_rep = min((s * k) % period for k in Q.members)
-            new_assignment[new_rep] = self.assignment[Q.rep]
+            new_assignment[table[(s * Q.rep) % period // r].rep] = self.assignment[Q.rep]
         return CosetFunction(self.params, new_assignment, s * self.residue)
 
     def meet(self, other: "CosetFunction") -> "CosetFunction":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .codes import ConstaCode, build_code
-from .cosets import CodeParams, CosetFunction
+from .cosets import CodeParams, CosetFunction, p_split
 from .gf import FieldElement
 from .polyring import QuotientElem
 
@@ -41,15 +41,6 @@ def galois_inner(a: Sequence[FieldElement], b: Sequence[FieldElement],
     return acc
 
 
-def _nu_int(p: int, k: int) -> int:
-    k = abs(k)
-    t = 0
-    while k % p == 0:
-        k //= p
-        t += 1
-    return t
-
-
 class Isometry:
     """M_s : R_{n,lambda^t} -> R_{n,lambda^(s*t)} for s coprime to n'r.
 
@@ -64,9 +55,8 @@ class Isometry:
             raise ValueError("s must be a nonzero integer coprime to n'r")
         self.params = params
         self.s = s
-        self.nu = _nu_int(params.p, s)
+        self.nu, sprime = p_split(params.p, s)
         nr = params.n * params.r
-        sprime = s // (params.p ** self.nu)
         self.sprime = sprime % nr
         self.sprime_inv = pow(sprime, -1, nr)
 
@@ -171,21 +161,23 @@ def iso_witness_for(params: CodeParams, phi: CosetFunction) -> Optional[int]:
     """Smallest s = 1 mod r, coprime to n'r, with s*phi = phibar; else None.
 
     One period of s suffices because the action only depends on s mod n'r.
-    A found witness is re-verified through the pairing condition
-    phi(Q) + phi(sQ) = p^nu on every coset.
+    Candidates are tested by the pairing condition phi(Q) + phi(sQ) = p^nu
+    on every coset (sQ read off the coset table); the winner is
+    re-verified as s*phi = phibar.
     """
-    period = params.period
-    comp = phi.complement()
+    period, r = params.period, params.r
     cap = params.p ** params.nu
+    values = phi.assignment
+    cosets = params.cosets_on(phi.residue)
+    table = params.coset_table(phi.residue)
     for k in range(params.nprime):
-        s = 1 + params.r * k
+        s = 1 + r * k
         if math.gcd(s, period) != 1:
             continue
-        if phi.act(s) == comp:
-            for Q in params.cosets_on(phi.residue):
-                image_rep = min((s * m) % period for m in Q.members)
-                if phi.assignment[Q.rep] + phi.assignment[image_rep] != cap:
-                    raise AssertionError("witness fails the pairing condition")
+        if all(values[Q.rep] + values[table[(s * Q.rep) % period // r].rep] == cap
+               for Q in cosets):
+            if phi.act(s) != phi.complement():
+                raise AssertionError("witness fails s*phi = phibar")
             return s
     return None
 

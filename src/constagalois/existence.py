@@ -13,20 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .cosets import CodeParams, CosetFunction, s_orbits
+from .cosets import CodeParams, CosetFunction, p_split, s_orbits
 from .duality import iso_witness_for, selfdual_condition
 
 
 def nu(p: int, k: int) -> int:
     """The p-adic valuation of a nonzero integer."""
-    if k == 0:
-        raise ValueError("valuation of zero is undefined")
-    k = abs(k)
-    t = 0
-    while k % p == 0:
-        k //= p
-        t += 1
-    return t
+    return p_split(p, k)[0]
 
 
 def nu2_power_pm1(k: int, d: int):
@@ -159,30 +152,53 @@ def duadic_exists(params: CodeParams) -> ExistenceVerdict:
     return ExistenceVerdict(False)
 
 
+# duadic_exists labels -> iso_selfdual_exists labels (odd q)
+_ISO_LABELS = {"(iii.1)": "(ii)", "(iii.2)": "(iii)"}
+
+
 def iso_selfdual_exists(params: CodeParams, h: int = 0) -> ExistenceVerdict:
-    """Existence of isometrically p^h-self-dual codes (h-independent)."""
+    """Existence of isometrically p^h-self-dual codes (h-independent).
+
+    In characteristic 2 with nu >= 1 the family is (i); otherwise it exists
+    exactly when duadic codes do.  The verdict is computed once per params.
+    """
     if not 0 <= h <= params.e:
         raise ValueError("h must lie in [0, e]")
+    label, phi, _ = iso_selfdual_family(params)
+    return ExistenceVerdict(label is not None, label, phi)
+
+
+def iso_selfdual_family(params: CodeParams):
+    """(label, witness phi, witness s) of the isometrically self-dual
+    family, or (None, None, None); memoised on the interned params.
+
+    The witness s is the smallest multiplier with s*phi = phibar, as
+    :func:`iso_witness_for` finds it.
+    """
+    family = params._iso_family
+    if family is None:
+        family = params._iso_family = _iso_family(params)
+    return family
+
+
+def _iso_family(params: CodeParams):
     p = params.p
-    cap = p ** params.nu
     if p == 2 and params.nu >= 1:
-        phi = CosetFunction.constant(params, cap // 2)
+        phi = CosetFunction.constant(params, p ** params.nu // 2)
         label = "(i)"
     else:
-        nr = nu(2, params.r)
-        if params.nprime % 2 == 0 and nu(2, params.q - 1) > nr >= 1:
-            label = "(ii)"
-        elif nr == 1 and min(nu(2, params.q + 1), nu(2, params.nprime)) >= 2:
-            label = "(iii)"
-        else:
-            return ExistenceVerdict(False)
+        duadic = duadic_exists(params)
+        if not duadic:
+            return None, None, None
+        label = _ISO_LABELS[duadic.matched_condition]
         s = _even_orbit_multiplier(params)
         if s is None:
             raise AssertionError("even-orbit multiplier promised but not found")
         phi = _alternating_function(params, s)
-    if iso_witness_for(params, phi) is None:
+    witness = iso_witness_for(params, phi)
+    if witness is None:
         raise AssertionError("existence witness fails the duality predicate")
-    return ExistenceVerdict(True, label, phi)
+    return label, phi, witness
 
 
 def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:

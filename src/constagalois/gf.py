@@ -15,6 +15,7 @@ pure and safe for concurrent use.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Optional
 
 from sympy import factorint, isprime
@@ -342,11 +343,18 @@ def frobenius(x: FieldElement, t: int) -> FieldElement:
 
 
 def mult_order(x: FieldElement) -> int:
-    """Smallest r >= 1 with x^r = 1, via the factored group order."""
+    """Smallest r >= 1 with x^r = 1.
+
+    Once the field's dlog table exists ("g^k" formatting builds it), this
+    is (q-1) / gcd(dlog x, q-1); otherwise the factored group order is
+    walked down, which avoids building a q-entry table for one order.
+    """
     if not x:
         raise ValueError("zero has no order")
     field = x.field
     order = field.order - 1
+    if field._dlog_table is not None:
+        return order // math.gcd(field.dlog(x), order)
     for f in field.group_factors():
         while order % f == 0 and x ** (order // f) == field.one:
             order //= f

@@ -85,6 +85,75 @@ def brute_iso_selfdual_exists(params):
     return False
 
 
+def reference_image_rep(params, members, s):
+    """Rep of the coset s*Q: the least image of any member, mod n'r."""
+    return min((s * k) % params.period for k in members)
+
+
+def reference_s_orbits(params, s):
+    """Orbits of Q -> sQ on the unit class, as lists of reps, by following
+    every member's image; each orbit starts at its least rep."""
+    cosets = naive_cosets(params, 1)
+    reps = [c[0] for c in cosets]
+    image = {c[0]: reference_image_rep(params, c, s) for c in cosets}
+    orbits, done = [], set()
+    for rep in reps:
+        if rep in done:
+            continue
+        orbit = [rep]
+        while image[orbit[-1]] != rep:
+            orbit.append(image[orbit[-1]])
+        done.update(orbit)
+        orbits.append(orbit)  # reps ascend, so rep is the orbit's least
+    return orbits
+
+
+def reference_act(phi, s):
+    """(s*phi).assignment, with each coset's image found from its members."""
+    params = phi.params
+    return {reference_image_rep(params, c, s): phi.assignment[c[0]]
+            for c in naive_cosets(params, 1)}
+
+
+def brute_iso_witness(phi):
+    """Smallest s = 1 mod r, coprime to n'r, whose reference action sends
+    phi to its complement; None when there is none."""
+    params = phi.params
+    cap = params.p ** params.nu
+    comp = {k: cap - v for k, v in phi.assignment.items()}
+    for k in range(params.nprime):
+        s = 1 + params.r * k
+        if math.gcd(s, params.period) == 1 and reference_act(phi, s) == comp:
+            return s
+    return None
+
+
+def factor_walk_order(x):
+    """Multiplicative order of x by walking q-1 down its prime factors
+    (trial division); integer powers in prime fields."""
+    field = x.field
+    order = field.order - 1
+    primes, rest, f = [], order, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        primes.append(rest)
+
+    def is_one(k):
+        if field.m == 1:
+            return pow(x.coeffs[0], k, field.p) == 1
+        return x ** k == field.one
+
+    for f in primes:
+        while order % f == 0 and is_one(order // f):
+            order //= f
+    return order
+
+
 def brute_min_weight(code):
     """Minimum Hamming weight over every listed codeword; None for the zero code."""
     weights = [sum(1 for c in word if c) for word in enumerate_codewords(code)]

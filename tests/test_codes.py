@@ -282,6 +282,18 @@ def test_min_weight_gray_blocks_split_anywhere(monkeypatch):
             assert codes.min_weight(code) == d, (block, code)
 
 
+def test_to_json_weight_raises_on_bad_env_cap_but_nulls_overflow(monkeypatch):
+    params = derive_params(3, 2, 4, -1)
+    code = build_code(params, CosetFunction.from_values(params, [0, 0, 1, 1]))
+    monkeypatch.setenv("CONSTAGALOIS_ENUM_CAP", "abc")
+    with pytest.raises(ValueError, match="CONSTAGALOIS_ENUM_CAP"):
+        code.to_json(with_weight=True)
+    assert code.to_json(cap=80, with_weight=True)["min_weight"] is None
+    monkeypatch.setenv("CONSTAGALOIS_ENUM_CAP", "80")
+    assert code.to_json(with_weight=True)["min_weight"] is None
+    assert code.to_json(cap=81, with_weight=True)["min_weight"] == 3
+
+
 def test_min_weight_memo_respects_smaller_cap():
     params = derive_params(3, 2, 4, -1)
     code = build_code(params, CosetFunction.from_values(params, [0, 0, 1, 1]))

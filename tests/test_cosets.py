@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from constagalois import (CosetFunction, derive_params, embed, make_field,
                           mult_order, q_cosets, s_orbits)
-from exhaustive import PE_PAIRS, grid_instances
+from exhaustive import PE_PAIRS, grid_instances, reference_act, reference_s_orbits
 
 
 def test_params_repeated_root_gf4():
@@ -181,3 +182,48 @@ def test_assignment_validation():
         CosetFunction(params, {1: 0, 5: 1})
     with pytest.raises(ValueError, match="outside"):
         CosetFunction(params, {1: 4, 5: 0, 9: 0, 13: 0})
+
+
+def _census_grid():
+    """Every lambda order for p <= 13, e <= 3, n <= 30."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in (1, 2, 3):
+            q = p ** e
+            field = make_field(p, e)
+            orders = [r for r in range(1, q) if (q - 1) % r == 0]
+            for n in range(1, 31):
+                for r in orders:
+                    yield derive_params(p, e, n, field.generator ** ((q - 1) // r))
+
+
+def test_coset_table_matches_member_minimum_on_census_grid():
+    # s_orbits and CosetFunction.act read images off the coset table;
+    # the reference takes the least image over every member of the coset
+    rng = random.Random(3)
+    for params in _census_grid():
+        period, cap = params.period, params.p ** params.nu
+        units = [1 + params.r * k for k in range(params.nprime)
+                 if math.gcd(1 + params.r * k, period) == 1]
+        negs = [-(params.p ** h) for h in range(params.e + 1)]
+        phi = CosetFunction.from_values(
+            params, [rng.randint(0, cap) for _ in q_cosets(params, 1)])
+        for s in units:
+            assert [[Q.rep for Q in orbit] for orbit in s_orbits(params, s)] \
+                == reference_s_orbits(params, s), (params, s)
+        for s in units + negs:
+            if math.gcd(s, period) != 1:
+                continue
+            image = phi.act(s)
+            assert image.assignment == reference_act(phi, s), (params, s)
+            assert image.residue == s % params.r
+        for Q in q_cosets(params, 1):
+            assert Q.rep == Q.members[0]
+            assert all(params.coset_of(k) is Q for k in Q.members)
+
+
+def test_coset_of_rejects_other_class():
+    params = derive_params(5, 2, 26, -1)   # r = 2
+    assert params.coset_of(27).members == (27, 51)
+    assert params.coset_of(2, residue=0).rep == 2
+    with pytest.raises(ValueError, match="not in the class"):
+        params.coset_of(2, residue=1)

@@ -8,7 +8,9 @@ from constagalois import (CosetFunction, Isometry, Poly, QuotientElem,
                           galois_inner, is_galois_selfdual,
                           is_iso_galois_selfdual, make_field, q_cosets)
 from constagalois import oracle
-from exhaustive import grid_instances
+from constagalois.duality import iso_witness_for
+from constagalois.existence import iso_selfdual_exists
+from exhaustive import PE_PAIRS, brute_iso_witness, grid_instances
 
 
 def gf4_params():
@@ -327,3 +329,26 @@ def test_iso_witness_realizes_duality_through_isometry():
     for h in range(5):
         mover = Isometry(params, -(params.p ** ((params.e - h) % params.e)) * s)
         assert mover.on_code(code) == galois_dual(code, h)
+
+
+def test_iso_witness_for_matches_brute_smallest_multiplier():
+    # random functions (mostly non-witnesses), the existence witnesses and
+    # their complements, against the least s whose member-wise action
+    # sends phi to phibar
+    rng = random.Random(5)
+    found = missing = 0
+    for params in grid_instances(PE_PAIRS, 14, max_cosets=12):
+        cap = params.p ** params.nu
+        size = len(q_cosets(params, 1))
+        phis = [CosetFunction.from_values(
+                    params, [rng.randint(0, cap) for _ in range(size)])
+                for _ in range(3)]
+        witness = iso_selfdual_exists(params).witness_phi
+        if witness is not None:
+            phis += [witness, witness.complement()]
+        for phi in phis:
+            s = iso_witness_for(params, phi)
+            assert s == brute_iso_witness(phi), (params, phi)
+            found += s is not None
+            missing += s is None
+    assert found > 50 and missing > 50

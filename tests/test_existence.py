@@ -9,7 +9,9 @@ from constagalois import (CosetFunction, build_code, derive_params,
                           is_galois_selfdual, is_iso_galois_selfdual,
                           iso_selfdual_exists, make_field, nu, nu2_power_pm1,
                           q_cosets, s_orbits)
-from constagalois.existence import orbits_even_by_case, orbits_even_by_valuations
+from constagalois.duality import iso_witness_for
+from constagalois.existence import (iso_selfdual_family, orbits_even_by_case,
+                                    orbits_even_by_valuations)
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
                         brute_iso_selfdual_exists, grid_instances)
 
@@ -118,6 +120,30 @@ def test_iso_verdict_is_h_independent():
         verdicts = {iso_selfdual_exists(params, h).exists
                     for h in range(params.e + 1)}
         assert len(verdicts) == 1
+
+
+def test_memoised_iso_verdict_equal_for_all_h_and_checks_h():
+    for params in grid_instances(PE_PAIRS + [(3, 3), (7, 1)], 12):
+        first = iso_selfdual_exists(params, 0)
+        for h in range(1, params.e + 1):
+            again = iso_selfdual_exists(params, h)
+            assert again == first and again is not first
+        label, phi, s = iso_selfdual_family(params)
+        assert (label, phi) == (first.matched_condition, first.witness_phi)
+        assert s == (None if phi is None else iso_witness_for(params, phi))
+        for h in (-1, params.e + 1):
+            with pytest.raises(ValueError, match="h must lie"):
+                iso_selfdual_exists(params, h)
+
+
+def test_iso_labels_follow_duadic_labels():
+    mapping = {"(iii.1)": "(ii)", "(iii.2)": "(iii)", None: None}
+    for params in grid_instances(PE_PAIRS + [(3, 3), (7, 1)], 16):
+        iso = iso_selfdual_exists(params).matched_condition
+        if params.p == 2 and params.nu >= 1:
+            assert iso == "(i)"
+        else:
+            assert iso == mapping[duadic_exists(params).matched_condition]
 
 
 def test_special_cases_agree_with_general_predicate():

@@ -4,7 +4,7 @@ import pytest
 
 from constagalois import (embed, format_element, frobenius, make_field,
                           mult_order, parse_element, section)
-from exhaustive import brute_monic_irreducibles
+from exhaustive import brute_monic_irreducibles, factor_walk_order
 
 
 def test_make_field_rejects_bad_arguments():
@@ -124,6 +124,45 @@ def test_mult_order_gf81_sixteenth_roots():
     theta = field.generator ** 5          # a primitive 16th root of unity
     assert mult_order(theta) == 16
     assert mult_order(theta ** 12) == 4
+
+
+def test_mult_order_matches_factor_walk_up_to_2_10():
+    # every nonzero element of every field with q <= 2^10, read off the
+    # dlog table
+    for p in range(2, 1 << 10):
+        if any(p % f == 0 for f in range(2, int(p ** 0.5) + 1)):
+            continue
+        m = 1
+        while p ** m <= 1 << 10:
+            field = make_field(p, m)
+            field.dlog(field.one)          # builds the table
+            for x in field.elements():
+                if x:
+                    assert mult_order(x) == factor_walk_order(x), x
+            m += 1
+
+
+def test_mult_order_without_dlog_table():
+    field = make_field(7, 3)
+    saved, field._dlog_table = field._dlog_table, None
+    try:
+        for k in range(0, field.order - 1, 7):
+            x = field.generator ** k
+            assert mult_order(x) == factor_walk_order(x)
+        assert field._dlog_table is None       # one order builds no table
+    finally:
+        field._dlog_table = saved
+
+
+def test_mult_order_above_dlog_tables():
+    field = make_field(257, 2)             # q = 66049 > 2^16: no dlog table
+    with pytest.raises(ValueError, match="too large"):
+        field.dlog(field.generator)
+    assert mult_order(field.generator) == field.order - 1
+    assert mult_order(-field.one) == 2
+    assert mult_order(field.generator ** 258) == 256
+    x = field.element([0, 1])
+    assert mult_order(x) == factor_walk_order(x)
 
 
 def test_canonical_generator_is_primitive():
