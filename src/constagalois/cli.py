@@ -15,9 +15,9 @@ import functools
 import io
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Set
 
-from .codes import _enum_cap, build_code, coset_poly, min_weight
+from .codes import ConstaCode, _enum_cap, build_code, coset_poly, min_weight
 from .cosets import CodeParams, CosetFunction, derive_params, q_cosets, s_orbits
 from .duality import galois_dual, is_galois_selfdual, is_iso_galois_selfdual
 from .existence import (duadic_exists, euclidean_selfdual_exists,
@@ -46,8 +46,8 @@ def parse_phi(params: CodeParams, text: str, residue: int = 1) -> CosetFunction:
     return CosetFunction(params, assignment, residue)
 
 
-def parse_int_list(text: str) -> List[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def parse_int_set(text: str) -> Set[int]:
+    return {int(x) for x in text.split(",") if x.strip()}
 
 
 def load_config(path: str) -> dict:
@@ -70,7 +70,7 @@ def params_from_args(args) -> CodeParams:
         if getattr(args, flag, None) is None:
             name = "lambda" if flag == "lam" else flag
             raise UsageError(f"--{name} is required (flag or config file)")
-    return derive_params(int(args.p), int(args.e), int(args.n), args.lam)
+    return derive_params(args.p, args.e, args.n, args.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +151,20 @@ def cmd_factor(args) -> List[dict]:
     return records
 
 
-def cmd_code(args) -> List[dict]:
+def _code_from_args(args) -> ConstaCode:
+    """The code of --phi under the params flags (code, dual, check)."""
     params = params_from_args(args)
     if not args.phi:
         raise UsageError("--phi is required (flag or config file)")
-    phi = parse_phi(params, args.phi)
-    code = build_code(params, phi)
-    return [code.to_json(cap=args.cap, with_weight=True)]
+    return build_code(params, parse_phi(params, args.phi))
+
+
+def cmd_code(args) -> List[dict]:
+    return [_code_from_args(args).to_json(cap=args.cap, with_weight=True)]
 
 
 def cmd_dual(args) -> List[dict]:
-    params = params_from_args(args)
-    if not args.phi:
-        raise UsageError("--phi is required (flag or config file)")
-    phi = parse_phi(params, args.phi)
-    code = build_code(params, phi)
-    dual = galois_dual(code, args.h)
+    dual = galois_dual(_code_from_args(args), args.h)
     record = dual.to_json(cap=args.cap, with_weight=True)
     record["h"] = args.h
     record["lambda_power"] = format_element(dual.unit)
@@ -174,11 +172,7 @@ def cmd_dual(args) -> List[dict]:
 
 
 def cmd_check(args) -> List[dict]:
-    params = params_from_args(args)
-    if not args.phi:
-        raise UsageError("--phi is required (flag or config file)")
-    phi = parse_phi(params, args.phi)
-    code = build_code(params, phi)
+    code = _code_from_args(args)
     cert = is_galois_selfdual(code, args.h)
     cert.iso_witness = is_iso_galois_selfdual(code, args.h)
     return [cert.to_json()]
@@ -198,30 +192,26 @@ def cmd_exist(args) -> List[dict]:
     return [record]
 
 
-def _divisors(k: int) -> List[int]:
-    return [d for d in range(1, k + 1) if k % d == 0]
-
-
 def cmd_search(args) -> List[dict]:
-    ps = parse_int_list(args.p_list)
-    es = parse_int_list(args.e_list)
-    wanted = set(parse_int_list(args.orders)) if args.orders else None
-    h_list = parse_int_list(args.h_list) if args.h_list else None
+    es = parse_int_set(args.e_list)
+    wanted = parse_int_set(args.orders) if args.orders else None
+    h_set = parse_int_set(args.h_list) if args.h_list else None
+    max_cosets, max_mult = args.max_cosets, args.max_multiplicity
     rows = []
-    for p in sorted(ps):
+    for p in sorted(parse_int_set(args.p_list)):
         for e in sorted(es):
             q = p ** e
             field = make_field(p, e)
-            # one lambda per order r: g^((q-1)/r)
-            lams = [field.generator ** ((q - 1) // r) for r in _divisors(q - 1)
-                    if wanted is None or r in wanted]
-            hs = range(e + 1) if h_list is None else h_list
+            # one lambda per order r | q - 1: g^((q-1)/r)
+            lams = [field.generator ** ((q - 1) // r) for r in range(1, q)
+                    if (q - 1) % r == 0 and (wanted is None or r in wanted)]
+            hs = range(e + 1) if h_set is None else sorted(h_set)
             for n in range(args.n_min, args.n_max + 1):
                 for lam in lams:
                     params = derive_params(p, e, n, lam)
-                    if args.max_cosets and len(q_cosets(params, 1)) > args.max_cosets:
+                    if max_cosets is not None and len(q_cosets(params, 1)) > max_cosets:
                         continue
-                    if args.max_multiplicity and p ** params.nu > args.max_multiplicity:
+                    if max_mult is not None and p ** params.nu > max_mult:
                         continue
                     for h in hs:
                         rows.append(_search_row(params, h, args))
@@ -257,8 +247,7 @@ def cmd_verify(args) -> List[dict]:
         [list(Q.members) for Q in q_cosets(params, 1)]
         == [list(t) for t in naive_cosets(params, 1)])
     if args.phi:
-        phi = parse_phi(params, args.phi)
-        code = build_code(params, phi)
+        code = _code_from_args(args)
         dual = galois_dual(code, args.h)
         closed_rows = dual.generator_rows()
         brute_rows = dual_basis(code, args.h)
@@ -284,115 +273,89 @@ class UsageError(Exception):
     pass
 
 
-def _add_params_flags(sub):
-    # not argparse-required so --config files can supply them
-    sub.add_argument("--p", type=int, help="characteristic prime")
-    sub.add_argument("--e", type=int, help="extension degree, q = p^e")
-    sub.add_argument("--n", type=int, help="code length")
-    sub.add_argument("--lambda", dest="lam",
-                     help='unit: "1", "-1", "g^K", or "[c0,...,c_{e-1}]"')
+_PARAMS_FLAGS = (  # not argparse-required so --config files can supply them
+    ("--p", dict(type=int, help="characteristic prime")),
+    ("--e", dict(type=int, help="extension degree, q = p^e")),
+    ("--n", dict(type=int, help="code length")),
+    ("--lambda", dict(dest="lam", help='unit: "1", "-1", "g^K", or "[c0,...,c_{e-1}]"')),
+)
+_H_FLAG = ("--h", dict(type=int, default=0))
 
 
-def _add_output_flags(sub):
-    # duplicated on each subcommand (SUPPRESS keeps the global defaults)
-    sub.add_argument("--format", choices=["json", "csv", "text"],
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--cap", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--config", default=argparse.SUPPRESS)
+def _make_parser(config: dict) -> argparse.ArgumentParser:
+    """The CLI parser with the values of a config file (``load_config``
+    keys) as defaults, so an explicit flag wins in any spelling."""
+    parser = argparse.ArgumentParser(
+        prog="constagalois",
+        description="constacyclic codes over GF(p^e) under Galois inner products")
+    _add_flags(parser, config, (
+        ("--config", dict(help="flat key=value file with default flags")),
+        ("--format", dict(choices=["json", "csv", "text"], default="json")),
+        ("--cap", dict(type=int, default=None,
+                       help="codeword enumeration cap (default 2^20, or "
+                            "CONSTAGALOIS_ENUM_CAP)"))))
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, help, *flags, params=True):
+        sub = subs.add_parser(name, help=help)
+        _add_flags(sub, config, (_PARAMS_FLAGS if params else ()) + flags)
+        # duplicated on each subcommand (SUPPRESS keeps the global defaults)
+        sub.add_argument("--format", choices=["json", "csv", "text"],
+                         default=argparse.SUPPRESS)
+        sub.add_argument("--cap", type=int, default=argparse.SUPPRESS)
+        sub.add_argument("--config", default=argparse.SUPPRESS)
+        sub.set_defaults(func=func)
+
+    command("params", cmd_params, "derived parameters incl. theta")
+    command("cosets", cmd_cosets, "q-coset table and optional s-orbits",
+            ("--s", dict(type=int, default=None, help="multiplier for orbits")))
+    command("factor", cmd_factor, "irreducible factor for every coset")
+    command("code", cmd_code, "build the code of a coset function",
+            ("--phi", dict(help='coset function "rep:val,..."')))
+    command("dual", cmd_dual, "the p^h-dual code", ("--phi", {}), _H_FLAG)
+    command("check", cmd_check, "self-duality certificate", ("--phi", {}), _H_FLAG)
+    command("exist", cmd_exist, "existence predicates", _H_FLAG)
+    command("search", cmd_search, "grid census of self-dual families",
+            ("--p-list", dict(required=True, help="comma-separated primes")),
+            ("--e-list", dict(required=True, help="comma-separated degrees")),
+            ("--n-min", dict(type=int, default=1)),
+            ("--n-max", dict(type=int, required=True)),
+            ("--orders", dict(default=None, help="restrict lambda orders")),
+            ("--h-list", dict(default=None, help="restrict h values")),
+            ("--max-cosets", dict(type=int, default=None)),
+            ("--max-multiplicity", dict(type=int, default=None,
+                                        help="skip instances with p^nu above this")),
+            ("--with-weights", dict(action="store_true",
+                                    help="compute exact minimum weights (enumerative)")),
+            params=False)
+    command("verify", cmd_verify, "cross-check closed forms vs oracle",
+            ("--phi", dict(default=None)), _H_FLAG)
+    return parser
+
+
+def _add_flags(parser, config: dict, flags) -> None:
+    """Add each (flag, options) pair; the flag's config value becomes its
+    default, converted as its action converts a command-line value."""
+    for flag, options in flags:
+        action = parser.add_argument(flag, **options)
+        text = config.get(flag[2:].replace("-", "_"))
+        if text is None:
+            continue
+        if action.nargs == 0:  # store_true
+            if text not in ("true", "false"):
+                raise ValueError(f"config {flag} takes true or false, not {text!r}")
+            value = text == "true"
+        else:
+            value = action.type(text) if action.type else text
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"config {flag} takes one of {action.choices}, not {text!r}")
+        parser.set_defaults(**{action.dest: value})
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="constagalois",
-        description="constacyclic codes over GF(p^e) under Galois inner products")
-    parser.add_argument("--config", help="flat key=value file with default flags")
-    parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="codeword enumeration cap (default 2^20, or "
-                             "CONSTAGALOIS_ENUM_CAP)")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("params", help="derived parameters incl. theta")
-    _add_params_flags(sub)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_params)
-
-    sub = subs.add_parser("cosets", help="q-coset table and optional s-orbits")
-    _add_params_flags(sub)
-    sub.add_argument("--s", type=int, default=None, help="multiplier for orbits")
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_cosets)
-
-    sub = subs.add_parser("factor", help="irreducible factor for every coset")
-    _add_params_flags(sub)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_factor)
-
-    sub = subs.add_parser("code", help="build the code of a coset function")
-    _add_params_flags(sub)
-    sub.add_argument("--phi", help='coset function "rep:val,..."')
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_code)
-
-    sub = subs.add_parser("dual", help="the p^h-dual code")
-    _add_params_flags(sub)
-    sub.add_argument("--phi")
-    sub.add_argument("--h", type=int, default=0)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_dual)
-
-    sub = subs.add_parser("check", help="self-duality certificate")
-    _add_params_flags(sub)
-    sub.add_argument("--phi")
-    sub.add_argument("--h", type=int, default=0)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_check)
-
-    sub = subs.add_parser("exist", help="existence predicates")
-    _add_params_flags(sub)
-    sub.add_argument("--h", type=int, default=0)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_exist)
-
-    sub = subs.add_parser("search", help="grid census of self-dual families")
-    sub.add_argument("--p-list", required=True, help="comma-separated primes")
-    sub.add_argument("--e-list", required=True, help="comma-separated degrees")
-    sub.add_argument("--n-min", type=int, default=1)
-    sub.add_argument("--n-max", type=int, required=True)
-    sub.add_argument("--orders", default=None, help="restrict lambda orders")
-    sub.add_argument("--h-list", default=None, help="restrict h values")
-    sub.add_argument("--max-cosets", type=int, default=None)
-    sub.add_argument("--max-multiplicity", type=int, default=None,
-                     help="skip instances with p^nu above this")
-    sub.add_argument("--with-weights", action="store_true",
-                     help="compute exact minimum weights (enumerative)")
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_search)
-
-    sub = subs.add_parser("verify", help="cross-check closed forms vs oracle")
-    _add_params_flags(sub)
-    sub.add_argument("--phi", default=None)
-    sub.add_argument("--h", type=int, default=0)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_verify)
-
-    return parser
-
-
-_INT_KEYS = {"p", "e", "n", "h", "s", "cap", "n_min", "n_max",
-             "max_cosets", "max_multiplicity"}
-
-
-def _apply_config(args, argv: List[str]) -> None:
-    """Fill parsed args from the config file; explicit flags win."""
-    config = load_config(args.config)
-    for key, value in config.items():
-        dest = "lam" if key == "lambda" else key
-        if not hasattr(args, dest) or f"--{key.replace('_', '-')}" in argv:
-            continue
-        setattr(args, dest, int(value) if dest in _INT_KEYS else value)
+    return _make_parser({})
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -403,7 +366,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         if args.config:
-            _apply_config(args, argv)
+            args = _make_parser(load_config(args.config)).parse_args(argv)
         if args.cap is None:
             args.cap = _enum_cap(None)
     except (OSError, ValueError) as exc:

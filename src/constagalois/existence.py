@@ -61,52 +61,8 @@ class ExistenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# even-orbit criteria
+# witness constructions
 # ---------------------------------------------------------------------------
-
-def _nu2_or_neg_inf(k: int):
-    # nu_2(0) is taken as -infinity, so |nu_2(0)| dominates every comparison
-    return -math.inf if k == 0 else nu(2, k)
-
-
-def orbits_even_by_valuations(params: CodeParams, h: int) -> Optional[str]:
-    """Are all (-p^h)-orbits on the coset quotient set of even length?
-
-    Decided through the four valuation inequalities (labels c1..c4); the
-    closed-form case split in :func:`orbits_even_by_case` must agree.
-    """
-    p, e = params.p, params.e
-    if params.nprime % 2 != 0 or params.r % 2 != 0:
-        return None
-    a = nu(2, p ** e - 1)
-    b = nu(2, p ** h + 1)                     # = nu_2(-p^h - 1)
-    c = abs(_nu2_or_neg_inf(1 - p ** h))      # = |nu_2(-p^h + 1)|
-    d2 = nu(2, p ** e + 1)
-    nr2 = nu(2, params.nprime * params.r)
-    if a > b and nr2 > b:
-        return "c1"
-    if a == 1 and b > 1 and d2 + 1 > b and nr2 > b:
-        return "c2"
-    if a == 1 and b == 1 and c > d2 and nr2 > d2:
-        return "c3"
-    if a == 1 and b == 1 and c < d2 and c < nr2:
-        return "c4"
-    return None
-
-
-def orbits_even_by_case(params: CodeParams, h: int) -> Optional[str]:
-    """Same question as orbits_even_by_valuations, by the p mod 4 case split."""
-    p, e = params.p, params.e
-    if params.nprime % 2 != 0 or params.r % 2 != 0:
-        return None
-    if p % 4 == 1:
-        return "(i)"
-    if e % 2 == 0 and h % 2 == 0:
-        return "(ii)"
-    if nu(2, params.nprime * params.r) > nu(2, p + 1):
-        return "(iii)"
-    return None
-
 
 def _even_orbit_multiplier(params: CodeParams) -> Optional[int]:
     """Smallest s = 1 mod r, coprime to n'r, whose coset orbits are all even."""
@@ -208,11 +164,9 @@ def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
     p = params.p
     if (p ** h + 1) % params.r != 0:
         return ExistenceVerdict(False)
-    cap = p ** params.nu
-    label = None
     if p == 2 and params.nu >= 1:
         label = "(i)"
-        phi = CosetFunction.constant(params, cap // 2)
+        phi = CosetFunction.constant(params, p ** params.nu // 2)
     else:
         even = params.nprime % 2 == 0 and params.r % 2 == 0
         if even and p % 4 == 1:
@@ -231,40 +185,24 @@ def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
     return ExistenceVerdict(True, label, phi)
 
 
+# galois_selfdual_exists labels -> labels of its h = 0 and h = e/2 cases.
+# Those split on q (resp. p^(e/2)) mod 4 rather than on p mod 4, so the
+# general (ii) and (iii), both 1 mod 4 there, merge into one label.
+_SPECIAL_LABELS = {"(i)": "(i)", "(ii)": "(ii)", "(iii)": "(ii)", "(iv)": "(iii)"}
+
+
+def _special_case(verdict: ExistenceVerdict) -> ExistenceVerdict:
+    label = _SPECIAL_LABELS.get(verdict.matched_condition)
+    return ExistenceVerdict(verdict.exists, label, verdict.witness_phi)
+
+
 def euclidean_selfdual_exists(params: CodeParams) -> ExistenceVerdict:
     """Existence of self-dual codes: the h = 0 specialization."""
-    one = params.field.one
-    label = None
-    if params.p == 2 and params.lam == one and params.nu >= 1:
-        label = "(i)"
-    elif params.q % 4 == 1 and params.lam == -one and params.nprime % 2 == 0:
-        label = "(ii)"
-    elif (params.q % 4 == 3 and params.lam == -one
-          and nu(2, params.nprime) + 1 > nu(2, params.q + 1)):
-        label = "(iii)"
-    if label is None:
-        return ExistenceVerdict(False)
-    witness = galois_selfdual_exists(params, 0).witness_phi
-    return ExistenceVerdict(True, label, witness)
+    return _special_case(galois_selfdual_exists(params, 0))
 
 
 def hermitian_selfdual_exists(params: CodeParams) -> ExistenceVerdict:
     """Existence of Hermitian self-dual codes: the h = e/2 specialization."""
     if params.e % 2 != 0:
         return ExistenceVerdict(False)
-    p = params.p
-    ph = p ** (params.e // 2)
-    if (ph + 1) % params.r != 0:
-        return ExistenceVerdict(False)
-    label = None
-    if p == 2 and params.nu >= 1:
-        label = "(i)"
-    elif ph % 4 == 1 and params.nprime % 2 == 0 and params.r % 2 == 0:
-        label = "(ii)"
-    elif (ph % 4 == 3 and params.nprime % 2 == 0 and params.r % 2 == 0
-          and nu(2, params.nprime * params.r) > nu(2, ph + 1)):
-        label = "(iii)"
-    if label is None:
-        return ExistenceVerdict(False)
-    witness = galois_selfdual_exists(params, params.e // 2).witness_phi
-    return ExistenceVerdict(True, label, witness)
+    return _special_case(galois_selfdual_exists(params, params.e // 2))

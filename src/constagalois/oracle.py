@@ -91,9 +91,7 @@ def span(field: Field, rows: Sequence[tuple], cap: int = 1 << 16) -> Set[tuple]:
 
 
 def generator_matrix(code: ConstaCode) -> Matrix:
-    n = code.params.n
-    return Matrix(code.params.field,
-                  [code.generator.shift(i).vector(n) for i in range(code.dim)])
+    return Matrix(code.params.field, code.generator_rows())
 
 
 def dual_basis_of_rows(field: Field, rows: Sequence[tuple], n: int,
@@ -115,9 +113,8 @@ def dual_basis_of_rows(field: Field, rows: Sequence[tuple], n: int,
 
 def dual_basis(code: ConstaCode, h: int) -> List[tuple]:
     """Basis of the p^h-dual of a constacyclic code, by the rank method."""
-    n = code.params.n
-    rows = [code.generator.shift(i).vector(n) for i in range(code.dim)]
-    return dual_basis_of_rows(code.params.field, rows, n, h)
+    return dual_basis_of_rows(code.params.field, code.generator_rows(),
+                              code.params.n, h)
 
 
 def brute_dual(code: ConstaCode, h: int, cap: int = 1 << 16) -> Set[tuple]:

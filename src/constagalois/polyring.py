@@ -180,23 +180,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(a: Poly, b: Poly):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
-    field = a.field
-    r0, r1 = a, b
-    u0, u1 = Poly(field, [field.one]), Poly(field, [])
-    v0, v1 = Poly(field, []), Poly(field, [field.one])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    lead_inv = r0.coeffs[-1].inverse()
-    return r0 * lead_inv, u0 * lead_inv, v0 * lead_inv
-
-
 class QuotientElem:
     """An element of F_q[X]/(X^n - lambda^s).
 

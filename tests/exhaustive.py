@@ -1,7 +1,9 @@
 """Independent exhaustive helpers shared by the test modules.
 
 Everything here recomputes results from first principles (trial division,
-orbit closure, full enumeration of coset functions) so the library's
+orbit closure, full enumeration of coset functions) or states a closed
+form a second way (the even-orbit valuation criteria, the Euclidean and
+Hermitian theorems on their own terms, extended Euclid), so the library's
 closed forms are checked against code that shares nothing with them
 beyond field arithmetic.
 """
@@ -9,7 +11,8 @@ beyond field arithmetic.
 import itertools
 import math
 
-from constagalois import derive_params, make_field, q_cosets
+from constagalois import (ExistenceVerdict, Poly, derive_params,
+                          galois_selfdual_exists, make_field, nu, q_cosets)
 from constagalois.codes import enumerate_codewords
 from constagalois.oracle import naive_cosets
 
@@ -158,6 +161,108 @@ def brute_min_weight(code):
     """Minimum Hamming weight over every listed codeword; None for the zero code."""
     weights = [sum(1 for c in word if c) for word in enumerate_codewords(code)]
     return min((w for w in weights if w), default=None)
+
+
+def _nu2_or_neg_inf(k):
+    # nu_2(0) is taken as -infinity, so |nu_2(0)| dominates every comparison
+    return -math.inf if k == 0 else nu(2, k)
+
+
+def orbits_even_by_valuations(params, h):
+    """Are all (-p^h)-orbits on the coset quotient set of even length?
+
+    Decided through the four valuation inequalities (labels c1..c4); the
+    closed-form case split in :func:`orbits_even_by_case` must agree.
+    """
+    p, e = params.p, params.e
+    if params.nprime % 2 != 0 or params.r % 2 != 0:
+        return None
+    a = nu(2, p ** e - 1)
+    b = nu(2, p ** h + 1)                     # = nu_2(-p^h - 1)
+    c = abs(_nu2_or_neg_inf(1 - p ** h))      # = |nu_2(-p^h + 1)|
+    d2 = nu(2, p ** e + 1)
+    nr2 = nu(2, params.nprime * params.r)
+    if a > b and nr2 > b:
+        return "c1"
+    if a == 1 and b > 1 and d2 + 1 > b and nr2 > b:
+        return "c2"
+    if a == 1 and b == 1 and c > d2 and nr2 > d2:
+        return "c3"
+    if a == 1 and b == 1 and c < d2 and c < nr2:
+        return "c4"
+    return None
+
+
+def orbits_even_by_case(params, h):
+    """Same question as orbits_even_by_valuations, by the p mod 4 case split."""
+    p, e = params.p, params.e
+    if params.nprime % 2 != 0 or params.r % 2 != 0:
+        return None
+    if p % 4 == 1:
+        return "(i)"
+    if e % 2 == 0 and h % 2 == 0:
+        return "(ii)"
+    if nu(2, params.nprime * params.r) > nu(2, p + 1):
+        return "(iii)"
+    return None
+
+
+def reference_euclidean_selfdual_exists(params):
+    """The Euclidean (h = 0) theorem stated on its own terms (q mod 4 and
+    lambda = +-1); the witness is the Galois one at h = 0."""
+    one = params.field.one
+    label = None
+    if params.p == 2 and params.lam == one and params.nu >= 1:
+        label = "(i)"
+    elif params.q % 4 == 1 and params.lam == -one and params.nprime % 2 == 0:
+        label = "(ii)"
+    elif (params.q % 4 == 3 and params.lam == -one
+          and nu(2, params.nprime) + 1 > nu(2, params.q + 1)):
+        label = "(iii)"
+    if label is None:
+        return ExistenceVerdict(False)
+    witness = galois_selfdual_exists(params, 0).witness_phi
+    return ExistenceVerdict(True, label, witness)
+
+
+def reference_hermitian_selfdual_exists(params):
+    """The Hermitian (h = e/2) theorem stated on its own terms (p^(e/2)
+    mod 4); the witness is the Galois one at h = e/2."""
+    if params.e % 2 != 0:
+        return ExistenceVerdict(False)
+    p = params.p
+    ph = p ** (params.e // 2)
+    if (ph + 1) % params.r != 0:
+        return ExistenceVerdict(False)
+    label = None
+    if p == 2 and params.nu >= 1:
+        label = "(i)"
+    elif ph % 4 == 1 and params.nprime % 2 == 0 and params.r % 2 == 0:
+        label = "(ii)"
+    elif (ph % 4 == 3 and params.nprime % 2 == 0 and params.r % 2 == 0
+          and nu(2, params.nprime * params.r) > nu(2, ph + 1)):
+        label = "(iii)"
+    if label is None:
+        return ExistenceVerdict(False)
+    witness = galois_selfdual_exists(params, params.e // 2).witness_phi
+    return ExistenceVerdict(True, label, witness)
+
+
+def poly_xgcd(a, b):
+    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
+    field = a.field
+    r0, r1 = a, b
+    u0, u1 = Poly(field, [field.one]), Poly(field, [])
+    v0, v1 = Poly(field, []), Poly(field, [field.one])
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero():
+        raise ValueError("gcd of two zero polynomials")
+    lead_inv = r0.coeffs[-1].inverse()
+    return r0 * lead_inv, u0 * lead_inv, v0 * lead_inv
 
 
 def grid_instances(pe_pairs, n_max, max_cosets=6, max_multiplicity=9):

@@ -181,6 +181,50 @@ def test_explicit_flags_override_config(tmp_path, capsys):
     assert record["n"] == 13 and record["p"] == 5
 
 
+def test_explicit_flags_override_config_in_every_spelling(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\ne=2\nn=8\nlambda=1\nformat=csv\n")
+    # "--n=4" and the abbreviation "--lam" are the flags --n and --lambda
+    (record,) = run_json(capsys, "--config", str(cfg), "params", "--n=4",
+                         "--lam", "-1", "--format=json")
+    assert record["n"] == 4 and record["lambda"] == "g^4" and record["p"] == 3
+    (record,) = run_json(capsys, "--format", "json", "--config", str(cfg), "params")
+    assert record["n"] == 8 and record["lambda"] == "1"
+
+
+def test_config_values_convert_through_their_flags(tmp_path, capsys):
+    search = ["search", "--p-list", "3", "--e-list", "2", "--n-min", "4",
+              "--n-max", "4", "--orders", "2"]
+    for text, d_min in (("false", None), ("true", 3)):
+        cfg = tmp_path / f"{text}.cfg"
+        cfg.write_text(f"with-weights = {text}\nh-list = 0\n")
+        (row,) = run_json(capsys, "--config", str(cfg), *search)
+        assert row["d_min"] == d_min, text
+    for line in ("with-weights = no", "n-max = four", "format = xml"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), *search)
+        assert code == 2 and out == "" and err.startswith("usage error: "), line
+
+
+def test_search_grid_lists_are_sets(capsys):
+    search = ["search", "--e-list", "1", "--n-min", "1", "--n-max", "6"]
+    once = run_json(capsys, *search, "--p-list", "3,5", "--h-list", "0")
+    assert run_json(capsys, *search, "--p-list", "5,3,3", "--h-list", "0,0") == once
+    assert run_json(capsys, *search, "--p-list", "3,5", "--e-list", "1,1",
+                    "--h-list", "0") == once
+
+
+def test_search_zero_limits_are_limits(capsys):
+    search = ["search", "--p-list", "3", "--e-list", "1", "--n-max", "6"]
+    code, out, err = run_cli(capsys, *search, "--max-cosets", "0")
+    assert (code, out) == (0, "")
+    code, out, err = run_cli(capsys, *search, "--max-multiplicity", "0")
+    assert (code, out) == (0, "")
+    # p^nu <= 1 keeps n = 1, 2, 4, 5 (nu = 1 at n = 3, 6): 4 lengths x 2 orders x 2 h
+    assert len(run_json(capsys, *search, "--max-multiplicity", "1")) == 4 * 2 * 2
+
+
 def test_missing_required_key_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "params", "--p", "5", "--e", "2", "--n", "26")
     assert code == 2

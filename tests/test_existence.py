@@ -10,10 +10,12 @@ from constagalois import (CosetFunction, build_code, derive_params,
                           iso_selfdual_exists, make_field, nu, nu2_power_pm1,
                           q_cosets, s_orbits)
 from constagalois.duality import iso_witness_for
-from constagalois.existence import (iso_selfdual_family, orbits_even_by_case,
-                                    orbits_even_by_valuations)
+from constagalois.existence import iso_selfdual_family
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
-                        brute_iso_selfdual_exists, grid_instances)
+                        brute_iso_selfdual_exists, grid_instances,
+                        orbits_even_by_case, orbits_even_by_valuations,
+                        reference_euclidean_selfdual_exists,
+                        reference_hermitian_selfdual_exists)
 
 
 def test_nu_basics():
@@ -153,6 +155,16 @@ def test_special_cases_agree_with_general_predicate():
         if params.e % 2 == 0:
             assert (hermitian_selfdual_exists(params).exists
                     == galois_selfdual_exists(params, params.e // 2).exists)
+
+
+def test_special_cases_match_their_own_theorems():
+    # label, witness and verdict of the Galois relabelling against the
+    # Euclidean and Hermitian theorems stated on their own terms
+    for params in grid_instances(PE_PAIRS + [(3, 3), (3, 4), (7, 1), (7, 2)], 16):
+        assert (euclidean_selfdual_exists(params).to_json()
+                == reference_euclidean_selfdual_exists(params).to_json()), params
+        assert (hermitian_selfdual_exists(params).to_json()
+                == reference_hermitian_selfdual_exists(params).to_json()), params
 
 
 def test_even_orbit_criteria_agree_with_each_other_and_orbits():

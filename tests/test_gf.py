@@ -1,10 +1,19 @@
 import itertools
+import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
 from constagalois import (embed, format_element, frobenius, make_field,
                           mult_order, parse_element, section)
+from constagalois.gf import (_PSI_13, _isprime, _prime_factors,
+                             _strong_lucas_probable_prime)
 from exhaustive import brute_monic_irreducibles, factor_walk_order
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_make_field_rejects_bad_arguments():
@@ -223,3 +232,57 @@ def test_element_text_round_trip():
         assert parse_element(format_element(x), field) == x
     assert parse_element("-1", field) == -field.one
     assert parse_element("[1,3]", field) == field.generator
+
+
+# -- integer primality and factoring (stdlib, in place of sympy) ---------------
+
+def test_isprime_matches_trial_division_below_10_4():
+    for n in range(-3, 10 ** 4):
+        by_trial = n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+        assert _isprime(n) == by_trial, n
+
+
+def test_strong_lucas_pseudoprimes_below_10_5():
+    # the odd composites passing the strong Lucas test with Selfridge's
+    # parameters (Baillie and Wagstaff 1980; OEIS A217255); every prime passes
+    composites = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                  40309, 58519, 75077, 97439]
+    passing = [n for n in range(43, 10 ** 5, 2) if _strong_lucas_probable_prime(n)]
+    primes = [n for n in range(43, 10 ** 5, 2) if _isprime(n)]
+    assert sorted(set(passing) - set(primes)) == composites
+    assert set(primes) <= set(passing)
+
+
+def test_prime_factors_of_products_above_psi13():
+    # cofactors above PSI_13 go through the Baillie-PSW branch of _isprime
+    big = 2 ** 89 - 1                       # a Mersenne prime, ~6.2e26
+    assert _isprime(big) and not _isprime(big * 1031)
+    assert _prime_factors(big * 1031 * 1033 ** 2 * 12) == [2, 3, 1031, 1033, big]
+    assert _prime_factors(1) == [] and _prime_factors(2) == [2]
+
+
+def test_isprime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20170101)
+    special = [561, 3215031751, _PSI_13, 2 ** 89 - 1, 2 ** 127 - 1]
+    for n in [rng.randrange(10 ** 40) for _ in range(20000)] + special:
+        assert _isprime(n) == sympy.isprime(n), n
+
+
+def test_prime_factors_match_sympy_on_group_orders():
+    sympy = pytest.importorskip("sympy")
+    for p in sympy.primerange(2, 100):
+        m = 1
+        while p ** m - 1 < 2 ** 80:
+            n = p ** m - 1
+            assert _prime_factors(n) == sorted(sympy.factorint(n)), (p, m)
+            m += 1
+
+
+def test_import_leaves_sympy_unloaded():
+    code = ("import sys, constagalois, constagalois.cli; "
+            "print('sympy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -5,7 +5,8 @@ import pytest
 from constagalois import (CosetFunction, Poly, QuotientElem, cf_poly,
                           derive_params, make_field, parse_poly, poly_gcd,
                           q_cosets)
-from constagalois.polyring import format_poly, poly_to_json, poly_xgcd
+from constagalois.polyring import format_poly, poly_to_json
+from exhaustive import poly_xgcd
 
 
 def random_poly(field, max_deg, rng):
