@@ -380,6 +380,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:  # a broken invariant of the library itself
+        detail = " ".join(str(exc).split()) or "assertion failed"
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
     columns = CSV_COLUMNS if args.command == "search" else None
     out = emit(records, args.format, columns)
     if out:

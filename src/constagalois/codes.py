@@ -45,15 +45,19 @@ def coset_poly(params: CodeParams, coset: QCoset) -> Poly:
     if cached is not None:
         return cached
     big = params.big_field
-    prod = Poly(big, [big.one])
-    for i in coset.members:
-        prod = prod * Poly(big, [-params.theta_pow(i), big.one])
+    neg = big.neg
+    # a balanced product tree keeps the operands of each product of
+    # similar length
+    factors = [Poly.wrap(big, (neg(params.theta_pow(i).v), 1)) for i in coset.members]
+    while len(factors) > 1:
+        factors = [factors[i] * factors[i + 1] if i + 1 < len(factors) else factors[i]
+                   for i in range(0, len(factors), 2)]
     emb = params.field.embedding_into(big)
     try:
-        coeffs = [emb.section(c) for c in prod.coeffs]
+        ints = [emb.section_int(c) for c in factors[0].ints]
     except ValueError as exc:
         raise AssertionError("coset not Galois-stable") from exc
-    result = Poly(params.field, coeffs)
+    result = Poly.wrap(params.field, ints)
     params._coset_polys[key] = result
     return result
 
@@ -211,16 +215,15 @@ def enumerate_codewords(code: ConstaCode, cap: Optional[int] = None) -> List[tup
         raise ValueError("enumeration too large")
     field = code.params.field
     n = code.params.n
-    rows = code.generator_rows()
+    add_scaled, wrap = field.add_scaled, field.wrap
+    rows = [[x.v for x in row] for row in code.generator_rows()]
     words = []
-    for combo in itertools.product(list(field.elements()), repeat=dim):
-        word = [field.zero] * n
+    for combo in itertools.product(list(field.ints()), repeat=dim):
+        word = [0] * n
         for c, row in zip(combo, rows):
             if c:
-                for i, entry in enumerate(row):
-                    if entry:
-                        word[i] = word[i] + c * entry
-        words.append(tuple(word))
+                word = add_scaled(word, c, row)
+        words.append(tuple(map(wrap, word)))
     return words
 
 

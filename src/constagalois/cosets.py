@@ -83,14 +83,15 @@ class CodeParams:
                 acc = (acc * self.q) % self.period
                 d += 1
         self.d = d
-        # lambda' is the unique p^nu-th root of lambda inside GF(q)
+        # lambda' is the unique p^nu-th root of lambda inside GF(q), the
+        # inverse Frobenius power; (lambda')^(p^nu) is the Frobenius power nu
         self.lam_prime = lam.frobenius((-nu) % e)
-        assert self.lam_prime ** (p ** nu) == lam
+        assert self.lam_prime.frobenius(nu) == lam
 
         self._big_field: Optional[Field] = None
         self._theta: Optional[FieldElement] = None
         self._theta_dlog: Optional[int] = None
-        self._theta_pows: Dict[int, FieldElement] = {}
+        self._theta_classes: Dict[int, List[FieldElement]] = {}
         self._lam_pows: Dict[int, FieldElement] = {}
         self._cosets: Dict[int, List[QCoset]] = {}
         self._coset_tables: Dict[int, List[QCoset]] = {}
@@ -118,15 +119,15 @@ class CodeParams:
             return
         big_order = big.order - 1
         step = big_order // (self.q - 1)
-        w = big.generator ** step
-        img_gen = emb(self.field.generator)
+        mul, w = big.mul, big.pow(big.generator.v, step)
+        img_gen = emb.map_int(self.field.generator.v)
         u = None
-        acc = big.one
+        acc = 1
         for k in range(self.q - 1):
             if acc == img_gen:
                 u = k
                 break
-            acc = acc * w
+            acc = mul(acc, w)
         assert u is not None, "embedded generator not in the order-(q-1) subgroup"
         lam_dlog = step * ((u * self.field.dlog(self.lam)) % (self.q - 1))
         m_step = big_order // self.period
@@ -154,12 +155,21 @@ class CodeParams:
         return self._theta_dlog
 
     def theta_pow(self, k: int) -> FieldElement:
+        """theta^k.  The first call in a class mod r walks the whole class,
+        theta^(c + r j) = theta^c (theta^r)^j: one product per power."""
         k %= max(self.period, 1)
-        cached = self._theta_pows.get(k)
-        if cached is None:
-            cached = self.theta ** k
-            self._theta_pows[k] = cached
-        return cached
+        c = k % self.r
+        powers = self._theta_classes.get(c)
+        if powers is None:
+            big = self.big_field
+            mul, theta = big.mul, self.theta.v
+            acc, step = big.pow(theta, c), big.pow(theta, self.r)
+            powers = []
+            for _ in range(self.nprime):
+                powers.append(big.wrap(acc))
+                acc = mul(acc, step)
+            self._theta_classes[c] = powers
+        return powers[k // self.r]
 
     def lam_power(self, s: int) -> FieldElement:
         s %= self.r
@@ -256,7 +266,7 @@ def derive_params(p: int, e: int, n: int, lam) -> CodeParams:
         raise ValueError("lambda must be a unit")
     if n < 1:
         raise ValueError("length must be positive")
-    key = (p, e, n, lam.coeffs)
+    key = (p, e, n, lam.v)
     params = _PARAMS_CACHE.get(key)
     if params is None:
         params = CodeParams(p, e, n, lam)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 from .codes import ConstaCode, build_code
 from .cosets import CodeParams, CosetFunction, p_split
 from .gf import FieldElement
-from .polyring import QuotientElem
+from .polyring import Poly, QuotientElem
 
 
 def galois_inner(a: Sequence[FieldElement], b: Sequence[FieldElement],
@@ -35,10 +35,14 @@ def galois_inner(a: Sequence[FieldElement], b: Sequence[FieldElement],
     field = a[0].field
     if not 0 <= h <= field.m:
         raise ValueError("h must lie in [0, e]")
-    acc = field.zero
+    mul, add, frob = field.mul, field.add, field.frob
+    t = h % field.m
+    acc = 0
     for x, y in zip(a, b):
-        acc = acc + x * y.frobenius(h)
-    return acc
+        if x.field is not field or y.field is not field:
+            raise ValueError("mixed fields")
+        acc = add(acc, mul(x.v, frob(y.v, t)))
+    return field.wrap(acc)
 
 
 class Isometry:
@@ -84,20 +88,20 @@ class Isometry:
         params = self.params
         n = params.n
         field = params.field
+        mul, add, frob = field.mul, field.add, field.frob
         target_s = self.s * elem.s
         unit = params.lam_power(target_s)
-        out = [field.zero] * n
-        vec = elem.rep.vector(n)
-        for i, a in enumerate(vec):
+        nu = self.nu % params.e
+        out = [0] * n
+        for i, a in enumerate(elem.rep.ints):
             if not a:
                 continue
-            j = i * self.sprime_inv
-            t, j0 = divmod(j, n)
-            coeff = a.frobenius(self.nu)
+            t, j0 = divmod(i * self.sprime_inv, n)
+            coeff = frob(a, nu)
             if t:
-                coeff = coeff * unit ** t
-            out[j0] = out[j0] + coeff
-        return QuotientElem.from_vector(params, target_s, out)
+                coeff = mul(coeff, field.pow(unit.v, t))
+            out[j0] = add(out[j0], coeff)
+        return QuotientElem(params, target_s, Poly.wrap(field, out))
 
     def on_code(self, code: ConstaCode) -> ConstaCode:
         """M_s(C_phi) = C_(s*phi), a lambda^(s*residue)-constacyclic code."""

@@ -8,311 +8,199 @@ coefficient-vector order.  Repeated calls to ``make_field(p, m)`` return
 the identical interned ``Field`` object, so element encodings like "g^k"
 mean the same thing across runs and machines.
 
-Elements are immutable coefficient vectors over GF(p); all operations are
-pure and safe for concurrent use.
+Every element is an int owned by its field (``FieldElement.v``), and the
+field's kernel runs all arithmetic on those ints.  The kernel is chosen
+by the field's size:
+
+* q <= 2^10: log/antilog tables.  The int is the base-p index
+  c_0 + c_1 p + ... + c_(m-1) p^(m-1); products, inverses, powers and
+  the Frobenius map add or scale logs, and sums go through Zech
+  logarithms (Huber, IEEE T-IT 36, 1990).  Building the tables costs a
+  few microseconds per element (at most about 6 ms here), so larger
+  fields, which often serve only some hundreds of products as splitting
+  fields, do without.
+* larger q: packed base-p slots (``packed.PackedRing``).  Coefficient i
+  sits in a W-bit slot.  A product is one big-int (Kronecker) product,
+  reduced mod p in every slot at once and brought below the modulus by
+  Barrett division; sums use guard bits; the Frobenius map is the
+  precomputed GF(p)-linear map x -> x^p.
+
+In both encodings 0, 1 and every constant c of GF(p) are the ints 0, 1
+and c.  ``FieldElement`` wraps one int for the public API; ``Poly``, the
+oracle's matrices and the coset machinery work on the ints directly.
+Elements are immutable; all operations are pure and safe for concurrent
+use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from typing import Iterable, Iterator, Optional
 
+from .numtheory import _isprime, _prime_factors
+from .packed import PackedRing
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p) on plain int tuples (ascending degree)
-# ---------------------------------------------------------------------------
-
-def _ptrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, f, p):
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p) if f[-1] != 1 else 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % p
-        if c:
-            c = (c * inv_lead) % p
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    return _ptrim(a[:df])
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _ppowmod(base, exp, f, p):
-    result = (1,)
-    base = _pmod(base, f, p)
-    while exp:
-        if exp & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        exp >>= 1
-    return result
+# Fields up to this size run on log/antilog tables; discrete logs (the
+# "g^k" text encoding) are tabled up to _DLOG_MAX.
+_TABLE_MAX = 1 << 10
+_DLOG_MAX = 1 << 16
 
 
 def _is_irreducible(f, p):
-    """Deterministic irreducibility test for a monic f over GF(p).
+    """Rabin's irreducibility test for a monic f of degree m over GF(p).
 
-    f is reducible iff it shares a root with X^(p^k) - X for some
-    k <= deg(f)/2, which Euclid detects degree by degree.
+    f is irreducible iff X^(p^m) = X mod f and X^(p^(m/r)) - X is coprime
+    to f for every prime r dividing m (Rabin, SIAM J. Comput. 9, 1980).
+    For p < 32 a root in GF(p), found by evaluation, rejects most reducible
+    candidates before any power is taken.
     """
     m = len(f) - 1
     if m == 1:
         return True
     if f[0] == 0:
         return False  # divisible by X
-    h = (0, 1)
-    for _ in range(m // 2):
-        h = _ppowmod(h, p, f, p)
-        diff = _ptrim([(c - d) % p for c, d in itertools.zip_longest(h, (0, 1), fillvalue=0)])
-        g = _pgcd(diff, f, p)
-        if len(g) != 1:
+    from .polyring import Poly, poly_gcd  # the one polynomial implementation
+
+    gf_p = make_field(p, 1)
+    modulus = Poly.from_ints(gf_p, f)
+    if p < 32 and any(not modulus.eval(gf_p.wrap(a)) for a in range(1, p)):
+        return False
+    ring = PackedRing(p, f)
+    x = ring.encode((0, 1))
+    frob_powers = [x]  # X^(p^k)
+    for _ in range(m):
+        frob_powers.append(ring.power(frob_powers[-1], p))
+    if frob_powers[m] != x:
+        return False
+    for r in _prime_factors(m):
+        diff = Poly.from_ints(gf_p, ring.decode(ring.sub(frob_powers[m // r], x)))
+        if poly_gcd(diff, modulus).degree != 0:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# primality and factoring of integers (the characteristic and p^m - 1)
-# ---------------------------------------------------------------------------
-
-# Strong probable-prime tests to the first 13 primes are exact below PSI_13
-# (Sorenson and Webster, Math. Comp. 86, 2017); above it _isprime is
-# Baillie-PSW (Baillie and Wagstaff, Math. Comp. 35, 1980).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
-
-
-def _odd_part(k: int):
-    """(d, s) with k = d * 2^s and d odd, for k > 0."""
-    s = (k & -k).bit_length() - 1
-    return k >> s, s
-
-
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
-    a, result = a % n, 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge's parameters, for odd n > 41: D is
-    the first of 5, -7, 9, ... with (D/n) = -1, P = 1, Q = (1 - D)/4."""
-    if math.isqrt(n) ** 2 == n:
-        return False  # no such D exists
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:
-            return False  # gcd(D, n) > 1 and n > |D|
-        D = -D - 2 if D > 0 else -D + 2
-    Q, half = (1 - D) // 4, (n + 1) // 2
-    d, s = _odd_part(n + 1)
-    U, V, Qk = 1, 1, Q % n  # (U_k, V_k, Q^k) mod n, k running up the bits of d
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
-    for _ in range(s):  # U_d, then V_(d 2^t) for t < s
-        if U == 0 or V == 0:
-            return True
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-    return False
-
-
-def _isprime(n: int) -> bool:
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = _odd_part(n - 1)
-    for a in _MR_BASES if n < _PSI_13 else (2,):  # strong probable prime to a?
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return n < _PSI_13 or _strong_lucas_probable_prime(n)
-
-
-def _rho_factor(n: int) -> int:
-    """A proper factor of an odd composite n: Brent's rho on x^2 + c."""
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            for k in range(0, r, 128):  # gcd once per 128 steps
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                if (g := math.gcd(q, n)) != 1:
-                    break
-            r *= 2
-        if g == n:  # the batch overshot: replay it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _prime_factors(n: int) -> list:
-    """The distinct prime factors of n >= 1, ascending."""
-    primes = set()
-    for f in itertools.chain((2,), range(3, 1 << 10, 2)):
-        while n % f == 0:
-            primes.add(f)
-            n //= f
-    rest = [n] if n > 1 else []
-    while rest:
-        m = rest.pop()
-        if _isprime(m):
-            primes.add(m)
-        else:
-            f = _rho_factor(m)
-            rest += [f, m // f]
-    return sorted(primes)
 
 
 # ---------------------------------------------------------------------------
 # fields and elements
 # ---------------------------------------------------------------------------
 
-class FieldElement:
-    """An element of GF(p^m), stored as m residues mod p, ascending degree."""
+_new = object.__new__
 
-    __slots__ = ("field", "coeffs", "_hash")
+
+def _power_tables(q: int, mul, index, g: int):
+    """exp and log arrays of the powers of g: exp[k] = index(g^k) for
+    k < 2(q - 1), doubled so that a sum of two logs needs no mod, and
+    log[index(g^k)] = k.  One product by g per element."""
+    n1 = q - 1
+    exp = array("i", [0]) * (2 * n1)
+    log = array("i", [0]) * q
+    acc = 1
+    for k in range(n1):
+        i = index(acc)
+        exp[k] = exp[k + n1] = i
+        log[i] = k
+        acc = mul(acc, g)
+    return exp, log
+
+
+def _power_of_zero(k: int) -> int:
+    if k < 0:
+        raise ZeroDivisionError("division by zero")
+    return 0 if k else 1
+
+
+class FieldElement:
+    """An element of GF(p^m): the int ``v`` in its field's encoding.
+
+    ``coeffs`` reads it back as m residues mod p, ascending degree.
+    """
+
+    __slots__ = ("field", "v")
 
     def __init__(self, field: "Field", coeffs):
-        self.field = field
-        self.coeffs = tuple(c % field.p for c in coeffs)
-        if len(self.coeffs) != field.m:
+        coeffs = tuple(coeffs)
+        if len(coeffs) != field.m:
             raise ValueError("coefficient vector has wrong length")
-        self._hash = None
+        self.field = field
+        self.v = field.encode(coeffs)
+
+    @property
+    def coeffs(self) -> tuple:
+        return self.field.decode(self.v)
 
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement)
                 and self.field is other.field
-                and self.coeffs == other.coeffs)
+                and self.v == other.v)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.field), self.coeffs))
-        return self._hash
+        return hash((id(self.field), self.v))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.v != 0
 
     def __repr__(self):
         return f"{self.field!r}:{format_element(self)}"
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other):
+    def _other(self, other) -> int:
         if not isinstance(other, FieldElement) or other.field is not self.field:
             raise ValueError("mixed fields")
+        return other.v
 
     def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(self.field,
-                            [(a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
+        field = self.field
+        return field.wrap(field.add(self.v, self._other(other)))
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FieldElement(self.field,
-                            [(a - b) % p for a, b in zip(self.coeffs, other.coeffs)])
+        field = self.field
+        return field.wrap(field.sub(self.v, self._other(other)))
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, [(-a) % p for a in self.coeffs])
+        field = self.field
+        return field.wrap(field.neg(self.v))
 
     def __mul__(self, other):
-        self._check(other)
-        return self.field._mul(self, other)
+        field = self.field
+        return field.wrap(field.mul(self.v, self._other(other)))
 
     def __truediv__(self, other):
-        self._check(other)
-        if not other:
+        w = self._other(other)
+        if not w:
             raise ZeroDivisionError("division by zero")
-        return self.field._mul(self, other.inverse())
+        field = self.field
+        return field.wrap(field.mul(self.v, field.inv(w)))
 
     def inverse(self):
-        if not self:
+        if not self.v:
             raise ZeroDivisionError("division by zero")
-        return self ** (self.field.order - 2)
+        field = self.field
+        return field.wrap(field.inv(self.v))
 
     def __pow__(self, exp: int):
         field = self.field
-        if not self:
-            if exp == 0:
-                return field.one
-            if exp < 0:
-                raise ZeroDivisionError("division by zero")
-            return field.zero
-        exp %= field.order - 1
-        result = field.one
-        base = self
-        while exp:
-            if exp & 1:
-                result = field._mul(result, base)
-            base = field._mul(base, base)
-            exp >>= 1
-        return result
+        return field.wrap(field.pow(self.v, exp))
 
     def frobenius(self, t: int) -> "FieldElement":
         """x -> x^(p^(t mod m)), the t-th power of the Frobenius map."""
-        t %= self.field.m
-        return self ** (self.field.p ** t)
+        field = self.field
+        return field.wrap(field.frob(self.v, t % field.m))
 
 
 class Field:
-    """GF(p^m) with a fixed canonical modulus and generator.
+    """GF(p^m) with a fixed modulus and its canonical generator.
 
-    Use :func:`make_field`; constructing Field directly skips canonicity.
+    Use :func:`make_field`; constructing Field directly skips the
+    canonical choice of modulus.  The int-level kernel is bound on the
+    instance: ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``,
+    ``frob(v, t)`` (0 <= t < m), ``poly_mul`` (coefficient lists) and
+    ``add_scaled(xs, c, ys)`` (the list xs + c * ys) take and return
+    element ints; ``encode``/``decode`` convert between an int
+    and its coefficient tuple, ``wrap`` makes the FieldElement of an int.
     """
 
     def __init__(self, p: int, m: int, modulus):
@@ -320,54 +208,158 @@ class Field:
         self.m = m
         self.order = p ** m
         self.modulus = tuple(modulus)          # length m+1, monic, ascending
-        # X^(m+k) mod modulus for k = 0..m-2, used to fold products back
-        self._red = []
-        for k in range(m - 1):
-            self._red.append(_pmod((0,) * (m + k) + (1,), self.modulus, p))
-        self.zero = FieldElement(self, (0,) * m)
-        self.one = FieldElement(self, (1,) + (0,) * (m - 1))
-        self.generator: Optional[FieldElement] = None  # set by make_field
         self._group_factors: Optional[list] = None
         self._embeddings: dict = {}
-        self._dlog_table: Optional[dict] = None
+        self._dlog_table: Optional[array] = None
+        self._log: Optional[array] = None      # the table kernel's own log
+        ring = PackedRing(p, self.modulus)
+        generator = self._first_primitive(ring)
+        if self.order <= _TABLE_MAX:
+            generator = self._bind_tables(ring, generator)
+        else:
+            self._bind_packed(ring)
+        self.zero = self.wrap(0)
+        self.one = self.wrap(1)
+        self.generator = self.wrap(generator)
+
+    # -- kernels -------------------------------------------------------------
+
+    def _first_primitive(self, ring: PackedRing) -> int:
+        """The canonical generator: first primitive element in coefficient
+        order, as a packed int of ``ring``."""
+        n1 = self.order - 1
+        cofactors = [n1 // f for f in self.group_factors()]
+        for coeffs in itertools.product(range(self.p), repeat=self.m):
+            x = ring.encode(coeffs)
+            if x and all(ring.power(x, k) != 1 for k in cofactors):
+                return x
+        raise AssertionError("no primitive element: the modulus is reducible")
+
+    def _bind_packed(self, ring: PackedRing) -> None:
+        power, n1 = ring.power, self.order - 1
+        self.add, self.sub, self.neg, self.mul = ring.add, ring.sub, ring.neg, ring.mul
+        self.inv = lambda a: power(a, n1 - 1)
+        self.pow = lambda a, k: power(a, k % n1) if a else _power_of_zero(k)
+        self.frob, self.poly_mul = ring.frob, ring.poly_mul
+        self.add_scaled = ring.add_scaled
+        self.encode, self.decode, self.index = ring.encode, ring.decode, ring.index
+
+    def _bind_tables(self, ring: PackedRing, generator: int) -> int:
+        """Log/antilog tables from the powers of the generator, walked in
+        ``ring``; returns the generator's index."""
+        p, m, q = self.p, self.m, self.order
+        n1 = q - 1
+        index = ring.index
+        exp, log = _power_tables(q, ring.mul, index, generator)
+        self._log = self._dlog_table = log
+        frob_scale = [pow(p, t, n1) for t in range(m)]
+        self.pow = lambda a, k: exp[log[a] * k % n1] if a else _power_of_zero(k)
+        self.inv = lambda a: exp[n1 - log[a]]
+        self.frob = lambda a, t: exp[log[a] * frob_scale[t] % n1] if a else 0
+        self.index = lambda v: v
+
+        def decode(v):
+            out = []
+            for _ in range(m):
+                v, c = divmod(v, p)
+                out.append(c)
+            return tuple(out)
+
+        self.decode = decode
+        self.encode = lambda coeffs: index(ring.encode(coeffs))
+
+        mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+        if m == 1:  # residues: plain arithmetic beats two lookups
+            add = lambda a, b: (a + b) % p
+            sub = lambda a, b: (a - b) % p
+            neg = lambda a: -a % p
+            mul = lambda a, b: a * b % p
+        elif p == 2:
+            add = sub = int.__xor__
+            neg = int.__pos__
+        else:
+            # zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0; doubled, and
+            # a negative d reads it from the end
+            half = n1 // 2
+            zech = array("i", [0]) * (2 * n1)
+            for d in range(n1):
+                i = exp[d]
+                one_plus = i + 1 if i % p != p - 1 else i - (p - 1)
+                zech[d] = zech[d + n1] = log[one_plus] if one_plus else -1
+
+            def add(a, b):
+                if not a:
+                    return b
+                if not b:
+                    return a
+                la = log[a]
+                z = zech[log[b] - la]
+                return exp[la + z] if z >= 0 else 0
+
+            def neg(a):
+                return exp[log[a] + half] if a else 0
+
+            def sub(a, b):
+                if not b:
+                    return a
+                lb = log[b] + half
+                if not a:
+                    return exp[lb]
+                la = log[a]
+                z = zech[lb - la]
+                return exp[la + z] if z >= 0 else 0
+
+        def poly_mul(a, b):
+            if not a or not b:
+                return []
+            out = [0] * (len(a) + len(b) - 1)
+            logs_b = [(j, log[y]) for j, y in enumerate(b) if y]
+            for i, x in enumerate(a):
+                if x:
+                    lx = log[x]
+                    for j, ly in logs_b:
+                        out[i + j] = add(out[i + j], exp[lx + ly])
+            return out
+
+        def add_scaled(xs, c, ys):
+            if not c:
+                return list(xs)
+            lc = log[c]
+            return [add(x, exp[lc + log[y]]) if y else x for x, y in zip(xs, ys)]
+
+        self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
+        self.poly_mul, self.add_scaled = poly_mul, add_scaled
+        return index(generator)
 
     # -- construction of elements -------------------------------------------
+
+    def wrap(self, v: int) -> FieldElement:
+        """The element whose int is v."""
+        x = _new(FieldElement)
+        x.field = self
+        x.v = v
+        return x
 
     def element(self, coeffs: Iterable[int]) -> FieldElement:
         coeffs = list(coeffs)
         if len(coeffs) > self.m:
             raise ValueError("too many coefficients")
         coeffs += [0] * (self.m - len(coeffs))
-        return FieldElement(self, coeffs)
+        return self.wrap(self.encode(coeffs))
 
     def from_int(self, value: int) -> FieldElement:
         """The image of the integer under Z -> GF(p) -> GF(p^m)."""
-        return self.element([value % self.p])
+        return self.wrap(value % self.p)
+
+    def ints(self) -> Iterator[int]:
+        """The ints of all p^m elements in canonical (lexicographic) order."""
+        return map(self.encode, itertools.product(range(self.p), repeat=self.m))
 
     def elements(self) -> Iterator[FieldElement]:
         """All p^m elements in canonical (lexicographic) order."""
-        for tup in itertools.product(range(self.p), repeat=self.m):
-            yield FieldElement(self, tup)
+        return map(self.wrap, self.ints())
 
     # -- internals -----------------------------------------------------------
-
-    def _mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        p, m = self.p, self.m
-        a, b = x.coeffs, y.coeffs
-        if m == 1:
-            return FieldElement(self, ((a[0] * b[0]) % p,))
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = [c % p for c in conv[:m]]
-        for k in range(m - 1):
-            c = conv[m + k] % p
-            if c:
-                for j, rj in enumerate(self._red[k]):
-                    out[j] = (out[j] + c * rj) % p
-        return FieldElement(self, out)
 
     def group_factors(self) -> list:
         """Prime factors of p^m - 1 (for multiplicative order computations)."""
@@ -376,19 +368,17 @@ class Field:
         return self._group_factors
 
     def dlog(self, x: FieldElement) -> int:
-        """Discrete log of x base the canonical generator (small fields only)."""
+        """Discrete log of x base the canonical generator (q <= 2^16 only)."""
         if not x:
             raise ValueError("zero has no discrete log")
         if self._dlog_table is None:
-            if self.order > 1 << 16:
+            if self.order > _DLOG_MAX:
                 raise ValueError("dlog table too large for this field")
-            table = {}
-            acc = self.one
-            for k in range(self.order - 1):
-                table[acc.coeffs] = k
-                acc = self._mul(acc, self.generator)
-            self._dlog_table = table
-        return self._dlog_table[x.coeffs]
+            self._dlog_table = self._log
+            if self._log is None:
+                self._dlog_table = _power_tables(self.order, self.mul, self.index,
+                                                 self.generator.v)[1]
+        return self._dlog_table[self.index(x.v)]
 
     def embedding_into(self, sup: "Field") -> "Embedding":
         key = (sup.p, sup.m)
@@ -437,15 +427,6 @@ def make_field(p: int, m: int) -> Field:
         assert modulus is not None
 
     field = Field(p, m, modulus)
-    # canonical generator: first primitive element in coefficient order
-    for x in field.elements():
-        if not x and field.order > 1:
-            continue
-        if all(x ** ((field.order - 1) // f) != field.one
-               for f in field.group_factors()):
-            field.generator = x
-            break
-    assert field.generator is not None
     _FIELD_CACHE[key] = field
     return field
 
@@ -461,8 +442,9 @@ def frobenius(x: FieldElement, t: int) -> FieldElement:
 def mult_order(x: FieldElement) -> int:
     """Smallest r >= 1 with x^r = 1.
 
-    Once the field's dlog table exists ("g^k" formatting builds it), this
-    is (q-1) / gcd(dlog x, q-1); otherwise the factored group order is
+    Once the field's dlog table exists (table fields have it from the
+    start; "g^k" formatting builds it up to 2^16), this is
+    (q-1) / gcd(dlog x, q-1); otherwise the factored group order is
     walked down, which avoids building a q-entry table for one order.
     """
     if not x:
@@ -471,8 +453,9 @@ def mult_order(x: FieldElement) -> int:
     order = field.order - 1
     if field._dlog_table is not None:
         return order // math.gcd(field.dlog(x), order)
+    power, v = field.pow, x.v
     for f in field.group_factors():
-        while order % f == 0 and x ** (order // f) == field.one:
+        while order % f == 0 and power(v, order // f) == 1:
             order //= f
     return order
 
@@ -484,7 +467,7 @@ class Embedding:
     of the subfield modulus in the big field with the smallest discrete log
     (the first root hit when walking the order-(p^m - 1) subgroup from 1).
     This is a genuine ring homomorphism; matching generators by raw powers
-    generally is not.
+    generally is not.  ``powers`` holds the ints of 1, beta, ..., beta^(m-1).
     """
 
     def __init__(self, sub: Field, sup: Field):
@@ -497,51 +480,61 @@ class Embedding:
             self.powers = None
             return
         if sub.m == 1:
-            self.powers = [sup.one]
+            self.powers = [1]
             return
-        step = (sup.order - 1) // (sub.order - 1)
-        w = sup.generator ** step
+        mul, add = sup.mul, sup.add
+        w = sup.pow(sup.generator.v, (sup.order - 1) // (sub.order - 1))
         beta = None
-        acc = sup.one
+        acc = 1
         for _ in range(sub.order - 1):
-            # evaluate the subfield modulus at acc (coefficients are prime ints)
-            val = sup.zero
+            # evaluate the subfield modulus at acc (its coefficients are
+            # constants of GF(p), whose ints are themselves)
+            val = 0
             for c in reversed(sub.modulus):
-                val = val * acc + sup.from_int(c)
+                val = add(mul(val, acc), c)
             if not val:
                 beta = acc
                 break
-            acc = acc * w
+            acc = mul(acc, w)
         if beta is None:
             raise AssertionError("subfield modulus has no root in extension")
-        pows = [sup.one]
+        pows = [1]
         for _ in range(sub.m - 1):
-            pows.append(pows[-1] * beta)
+            pows.append(mul(pows[-1], beta))
         self.powers = pows
+
+    def map_int(self, v: int) -> int:
+        """The image of the subfield element with int v, as an int of sup."""
+        if self.sub is self.sup:
+            return v
+        mul, add = self.sup.mul, self.sup.add
+        out = 0
+        for c, b in zip(self.sub.decode(v), self.powers):
+            if c:
+                out = add(out, mul(c, b))
+        return out
+
+    def section_int(self, w: int) -> int:
+        """The preimage of the sup element with int w; raises outside the image."""
+        if self.sub is self.sup:
+            return w
+        if self._section_table is None:
+            self._section_table = {self.map_int(v): v for v in self.sub.ints()}
+        v = self._section_table.get(w)
+        if v is None:
+            raise ValueError("not in subfield")
+        return v
 
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field is not self.sub:
             raise ValueError("element not in the source field")
-        if self.sub is self.sup:
-            return x
-        out = self.sup.zero
-        for c, bk in zip(x.coeffs, self.powers):
-            if c:
-                out = out + self.sup.from_int(c) * bk
-        return out
+        return self.sup.wrap(self.map_int(x.v))
 
     def section(self, y: FieldElement) -> FieldElement:
         """Preimage in the subfield; raises if y is outside the image."""
         if y.field is not self.sup:
             raise ValueError("element not in the target field")
-        if self.sub is self.sup:
-            return y
-        if self._section_table is None:
-            self._section_table = {self(x).coeffs: x for x in self.sub.elements()}
-        x = self._section_table.get(y.coeffs)
-        if x is None:
-            raise ValueError("not in subfield")
-        return x
+        return self.sub.wrap(self.section_int(y.v))
 
 
 def embed(x: FieldElement, sup: Field) -> FieldElement:
@@ -557,9 +550,9 @@ def section(y: FieldElement, sub: Field) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 def format_element(x: FieldElement) -> str:
-    if not x:
+    if not x.v:
         return "0"
-    if x == x.field.one:
+    if x.v == 1:
         return "1"
     try:
         return f"g^{x.field.dlog(x)}"

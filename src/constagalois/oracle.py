@@ -18,20 +18,40 @@ from .gf import Field, FieldElement
 
 
 class Matrix:
-    """A dense matrix over a finite field; just enough linear algebra."""
+    """A dense matrix over a finite field; just enough linear algebra.
+
+    Entries are kept as the field's element ints (``ints``); ``entries``
+    wraps them as FieldElements.
+    """
 
     def __init__(self, field: Field, entries: Sequence[Sequence[FieldElement]]):
         self.field = field
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
+        self.ints = [[x.v for x in row] for row in entries]
+        self.rows = len(self.ints)
+        self.cols = len(self.ints[0]) if self.ints else 0
+        for row in entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
+            if any(x.field is not field for x in row):
+                raise ValueError("mixed fields")
+
+    @classmethod
+    def wrap(cls, field: Field, ints: List[List[int]]) -> "Matrix":
+        """The matrix with these rows of element ints."""
+        mat = cls(field, [])
+        mat.ints, mat.rows = ints, len(ints)
+        mat.cols = len(ints[0]) if ints else 0
+        return mat
+
+    @property
+    def entries(self) -> List[List[FieldElement]]:
+        return [list(map(self.field.wrap, row)) for row in self.ints]
 
     def rref(self) -> Tuple["Matrix", List[int]]:
         """Reduced row echelon form and the pivot column list."""
-        mat = [row[:] for row in self.entries]
+        field = self.field
+        mul, neg, inv, add_scaled = field.mul, field.neg, field.inv, field.add_scaled
+        mat = [row[:] for row in self.ints]
         pivots = []
         r = 0
         for c in range(self.cols):
@@ -43,17 +63,17 @@ class Matrix:
             if pivot is None:
                 continue
             mat[r], mat[pivot] = mat[pivot], mat[r]
-            inv = mat[r][c].inverse()
-            mat[r] = [x * inv for x in mat[r]]
+            scale = inv(mat[r][c])
+            row_r = mat[r] = [mul(x, scale) for x in mat[r]]
             for i in range(len(mat)):
-                if i != r and mat[i][c]:
-                    factor = mat[i][c]
-                    mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+                factor = mat[i][c]
+                if i != r and factor:
+                    mat[i] = add_scaled(mat[i], neg(factor), row_r)
             pivots.append(c)
             r += 1
             if r == len(mat):
                 break
-        return Matrix(self.field, mat), pivots
+        return Matrix.wrap(field, mat), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -61,14 +81,15 @@ class Matrix:
     def kernel_basis(self) -> List[tuple]:
         """A basis of the right kernel {v : M v = 0}."""
         red, pivots = self.rref()
+        neg, wrap = self.field.neg, self.field.wrap
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
-            vec = [self.field.zero] * self.cols
-            vec[fc] = self.field.one
+            vec = [0] * self.cols
+            vec[fc] = 1
             for r, pc in enumerate(pivots):
-                vec[pc] = -red.entries[r][fc]
-            basis.append(tuple(vec))
+                vec[pc] = neg(red.ints[r][fc])
+            basis.append(tuple(map(wrap, vec)))
         return basis
 
 
@@ -78,13 +99,15 @@ def span(field: Field, rows: Sequence[tuple], cap: int = 1 << 16) -> Set[tuple]:
     n = len(rows[0]) if rows else 0
     if field.order ** k > cap:
         raise ValueError("enumeration too large")
+    add_scaled, wrap = field.add_scaled, field.wrap
+    int_rows = [[x.v for x in row] for row in rows]
     out = set()
-    for combo in itertools.product(list(field.elements()), repeat=k):
-        vec = [field.zero] * n
-        for c, row in zip(combo, rows):
+    for combo in itertools.product(list(field.ints()), repeat=k):
+        vec = [0] * n
+        for c, row in zip(combo, int_rows):
             if c:
-                vec = [v + c * x for v, x in zip(vec, row)]
-        out.add(tuple(vec))
+                vec = add_scaled(vec, c, row)
+        out.add(tuple(map(wrap, vec)))
     if not rows:
         out.add(tuple())
     return out
@@ -108,7 +131,8 @@ def dual_basis_of_rows(field: Field, rows: Sequence[tuple], n: int,
         kernel = [tuple(field.one if j == i else field.zero for j in range(n))
                   for i in range(n)]
     back = (field.m - h) % field.m
-    return [tuple(b.frobenius(back) for b in vec) for vec in kernel]
+    frob, wrap = field.frob, field.wrap
+    return [tuple(wrap(frob(b.v, back)) for b in vec) for vec in kernel]
 
 
 def dual_basis(code: ConstaCode, h: int) -> List[tuple]:

@@ -1,0 +1,177 @@
+"""GF(p)[X]/(f) on packed ints: the kernel of the larger fields.
+
+A residue mod a monic f of degree m over GF(p) is one int holding its m
+coefficients in W-bit slots.  Products are one big-int (Kronecker)
+product, reduced mod p in every slot at once and brought below f by
+Barrett division; sums use guard bits.  ``gf`` runs every field with
+q > 2^10 on this ring, and walks the canonical searches and the log
+tables of the smaller fields in it.
+"""
+
+from __future__ import annotations
+
+
+class PackedRing:
+    """Arithmetic in GF(p)[X]/(f) for a monic f of degree m, on packed ints.
+
+    Coefficient i of a residue sits in bits [W*i, W*i + W).  W leaves room
+    for the sum of ACC products of residues with the top bit of every slot
+    still clear, which the guard-bit sum and ``mod_p`` rely on.  f need not
+    be irreducible: ``gf._is_irreducible`` runs its candidates through here.
+    For m = 1 the packed int is the residue itself.
+    """
+
+    ACC = 32
+
+    def __init__(self, p: int, f):
+        m = len(f) - 1
+        W = (self.ACC * m * (p - 1) ** 2).bit_length() + 1
+        mask = (1 << W) - 1
+        slots = [W * i for i in range(m)]
+        ones = sum(1 << slot for slot in slots)
+
+        # every slot mod p at once: floor(x / p) is (x * M) >> shift exactly
+        # for x < 2^(W-1); even and odd slots are multiplied apart so each
+        # product has 2W bits of room
+        shift = W - 1 + p.bit_length()
+        M = -(-(1 << shift) // p)
+        even = sum(mask << (2 * W * j) for j in range(m))
+        qmask = sum(((1 << (2 * W - shift)) - 1) << (2 * W * j) for j in range(m))
+
+        def mod_p(x):
+            """x with each of its 2m - 1 slots (below 2^(W-1)) reduced mod p."""
+            quot = ((((x & even) * M) >> shift) & qmask
+                    | (((((x >> W) & even) * M) >> shift) & qmask) << W)
+            return x - p * quot
+
+        def pack(vals):
+            return sum((c % p) << slot for c, slot in zip(vals, slots))
+
+        # Barrett division by f: mu = X^(2m-2) div f over GF(p)
+        rem = [0] * (2 * m - 2) + [1]
+        mu = [0] * (m - 1)
+        for i in range(2 * m - 2, m - 1, -1):
+            c = rem[i] % p
+            if c:
+                mu[i - m] = c
+                for j in range(m + 1):
+                    rem[i - m + j] -= c * f[j]
+        MU, NEG_F = pack(mu), pack([-c for c in f[:m]])
+        low_bits, q_shift = W * m, W * (m - 2)
+        low = (1 << low_bits) - 1
+
+        def reduce(u):
+            """The residue of an unreduced product or sum of products."""
+            u = mod_p(u)
+            hi = u >> low_bits
+            if not hi:  # always so for m = 1
+                return u
+            quot = mod_p(hi * MU) >> q_shift          # u div f
+            return mod_p((u & low) + ((quot * NEG_F) & low))
+
+        P = p * ones
+        wrap = ((1 << (W - 1)) - p) * ones
+        guard = wrap + P
+
+        def add(a, b):
+            t = a + b
+            return t - (((t + wrap) & guard) >> (W - 1)) * p
+
+        def sub(a, b):
+            t = a + P - b
+            return t - (((t + wrap) & guard) >> (W - 1)) * p
+
+        def neg(a):
+            t = P - a
+            return t - (((t + wrap) & guard) >> (W - 1)) * p
+
+        def mul(a, b):
+            return reduce(a * b)
+
+        def power(a, k):
+            out = 1
+            while True:
+                if k & 1:
+                    out = reduce(out * a)
+                k >>= 1
+                if not k:
+                    return out
+                a = reduce(a * a)
+
+        def linear_map(a, rows):
+            """sum_i c_i rows[i] for the coefficients c_i of a."""
+            acc = 0
+            for row in rows:
+                if not a:
+                    break
+                c = a & mask
+                if c:
+                    acc += c * row
+                a >>= W
+            return mod_p(acc)
+
+        frob_rows = {}  # t -> the images of X^i under x -> x^(p^t)
+
+        def rows_for(t):
+            rows = frob_rows.get(t)
+            if rows is None:
+                if t == 1:
+                    x_p = power(1 << W, p)
+                    rows = [1]
+                    for _ in range(m - 1):
+                        rows.append(reduce(rows[-1] * x_p))
+                else:
+                    rows = [linear_map(r, rows_for(1)) for r in rows_for(t - 1)]
+                frob_rows[t] = rows
+            return rows
+
+        def frob(a, t):
+            """a^(p^t) for 0 <= t < m, as a GF(p)-linear map."""
+            return linear_map(a, rows_for(t)) if t and a else a
+
+        chunk = W * (2 * m - 1)
+        chunk_mask = (1 << chunk) - 1
+        acc_max = self.ACC
+
+        def poly_mul(a, b):
+            """Product of two coefficient lists: one Kronecker product of the
+            packed polynomials, then one reduction per coefficient."""
+            if not a or not b:
+                return []
+            if len(a) < len(b):
+                a, b = b, a
+            if len(b) > acc_max:  # more terms per coefficient than W allows
+                out = [0] * (len(a) + len(b) - 1)
+                for lo in range(0, len(b), acc_max):
+                    for k, c in enumerate(poly_mul(a, b[lo:lo + acc_max]), lo):
+                        out[k] = add(out[k], c)
+                return out
+            A = B = 0
+            for c in reversed(a):
+                A = A << chunk | c
+            for c in reversed(b):
+                B = B << chunk | c
+            prod = A * B
+            out = []
+            for _ in range(len(a) + len(b) - 1):
+                out.append(reduce(prod & chunk_mask))
+                prod >>= chunk
+            return out
+
+        def add_scaled(xs, c, ys):
+            """xs[i] + c * ys[i] for every i."""
+            return [reduce(x + c * y) if y else x for x, y in zip(xs, ys)]
+
+        top_down = slots[::-1]
+
+        def index(v):
+            """The base-p index sum c_i p^i of a residue."""
+            i = 0
+            for slot in top_down:
+                i = i * p + ((v >> slot) & mask)
+            return i
+
+        self.add, self.sub, self.neg, self.mul, self.power = add, sub, neg, mul, power
+        self.frob, self.poly_mul, self.add_scaled = frob, poly_mul, add_scaled
+        self.encode, self.index = pack, index
+        self.decode = lambda v: tuple((v >> slot) & mask for slot in slots)

@@ -1,41 +1,63 @@
 """Dense univariate polynomials over a finite field, and quotient rings
 F_q[X]/(X^n - u) for a unit u.
 
-Degrees stay small at desk scale, so everything is schoolbook arithmetic
-on immutable coefficient tuples (ascending degree, no trailing zeros).
+Coefficients are the field's element ints (see ``gf``), ascending degree
+with no trailing zeros; products go through the field kernel's
+``poly_mul``, everything else is schoolbook arithmetic on those ints.
 """
 
 from __future__ import annotations
 
+from itertools import starmap, zip_longest
 from typing import Iterable, Sequence
 
 from .gf import Field, FieldElement, format_element, parse_element
 
 
-class Poly:
-    """Polynomial with coefficients in a fixed field, ascending by degree."""
+_new = object.__new__
 
-    __slots__ = ("field", "coeffs")
+
+class Poly:
+    """Polynomial with coefficients in a fixed field, ascending by degree.
+
+    ``ints`` holds the coefficients as the field's element ints (no
+    trailing zeros); ``coeffs`` wraps them as FieldElements.
+    """
+
+    __slots__ = ("field", "ints")
 
     def __init__(self, field: Field, coeffs: Iterable[FieldElement]):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+        ints = []
         for c in coeffs:
             if c.field is not field:
                 raise ValueError("mixed fields")
+            ints.append(c.v)
+        while ints and not ints[-1]:
+            ints.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.ints = tuple(ints)
+
+    @classmethod
+    def wrap(cls, field: Field, ints) -> "Poly":
+        """The polynomial with these element ints as coefficients."""
+        ints = list(ints)
+        while ints and not ints[-1]:
+            ints.pop()
+        poly = _new(cls)
+        poly.field = field
+        poly.ints = tuple(ints)
+        return poly
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_ints(cls, field: Field, ints: Iterable[int]) -> "Poly":
-        return cls(field, [field.from_int(v) for v in ints])
+        """From integers, each taken through Z -> GF(p)."""
+        return cls.wrap(field, [v % field.p for v in ints])
 
     @classmethod
     def x_power(cls, field: Field, k: int) -> "Poly":
-        return cls(field, [field.zero] * k + [field.one])
+        return cls.wrap(field, [0] * k + [1])
 
     @classmethod
     def constant(cls, field: Field, c: FieldElement) -> "Poly":
@@ -44,31 +66,35 @@ class Poly:
     # -- basics ----------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(map(self.field.wrap, self.ints))
+
+    @property
     def degree(self) -> int:
         """Degree; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.ints) and self.ints[-1] == 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field is other.field
-                and self.coeffs == other.coeffs)
+                and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.ints))
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 
     def coeff(self, k: int) -> FieldElement:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
+        return self.field.wrap(self.ints[k] if 0 <= k < len(self.ints) else 0)
 
     # -- ring operations ---------------------------------------------------------
 
@@ -78,34 +104,31 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(k) + other.coeff(k) for k in range(n)])
+        return Poly.wrap(self.field, starmap(self.field.add,
+                                             zip_longest(self.ints, other.ints, fillvalue=0)))
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(k) - other.coeff(k) for k in range(n)])
+        return Poly.wrap(self.field, starmap(self.field.sub,
+                                             zip_longest(self.ints, other.ints, fillvalue=0)))
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly.wrap(self.field, map(self.field.neg, self.ints))
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, FieldElement):
-            return Poly(self.field, [c * other for c in self.coeffs])
+            if other.field is not field:
+                raise ValueError("mixed fields")
+            mul, s = field.mul, other.v
+            return Poly.wrap(field, [mul(c, s) for c in self.ints])
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly.wrap(field, field.poly_mul(self.ints, other.ints))
 
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError("negative polynomial power")
-        result = Poly(self.field, [self.field.one])
+        result = Poly.wrap(self.field, [1])
         base = self
         while exp:
             if exp & 1:
@@ -118,19 +141,8 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        lead_inv = other.coeffs[-1].inverse()
-        quot = [field.zero] * max(0, len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                c = c * lead_inv
-                quot[i - db] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - db + j] = rem[i - db + j] - c * b
-        return Poly(field, quot), Poly(field, rem[:db])
+        quot, rem = _divmod_ints(self.field, self.ints, other.ints)
+        return Poly.wrap(self.field, quot), Poly.wrap(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -141,25 +153,27 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self * self.coeffs[-1].inverse()
+        field = self.field
+        mul, inv = field.mul, field.inv(self.ints[-1])
+        return Poly.wrap(field, [mul(c, inv) for c in self.ints])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by X^k."""
         if self.is_zero():
             return self
-        return Poly(self.field, [self.field.zero] * k + list(self.coeffs))
+        return Poly.wrap(self.field, (0,) * k + self.ints)
 
     def eval(self, x: FieldElement) -> FieldElement:
         """Horner evaluation; x may live in an extension of the coefficient field."""
-        if x.field is self.field:
-            coeffs = self.coeffs
-        else:
-            emb = self.field.embedding_into(x.field)
-            coeffs = [emb(c) for c in self.coeffs]
-        acc = x.field.zero
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
+        big = x.field
+        ints = self.ints
+        if big is not self.field:
+            ints = list(map(self.field.embedding_into(big).map_int, ints))
+        mul, add, v = big.mul, big.add, x.v
+        acc = 0
+        for c in reversed(ints):
+            acc = add(mul(acc, v), c)
+        return big.wrap(acc)
 
     def __call__(self, x: FieldElement) -> FieldElement:
         return self.eval(x)
@@ -168,16 +182,38 @@ class Poly:
         """Coefficients padded with zeros to length n (requires degree < n)."""
         if self.degree >= n:
             raise ValueError("degree too large for vector length")
-        return self.coeffs + (self.field.zero,) * (n - len(self.coeffs))
+        return tuple(map(self.field.wrap, self.ints + (0,) * (n - len(self.ints))))
+
+
+def _divmod_ints(field: Field, num, den):
+    """Quotient and remainder lists of num by a nonzero den (element ints)."""
+    mul, neg, add_scaled = field.mul, field.neg, field.add_scaled
+    rem = list(num)
+    db = len(den) - 1
+    lead_inv = field.inv(den[-1])
+    quot = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            c = mul(c, lead_inv)
+            quot[i - db] = c
+            rem[i - db:i + 1] = add_scaled(rem[i - db:i + 1], neg(c), den)
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor via Euclid."""
+    a._check(b)
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    field = a.field
+    x, y = a.ints, b.ints
+    while y:
+        x, y = y, _divmod_ints(field, x, y)[1]
+    return Poly.wrap(field, x).monic()
 
 
 class QuotientElem:
@@ -244,32 +280,22 @@ class QuotientElem:
         self._check(other)
         n = self.params.n
         field = self.params.field
-        a = self.rep.vector(n)
-        b = other.rep.vector(n)
-        unit = self.unit
-        out = [field.zero] * n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                k = i + j
-                if k < n:
-                    out[k] = out[k] + ai * bj
-                else:
-                    out[k - n] = out[k - n] + unit * ai * bj
-        return QuotientElem(self.params, self.s, Poly(field, out))
+        mul, add, unit = field.mul, field.add, self.unit.v
+        out = field.poly_mul(self.rep.ints, other.rep.ints)
+        for k in range(n, len(out)):
+            out[k - n] = add(out[k - n], mul(unit, out[k]))
+        return QuotientElem(self.params, self.s, Poly.wrap(field, out[:n]))
 
     def x_shift(self) -> "QuotientElem":
         """Multiply by X: the constacyclic shift with lambda^s wraparound."""
         n = self.params.n
-        vec = self.rep.vector(n)
-        shifted = [self.unit * vec[-1]] + list(vec[:-1])
-        return QuotientElem.from_vector(self.params, self.s, shifted)
+        field = self.params.field
+        vec = self.rep.ints + (0,) * (n - len(self.rep.ints))
+        shifted = (field.mul(self.unit.v, vec[-1]),) + vec[:-1]
+        return QuotientElem(self.params, self.s, Poly.wrap(field, shifted))
 
     def weight(self) -> int:
-        return sum(1 for c in self.rep.coeffs if c)
+        return sum(1 for c in self.rep.ints if c)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ orbit closure, full enumeration of coset functions) or states a closed
 form a second way (the even-orbit valuation criteria, the Euclidean and
 Hermitian theorems on their own terms, extended Euclid), so the library's
 closed forms are checked against code that shares nothing with them
-beyond field arithmetic.
+beyond field arithmetic.  ``ReferenceField`` redoes that arithmetic too,
+on coefficient tuples, for the checks of the int kernels.
 """
 
 import itertools
@@ -287,3 +288,141 @@ def grid_instances(pe_pairs, n_max, max_cosets=6, max_multiplicity=9):
 
 
 PE_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic on coefficient tuples, independent of the int kernels
+# ---------------------------------------------------------------------------
+
+class ReferenceField:
+    """GF(p^m) on coefficient tuples (ascending, length m), with the
+    modulus of a library field.  Products are the coefficient convolution
+    folded back by the rows X^(m+k) mod the modulus: the library's multiply
+    before elements became ints, kept here as the reference."""
+
+    def __init__(self, field):
+        self.p, self.m, self.order = field.p, field.m, field.order
+        p, m = self.p, self.m
+        self.zero = (0,) * m
+        self.one = (1,) + (0,) * (m - 1)
+        # red[k] = X^(m+k) mod modulus, k = 0..m-2, by repeated shifts
+        row = [(-c) % p for c in field.modulus[:m]]
+        self.red = []
+        for _ in range(m - 1):
+            self.red.append(tuple(row))
+            top = row[-1]
+            row = [0] + row[:-1]
+            row = [(r + top * c) % p for r, c in zip(row, self.red[0])]
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def mul(self, a, b):
+        p, m = self.p, self.m
+        if m == 1:
+            return ((a[0] * b[0]) % p,)
+        conv = [0] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] += ai * bj
+        out = [c % p for c in conv[:m]]
+        for k in range(m - 1):
+            c = conv[m + k] % p
+            if c:
+                for j, rj in enumerate(self.red[k]):
+                    out[j] = (out[j] + c * rj) % p
+        return tuple(out)
+
+    def pow(self, a, k):
+        if not any(a):
+            if k < 0:
+                raise ZeroDivisionError("division by zero")
+            return self.zero if k else self.one
+        k %= self.order - 1
+        out = self.one
+        while k:
+            if k & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return out
+
+    def inverse(self, a):
+        return self.pow(a, self.order - 2)
+
+    def frobenius(self, a, t):
+        for _ in range(t % self.m):
+            a = self.pow(a, self.p)
+        return a
+
+    # -- polynomials: lists of coefficient tuples, no trailing zeros ---------
+
+    def _trim(self, poly):
+        poly = list(poly)
+        while poly and not any(poly[-1]):
+            poly.pop()
+        return poly
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        out = [self.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return self._trim(out)
+
+    def poly_divmod(self, a, b):
+        rem = list(a)
+        db = len(b) - 1
+        lead_inv = self.inverse(b[-1])
+        quot = [self.zero] * max(0, len(rem) - db)
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = self.mul(rem[i], lead_inv)
+            quot[i - db] = c
+            for j, y in enumerate(b):
+                rem[i - db + j] = self.sub(rem[i - db + j], self.mul(c, y))
+        return self._trim(quot), self._trim(rem[:db])
+
+    def poly_pow(self, a, k):
+        out = [self.one]
+        for _ in range(k):
+            out = self.poly_mul(out, a)
+        return out
+
+    def poly_gcd(self, a, b):
+        a, b = self._trim(a), self._trim(b)
+        while b:
+            a, b = b, self.poly_divmod(a, b)[1]
+        inv = self.inverse(a[-1])
+        return [self.mul(c, inv) for c in a]
+
+    # -- matrices: the Gaussian elimination the oracle ran on FieldElements --
+
+    def rref(self, rows):
+        mat = [list(row) for row in rows]
+        pivots = []
+        r = 0
+        for c in range(len(mat[0]) if mat else 0):
+            pivot = next((i for i in range(r, len(mat)) if any(mat[i][c])), None)
+            if pivot is None:
+                continue
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            inv = self.inverse(mat[r][c])
+            mat[r] = [self.mul(x, inv) for x in mat[r]]
+            for i in range(len(mat)):
+                if i != r and any(mat[i][c]):
+                    factor = mat[i][c]
+                    mat[i] = [self.sub(x, self.mul(factor, y)) for x, y in zip(mat[i], mat[r])]
+            pivots.append(c)
+            r += 1
+            if r == len(mat):
+                break
+        return mat, pivots

@@ -159,6 +159,32 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_internal_error_is_one_line_with_exit_code_3(capsys, monkeypatch):
+    import constagalois.cli as cli_module
+
+    def broken(params, coset):
+        raise AssertionError("coset not Galois-stable")
+
+    monkeypatch.setattr(cli_module, "coset_poly", broken)
+    code, out, err = run_cli(capsys, "factor", "--p", "5", "--e", "2",
+                             "--n", "26", "--lambda", "-1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: coset not Galois-stable\n"
+
+
+def test_bare_internal_assertion_still_names_itself(capsys, monkeypatch):
+    import constagalois.cli as cli_module
+
+    def broken(*args):
+        raise AssertionError
+
+    monkeypatch.setattr(cli_module, "q_cosets", broken)
+    code, out, err = run_cli(capsys, "cosets", "--p", "3", "--e", "1",
+                             "--n", "4", "--lambda", "1")
+    assert (code, out, err) == (3, "", "internal error: assertion failed\n")
+
+
 def test_empty_records_empty_output(capsys):
     code, out, err = run_cli(capsys, "search", "--p-list", "2", "--e-list", "1",
                              "--n-min", "2", "--n-max", "2", "--orders", "7")

@@ -9,8 +9,8 @@ import pytest
 
 from constagalois import (embed, format_element, frobenius, make_field,
                           mult_order, parse_element, section)
-from constagalois.gf import (_PSI_13, _isprime, _prime_factors,
-                             _strong_lucas_probable_prime)
+from constagalois.numtheory import (_PSI_13, _isprime, _prime_factors,
+                                    _strong_lucas_probable_prime)
 from exhaustive import brute_monic_irreducibles, factor_walk_order
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
