@@ -24,7 +24,7 @@ from .existence import (duadic_exists, euclidean_selfdual_exists,
                         galois_selfdual_exists, hermitian_selfdual_exists,
                         iso_selfdual_exists, iso_selfdual_family)
 from .gf import format_element, make_field
-from .oracle import brute_dual, dual_basis, naive_cosets, spans_equal
+from .oracle import brute_dual, brute_equal_codes, dual_basis, naive_cosets, spans_equal
 from .polyring import format_poly, poly_to_json
 
 CSV_COLUMNS = ["p", "e", "n", "lambda", "r", "nprime", "nu", "h",
@@ -42,7 +42,10 @@ def parse_phi(params: CodeParams, text: str, residue: int = 1) -> CosetFunction:
         rep, _, value = chunk.partition(":")
         if not _:
             raise ValueError(f"bad phi entry {chunk!r}, expected rep:value")
-        assignment[int(rep)] = int(value)
+        key = int(rep)
+        if key in assignment:
+            raise ValueError(f"phi rep {key} given twice")
+        assignment[key] = int(value)
     return CosetFunction(params, assignment, residue)
 
 
@@ -85,14 +88,11 @@ def emit(records: List[dict], fmt: str, columns: Optional[List[str]] = None) -> 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cols)
-        for r in records:
-            writer.writerow([_csv_cell(r.get(c)) for c in cols])
+        writer.writerows([_csv_cell(r.get(c)) for c in cols] for r in records)
         return buf.getvalue().rstrip("\n")
     if fmt == "text":
-        lines = []
-        for r in records:
-            lines.append("  ".join(f"{k}={_csv_cell(v)}" for k, v in r.items()))
-        return "\n".join(lines)
+        return "\n".join("  ".join(f"{k}={_csv_cell(v)}" for k, v in r.items())
+                         for r in records)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -193,51 +193,43 @@ def cmd_exist(args) -> List[dict]:
 
 
 def cmd_search(args) -> List[dict]:
-    es = parse_int_set(args.e_list)
-    wanted = parse_int_set(args.orders) if args.orders else None
-    h_set = parse_int_set(args.h_list) if args.h_list else None
+    """Census rows in output order: (p, e, n, lambda text, h)."""
+    wanted, h_set = args.orders or None, args.h_list or None  # empty: no restriction
     max_cosets, max_mult = args.max_cosets, args.max_multiplicity
     rows = []
-    for p in sorted(parse_int_set(args.p_list)):
-        for e in sorted(es):
+    for p in sorted(args.p_list):
+        for e in sorted(args.e_list):
             q = p ** e
             field = make_field(p, e)
-            # one lambda per order r | q - 1: g^((q-1)/r)
-            lams = [field.generator ** ((q - 1) // r) for r in range(1, q)
-                    if (q - 1) % r == 0 and (wanted is None or r in wanted)]
+            # one lambda per order r | q - 1: g^((q-1)/r), in the order of its text
+            powers = (field.generator ** ((q - 1) // r) for r in range(1, q)
+                      if (q - 1) % r == 0 and (wanted is None or r in wanted))
+            lams = sorted({format_element(lam): lam for lam in powers}.items())
             hs = range(e + 1) if h_set is None else sorted(h_set)
             for n in range(args.n_min, args.n_max + 1):
-                for lam in lams:
+                for lam_text, lam in lams:
                     params = derive_params(p, e, n, lam)
                     if max_cosets is not None and len(q_cosets(params, 1)) > max_cosets:
                         continue
                     if max_mult is not None and p ** params.nu > max_mult:
                         continue
+                    head = {"p": p, "e": e, "n": n, "lambda": lam_text, "r": params.r,
+                            "nprime": params.nprime, "nu": params.nu}
+                    _, iso_phi, iso_witness = iso_selfdual_family(params)
                     for h in hs:
-                        rows.append(_search_row(params, h, args))
-    rows.sort(key=lambda r: (r["p"], r["e"], r["n"], r["lambda"], r["h"]))
+                        verdict = galois_selfdual_exists(params, h)
+                        phi = verdict.witness_phi or iso_phi
+                        d_min = None
+                        if phi is not None and args.with_weights:
+                            try:
+                                d_min = min_weight(build_code(params, phi), args.cap)
+                            except ValueError:
+                                pass
+                        rows.append({**head, "h": h, "phi": phi_text(phi),
+                                     "dim": phi.weight() if phi else None,
+                                     "d_min": d_min, "selfdual": verdict.exists,
+                                     "iso_witness": iso_witness})
     return rows
-
-
-def _search_row(params: CodeParams, h: int, args) -> dict:
-    verdict = galois_selfdual_exists(params, h)
-    iso = iso_selfdual_exists(params, h)
-    _, _, iso_witness = iso_selfdual_family(params)
-    phi = verdict.witness_phi or iso.witness_phi
-    dim = phi.weight() if phi else None
-    d_min = None
-    if phi is not None and args.with_weights:
-        try:
-            d_min = min_weight(build_code(params, phi), args.cap)
-        except ValueError:
-            d_min = None
-    return {
-        "p": params.p, "e": params.e, "n": params.n,
-        "lambda": format_element(params.lam), "r": params.r,
-        "nprime": params.nprime, "nu": params.nu, "h": h,
-        "phi": phi_text(phi), "dim": dim, "d_min": d_min,
-        "selfdual": verdict.exists, "iso_witness": iso_witness,
-    }
 
 
 def cmd_verify(args) -> List[dict]:
@@ -255,11 +247,10 @@ def cmd_verify(args) -> List[dict]:
             params.field, closed_rows, brute_rows)
         if params.q ** params.n <= args.cap:
             words = brute_dual(code, args.h, args.cap)
-            checks["dual_matches_oracle_set"] = (
-                words == set(dual.codewords(args.cap)))
+            checks["dual_matches_oracle_set"] = brute_equal_codes(words, dual, args.cap)
             cert = is_galois_selfdual(code, args.h)
             checks["selfdual_matches_oracle"] = (
-                cert.selfdual == (words == set(code.codewords(args.cap))))
+                cert.selfdual == brute_equal_codes(words, code, args.cap))
     record = {"params": params.to_json(), "h": args.h, "checks": checks,
               "ok": all(checks.values())}
     return [record]
@@ -288,7 +279,7 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="constagalois",
         description="constacyclic codes over GF(p^e) under Galois inner products")
-    _add_flags(parser, config, (
+    known = _add_flags(parser, config, (
         ("--config", dict(help="flat key=value file with default flags")),
         ("--format", dict(choices=["json", "csv", "text"], default="json")),
         ("--cap", dict(type=int, default=None,
@@ -298,7 +289,7 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
 
     def command(name, func, help, *flags, params=True):
         sub = subs.add_parser(name, help=help)
-        _add_flags(sub, config, (_PARAMS_FLAGS if params else ()) + flags)
+        known.update(_add_flags(sub, config, (_PARAMS_FLAGS if params else ()) + flags))
         # duplicated on each subcommand (SUPPRESS keeps the global defaults)
         sub.add_argument("--format", choices=["json", "csv", "text"],
                          default=argparse.SUPPRESS)
@@ -316,12 +307,16 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
     command("check", cmd_check, "self-duality certificate", ("--phi", {}), _H_FLAG)
     command("exist", cmd_exist, "existence predicates", _H_FLAG)
     command("search", cmd_search, "grid census of self-dual families",
-            ("--p-list", dict(required=True, help="comma-separated primes")),
-            ("--e-list", dict(required=True, help="comma-separated degrees")),
+            ("--p-list", dict(required=True, type=parse_int_set,
+                              help="comma-separated primes")),
+            ("--e-list", dict(required=True, type=parse_int_set,
+                              help="comma-separated degrees")),
             ("--n-min", dict(type=int, default=1)),
             ("--n-max", dict(type=int, required=True)),
-            ("--orders", dict(default=None, help="restrict lambda orders")),
-            ("--h-list", dict(default=None, help="restrict h values")),
+            ("--orders", dict(default=None, type=parse_int_set,
+                              help="restrict lambda orders")),
+            ("--h-list", dict(default=None, type=parse_int_set,
+                              help="restrict h values")),
             ("--max-cosets", dict(type=int, default=None)),
             ("--max-multiplicity", dict(type=int, default=None,
                                         help="skip instances with p^nu above this")),
@@ -330,15 +325,22 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
             params=False)
     command("verify", cmd_verify, "cross-check closed forms vs oracle",
             ("--phi", dict(default=None)), _H_FLAG)
+    unknown = sorted(key.replace("_", "-") for key in set(config) - known)
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(unknown)}")
     return parser
 
 
-def _add_flags(parser, config: dict, flags) -> None:
+def _add_flags(parser, config: dict, flags) -> Set[str]:
     """Add each (flag, options) pair; the flag's config value becomes its
-    default, converted as its action converts a command-line value."""
+    default, converted as its action converts a command-line value.
+    Returns the config keys of the flags."""
+    keys = set()
     for flag, options in flags:
         action = parser.add_argument(flag, **options)
-        text = config.get(flag[2:].replace("-", "_"))
+        key = flag[2:].replace("-", "_")
+        keys.add(key)
+        text = config.get(key)
         if text is None:
             continue
         if action.nargs == 0:  # store_true
@@ -350,6 +352,7 @@ def _add_flags(parser, config: dict, flags) -> None:
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"config {flag} takes one of {action.choices}, not {text!r}")
         parser.set_defaults(**{action.dest: value})
+    return keys
 
 
 @functools.lru_cache(maxsize=None)

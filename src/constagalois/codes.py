@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from .cosets import CodeParams, CosetFunction, QCoset, p_split
-from .gf import FieldElement
+from .gf import Field, FieldElement
 from .polyring import Poly, QuotientElem, poly_to_json
 
 DEFAULT_ENUM_CAP = 1 << 20
@@ -207,24 +207,25 @@ def code_from_generator(params: CodeParams, g: Poly) -> ConstaCode:
     return ConstaCode(params, phibar.complement())
 
 
-def enumerate_codewords(code: ConstaCode, cap: Optional[int] = None) -> List[tuple]:
-    """All q^dim codewords as length-n coefficient tuples."""
-    cap = _enum_cap(cap)
-    q, dim = code.params.q, code.dim
-    if q ** dim > cap:
-        raise ValueError("enumeration too large")
-    field = code.params.field
-    n = code.params.n
+def linear_combinations(field: Field, rows: Sequence[tuple], n: int) -> Iterator[tuple]:
+    """Every combination sum c_i * rows[i] (c_i over the field) as a
+    length-n tuple, one per coefficient vector; no rows give one zero word."""
     add_scaled, wrap = field.add_scaled, field.wrap
-    rows = [[x.v for x in row] for row in code.generator_rows()]
-    words = []
-    for combo in itertools.product(list(field.ints()), repeat=dim):
+    int_rows = [[x.v for x in row] for row in rows]
+    for combo in itertools.product(list(field.ints()), repeat=len(rows)):
         word = [0] * n
-        for c, row in zip(combo, rows):
+        for c, row in zip(combo, int_rows):
             if c:
                 word = add_scaled(word, c, row)
-        words.append(tuple(map(wrap, word)))
-    return words
+        yield tuple(map(wrap, word))
+
+
+def enumerate_codewords(code: ConstaCode, cap: Optional[int] = None) -> List[tuple]:
+    """All q^dim codewords as length-n coefficient tuples."""
+    params = code.params
+    if params.q ** code.dim > _enum_cap(cap):
+        raise ValueError("enumeration too large")
+    return list(linear_combinations(params.field, code.generator_rows(), params.n))
 
 
 def min_weight(code: ConstaCode, cap: Optional[int] = None) -> Optional[int]:

@@ -8,11 +8,10 @@ Exponential cost is fine; these run at desk scale only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .codes import ConstaCode, enumerate_codewords
+from .codes import ConstaCode, enumerate_codewords, linear_combinations
 from .cosets import CodeParams
 from .gf import Field, FieldElement
 
@@ -95,22 +94,9 @@ class Matrix:
 
 def span(field: Field, rows: Sequence[tuple], cap: int = 1 << 16) -> Set[tuple]:
     """All linear combinations of the given rows."""
-    k = len(rows)
-    n = len(rows[0]) if rows else 0
-    if field.order ** k > cap:
+    if field.order ** len(rows) > cap:
         raise ValueError("enumeration too large")
-    add_scaled, wrap = field.add_scaled, field.wrap
-    int_rows = [[x.v for x in row] for row in rows]
-    out = set()
-    for combo in itertools.product(list(field.ints()), repeat=k):
-        vec = [0] * n
-        for c, row in zip(combo, int_rows):
-            if c:
-                vec = add_scaled(vec, c, row)
-        out.add(tuple(map(wrap, vec)))
-    if not rows:
-        out.add(tuple())
-    return out
+    return set(linear_combinations(field, rows, len(rows[0]) if rows else 0))
 
 
 def generator_matrix(code: ConstaCode) -> Matrix:

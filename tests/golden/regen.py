@@ -3,7 +3,7 @@
 
 Each case is one ``constagalois`` invocation, run in-process through
 ``cli.main`` with this directory as the working directory (so the
-``--config`` case finds ``example.cfg``) and ``CONSTAGALOIS_ENUM_CAP``
+``--config`` cases find their files) and ``CONSTAGALOIS_ENUM_CAP``
 unset.  The corpus stores its argv, exit code and exact stdout.
 
     python tests/golden/regen.py           # compare; exit 1 on any difference
@@ -83,6 +83,8 @@ CASES = [
     ("error_zero_lambda", ["params", "--p", "3", "--e", "2", "--n", "4",
                            "--lambda", "0"]),
     ("error_unknown_command", ["frobnicate"]),
+    ("error_repeated_phi_rep", ["code", *EX3, "--phi", PHI3 + ",7:0"]),
+    ("error_unknown_config_key", ["--config", "unknown_key.cfg", "params"]),
 ]
 
 

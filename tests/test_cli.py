@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import itertools
 import json
 
@@ -316,3 +319,73 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys):
         assert run_cli(capsys, *argv) == got, argv
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
     assert reused[1][1] != reused[0][1] and reused[4][1] != reused[5][1]
+
+
+def test_repeated_phi_rep_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "code", "--p", "3", "--e", "2", "--n", "4",
+                             "--lambda", "-1", "--phi", "1:0,3:0,5:1,7:1,7:0")
+    assert (code, out) == (1, "")
+    assert err == "error: phi rep 7 given twice\n"
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\ne=2\nn=4\nlambda=-1\nwith_weight = true\nfoo = 1\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "params")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: unknown config key foo, with-weight")
+    # a key of another subcommand (h, with-weights) still serves this one
+    cfg.write_text("p=3\ne=2\nn=4\nlambda=-1\nh = 1\nwith-weights = true\n")
+    assert run_cli(capsys, "--config", str(cfg), "params")[0] == 0
+
+
+def test_search_int_lists_parse_as_flags(tmp_path, capsys):
+    search = ["search", "--p-list", "3", "--e-list", "1", "--n-max", "2"]
+    for flag in ("--p-list", "--e-list", "--orders", "--h-list"):
+        code, out, err = run_cli(capsys, *search, flag, "a")
+        assert (code, out) == (2, ""), flag
+        assert f"argument {flag}:" in err, flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("orders = a\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), *search)
+    assert (code, out) == (2, "") and err.startswith("usage error: ")
+    # an empty --orders or --h-list restricts nothing
+    full = run_cli(capsys, *search)
+    assert full[0] == 0 and full[1]
+    assert run_cli(capsys, *search, "--orders", "", "--h-list", "") == full
+    cfg.write_text("orders =\nh-list =\n")
+    assert run_cli(capsys, "--config", str(cfg), *search) == full
+
+
+def _parse_text_row(line):
+    return dict(cell.split("=", 1) for cell in line.split("  "))
+
+
+def test_search_rows_follow_lambda_text_not_order(capsys):
+    # over GF(13), lambda's text order (1, g^1, g^2, g^3, g^4, g^6) differs
+    # from r order (1, 12, 6, 4, 3, 2)
+    search = ["search", "--p-list", "13", "--e-list", "1", "--n-max", "6"]
+    rows = run_json(capsys, *search)
+    by_r = [row["lambda"] for row in sorted(rows, key=lambda row: row["r"])]
+    assert by_r != sorted(by_r)
+    # the rule rows were once sorted by after they were all built
+    key = lambda row: (row["p"], row["e"], row["n"], row["lambda"], row["h"])
+    assert [key(row) for row in rows] == sorted(map(key, rows))
+    assert len(set(map(key, rows))) == len(rows) == 6 * 6 * 2
+    code, out, _ = run_cli(capsys, *search, "--format", "csv")
+    assert code == 0
+    csv_rows = list(csv.DictReader(io.StringIO(out)))
+    code, out, _ = run_cli(capsys, *search, "--format", "text")
+    assert code == 0
+    text_rows = [_parse_text_row(line) for line in out.splitlines()]
+    for other in (csv_rows, text_rows):
+        assert [(r["n"], r["lambda"], r["h"]) for r in other] == [
+            (str(r["n"]), r["lambda"], str(r["h"])) for r in rows]
+
+
+def test_full_census_digest(capsys):
+    code, out, err = run_cli(capsys, "search", "--p-list", "2,3,5,7,11,13",
+                             "--e-list", "1,2,3", "--n-max", "60", "--format", "csv")
+    assert code == 0, err
+    assert out.count("\n") == 26400 + 1
+    assert hashlib.md5(out.encode()).hexdigest() == "300a752ff46b747b89075f15367a9043"

@@ -104,6 +104,7 @@ def test_span_enumeration_cap():
     rows = [tuple(field.one for _ in range(4))] * 8
     with pytest.raises(ValueError, match="too large"):
         span(field, rows, cap=100)
+    assert span(field, []) == {()}  # the product over zero rows is one empty word
 
 
 def test_naive_cosets_match_fast_path():
