@@ -15,6 +15,7 @@ complement, the multiplier action s*phi, and pointwise meet.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldElement, make_field, mult_order, format_element, parse_element
@@ -88,9 +89,6 @@ class CodeParams:
         self.lam_prime = lam.frobenius((-nu) % e)
         assert self.lam_prime.frobenius(nu) == lam
 
-        self._big_field: Optional[Field] = None
-        self._theta: Optional[FieldElement] = None
-        self._theta_dlog: Optional[int] = None
         self._theta_classes: Dict[int, List[FieldElement]] = {}
         self._lam_pows: Dict[int, FieldElement] = {}
         self._cosets: Dict[int, List[QCoset]] = {}
@@ -102,62 +100,36 @@ class CodeParams:
 
     # -- lazy splitting-field data -------------------------------------------
 
-    @property
+    @cached_property
     def big_field(self) -> Field:
-        if self._big_field is None:
-            self._big_field = make_field(self.p, self.e * self.d)
-        return self._big_field
+        return make_field(self.p, self.e * self.d)
 
-    def _pick_theta(self):
+    @cached_property
+    def theta_dlog(self) -> int:
+        """Discrete log of theta base the canonical generator of GF(q^d).
+
+        theta = xi^j for xi = g^((q^d - 1)/n'r) and the least j coprime to
+        n'r with xi^(nj) = lambda, found by stepping (xi^n)^j one product
+        at a time (j = 0, theta = 1, when n'r = 1)."""
         big = self.big_field
-        emb = self.field.embedding_into(big)
-        if self.period == 1:
-            # only lambda = 1 reaches here; theta is the empty root of unity
-            assert self.lam == self.field.one
-            self._theta = big.one
-            self._theta_dlog = 0
-            return
-        big_order = big.order - 1
-        step = big_order // (self.q - 1)
-        mul, w = big.mul, big.pow(big.generator.v, step)
-        img_gen = emb.map_int(self.field.generator.v)
-        u = None
+        lam = self.field.embedding_into(big).map_int(self.lam.v)
+        m_step = (big.order - 1) // self.period
+        mul, step = big.mul, big.pow(big.generator.v, m_step * self.n)
         acc = 1
-        for k in range(self.q - 1):
-            if acc == img_gen:
-                u = k
-                break
-            acc = mul(acc, w)
-        assert u is not None, "embedded generator not in the order-(q-1) subgroup"
-        lam_dlog = step * ((u * self.field.dlog(self.lam)) % (self.q - 1))
-        m_step = big_order // self.period
-        for j in range(1, self.period):
-            if math.gcd(j, self.period) != 1:
-                continue
-            if (j * m_step * self.n - lam_dlog) % big_order == 0:
-                self._theta = big.generator ** (j * m_step)
-                self._theta_dlog = j * m_step
-                assert self._theta ** self.n == emb(self.lam)
-                return
+        for j in range(self.period):
+            if acc == lam and math.gcd(j, self.period) == 1:
+                return j * m_step
+            acc = mul(acc, step)
         raise AssertionError("no primitive n'r-th root theta with theta^n = lambda")
 
-    @property
+    @cached_property
     def theta(self) -> FieldElement:
-        if self._theta is None:
-            self._pick_theta()
-        return self._theta
-
-    @property
-    def theta_dlog(self) -> int:
-        """Discrete log of theta base the canonical generator of GF(q^d)."""
-        if self._theta_dlog is None:
-            self._pick_theta()
-        return self._theta_dlog
+        return self.big_field.generator ** self.theta_dlog
 
     def theta_pow(self, k: int) -> FieldElement:
         """theta^k.  The first call in a class mod r walks the whole class,
         theta^(c + r j) = theta^c (theta^r)^j: one product per power."""
-        k %= max(self.period, 1)
+        k %= self.period
         c = k % self.r
         powers = self._theta_classes.get(c)
         if powers is None:
@@ -189,7 +161,7 @@ class CodeParams:
 
     def cosets_on(self, residue: int) -> List[QCoset]:
         """q-cosets partitioning the class {residue + r*k} mod n'r, by rep."""
-        c = residue % self.r if self.r > 0 else 0
+        c = residue % self.r
         cached = self._cosets.get(c)
         if cached is not None:
             return cached
@@ -218,14 +190,14 @@ class CodeParams:
         """Index of a class: entry k // r is the q-coset containing k, for
         every k = residue mod r in [0, n'r).  s*Q is again a q-coset, so
         it is ``coset_table(s * Q.rep)[(s * Q.rep) % n'r // r]``."""
-        c = residue % self.r if self.r > 0 else 0
+        c = residue % self.r
         if c not in self._coset_tables:
             self.cosets_on(c)
         return self._coset_tables[c]
 
     def coset_of(self, k: int, residue: Optional[int] = None) -> QCoset:
         """The q-coset containing k (residue defaults to k mod r)."""
-        c = (k if residue is None else residue) % self.r if self.r else 0
+        c = (k if residue is None else residue) % self.r
         m = k % self.period
         if m % self.r != c:
             raise ValueError(f"{k} is not in the class {c} mod {self.r}")
@@ -278,7 +250,7 @@ def q_cosets(params: CodeParams, s: int = 1) -> List[QCoset]:
     """The q-cosets partitioning s + r*Z mod n'r, sorted by rep."""
     if math.gcd(s, params.period) != 1:
         raise ValueError("s must be coprime to n'r")
-    return params.cosets_on(s % params.r if params.r else 0)
+    return params.cosets_on(s)
 
 
 def s_orbits(params: CodeParams, s: int,
@@ -293,7 +265,7 @@ def s_orbits(params: CodeParams, s: int,
     period = params.period
     if math.gcd(s, period) != 1:
         raise ValueError("s must be coprime to n'r")
-    if params.r and (s - 1) % params.r != 0:
+    if (s - 1) % params.r != 0:
         raise ValueError("mu_s does not preserve the class 1 + r*Z")
     if cosets is None:
         cosets = params.cosets_on(1)
@@ -330,7 +302,7 @@ class CosetFunction:
     def __init__(self, params: CodeParams, assignment: Dict[int, int],
                  residue: int = 1):
         self.params = params
-        self.residue = residue % params.r if params.r else 0
+        self.residue = residue % params.r
         cosets = params.cosets_on(self.residue)
         reps = {Q.rep for Q in cosets}
         if set(assignment) != reps:

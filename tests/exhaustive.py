@@ -158,6 +158,35 @@ def factor_walk_order(x):
     return order
 
 
+def reference_theta_dlog(params):
+    """The log of theta by discrete logs: the log u of the embedded
+    generator of GF(q), found by walking the order-(q-1) subgroup of
+    GF(q^d), gives log lambda = (q^d-1)/(q-1) * (u * dlog lambda mod q-1);
+    theta is g^(j(q^d-1)/n'r) for the least j in [1, n'r) coprime to n'r
+    with j n (q^d-1)/n'r = log lambda mod q^d-1 (and 1 when n'r = 1).
+    Needs dlog in GF(q), so q <= 2^16."""
+    if params.period == 1:
+        return 0
+    field, big = params.field, params.big_field
+    big_order = big.order - 1
+    step = big_order // (params.q - 1)
+    w = big.generator ** step
+    img_gen = field.embedding_into(big)(field.generator)
+    acc = big.one
+    for u in range(params.q - 1):
+        if acc == img_gen:
+            break
+        acc = acc * w
+    else:
+        raise AssertionError("embedded generator not in the order-(q-1) subgroup")
+    lam_dlog = step * (u * field.dlog(params.lam) % (params.q - 1))
+    m_step = big_order // params.period
+    for j in range(1, params.period):
+        if (math.gcd(j, params.period) == 1
+                and (j * m_step * params.n - lam_dlog) % big_order == 0):
+            return j * m_step
+    raise AssertionError("no primitive n'r-th root theta with theta^n = lambda")
+
 def brute_min_weight(code):
     """Minimum Hamming weight over every listed codeword; None for the zero code."""
     weights = [sum(1 for c in word if c) for word in enumerate_codewords(code)]

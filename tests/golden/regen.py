@@ -7,7 +7,13 @@ Each case is one ``constagalois`` invocation, run in-process through
 unset.  The corpus stores its argv, exit code and exact stdout.
 
     python tests/golden/regen.py           # compare; exit 1 on any difference
-    python tests/golden/regen.py --write   # rewrite corpus.json from this checkout
+    python tests/golden/regen.py --write   # record the CASES not yet in corpus.json
+
+``--write`` appends a record for each ``CASES`` entry whose name is not
+in the corpus and leaves the recorded ones byte-identical; to re-record
+a case whose output is meant to change, delete its entry first.  The
+check fails on a differing record and on a ``CASES`` entry with no
+record.
 
 Run from the repository root (``src/`` is put on the path); standard
 library only.
@@ -29,6 +35,9 @@ EX1 = ["--p", "2", "--e", "2", "--n", "2", "--lambda", "g^2"]        # GF(4), n 
 EX2 = ["--p", "3", "--e", "4", "--n", "12", "--lambda", "g^20"]      # GF(81), n = 12
 EX3 = ["--p", "3", "--e", "2", "--n", "4", "--lambda", "-1"]         # GF(9), n = 4
 EX4 = ["--p", "5", "--e", "2", "--n", "26", "--lambda", "-1"]        # GF(25), n = 26
+# GF(65537): q > 2^16, so no dlog table; theta comes from theta^n = lambda
+GF65537 = ["--p", "65537", "--e", "1", "--n", "2", "--lambda", "-1"]
+GF65537_N4 = ["--p", "65537", "--e", "1", "--n", "4", "--lambda", "-1"]
 PHI2 = "1:1,5:2,9:1,13:2"
 PHI3 = "1:0,3:0,5:1,7:1"
 PHI4 = "1:0,3:0,5:0,7:0,9:1,11:0,13:0,27:1,29:1,31:1,33:0,35:1,37:1,39:1"
@@ -85,6 +94,9 @@ CASES = [
     ("error_unknown_command", ["frobnicate"]),
     ("error_repeated_phi_rep", ["code", *EX3, "--phi", PHI3 + ",7:0"]),
     ("error_unknown_config_key", ["--config", "unknown_key.cfg", "params"]),
+    ("params_gf65537_no_dlog", ["params", *GF65537]),
+    ("factor_gf65537_no_dlog", ["factor", *GF65537_N4]),
+    ("code_gf65537_no_dlog", ["code", *GF65537_N4, "--phi", "1:1,3:0,5:1,7:0"]),
 ]
 
 
@@ -113,26 +125,30 @@ def load_corpus():
 
 def main(argv) -> int:
     sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
-    write = "--write" in argv
-    if write:
-        records = []
-        for name, case_argv in CASES:
+    records = load_corpus()
+    recorded = {record["name"] for record in records}
+    missing = [(name, case_argv) for name, case_argv in CASES if name not in recorded]
+    if "--write" in argv:
+        for name, case_argv in missing:
             code, out = run_case(case_argv)
             records.append({"name": name, "argv": case_argv, "exit": code,
                             "stdout": out})
         with open(CORPUS, "w") as handle:
             json.dump(records, handle, indent=1)
             handle.write("\n")
-        print(f"wrote {len(records)} cases to {CORPUS}")
+        print(f"recorded {len(missing)} new cases, {len(records)} in {CORPUS}")
         return 0
     bad = 0
-    for record in load_corpus():
+    for record in records:
         code, out = run_case(record["argv"])
         if (code, out) != (record["exit"], record["stdout"]):
             bad += 1
             print(f"DIFFERS: {record['name']}")
-    print(f"{bad} of the recorded cases differ")
-    return 1 if bad else 0
+    for name, _ in missing:
+        print(f"NOT RECORDED: {name}")
+    print(f"{bad} of the {len(records)} recorded cases differ, "
+          f"{len(missing)} cases not recorded")
+    return 1 if bad or missing else 0
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from constagalois import (CosetFunction, derive_params, embed, make_field,
-                          mult_order, q_cosets, s_orbits)
-from exhaustive import PE_PAIRS, grid_instances, reference_act, reference_s_orbits
+from constagalois import (CodeParams, CosetFunction, derive_params, embed,
+                          make_field, mult_order, q_cosets, s_orbits)
+from constagalois.codes import coset_poly
+from exhaustive import (PE_PAIRS, factor_walk_order, grid_instances, reference_act,
+                        reference_s_orbits, reference_theta_dlog)
 
 
 def test_params_repeated_root_gf4():
@@ -40,6 +42,65 @@ def test_theta_invariants_on_grid():
         assert params.lam_prime ** (params.p ** params.nu) == params.lam
         assert mult_order(params.lam_prime) == params.r
 
+
+def test_theta_dlog_matches_reference_on_construct_grid():
+    # every (p, e, n, ord lambda) with p <= 7, e <= 2, n <= 40 whose
+    # splitting field has degree e*d <= 24
+    count = 0
+    for p in (2, 3, 5, 7):
+        for e in (1, 2):
+            q = p ** e
+            g = make_field(p, e).generator
+            for n in range(1, 41):
+                for r in [k for k in range(1, q) if (q - 1) % k == 0]:
+                    params = derive_params(p, e, n, g ** ((q - 1) // r))
+                    if e * params.d > 24:
+                        continue
+                    assert params.theta_dlog == reference_theta_dlog(params), params
+                    count += 1
+    assert count == 1270
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_theta_over_gf65537_by_brute_force(n):
+    # q = 65537 > 2^16, so GF(q) has no dlog table; its elements are the
+    # residues themselves, so integer pow checks theta
+    p = 65537
+    field = make_field(p, 1)
+    g = field.generator.v
+    for a in (0, 32768, 12288, 40960, 24, 65528):
+        lam = pow(g, a, p)
+        params = derive_params(p, 1, n, field.wrap(lam))
+        period = params.period
+        assert period == n * params.r and params.d == 1
+        m_step = (p - 1) // period
+        xi = pow(g, m_step, p)
+        j = next(j for j in range(period)
+                 if math.gcd(j, period) == 1 and pow(xi, n * j, p) == lam)
+        assert params.theta_dlog == j * m_step
+        theta = params.theta
+        assert theta.v == pow(g, j * m_step, p)
+        assert pow(theta.v, n, p) == lam
+        assert factor_walk_order(theta) == period
+
+
+def test_theta_builds_no_dlog_table():
+    # GF(2^16) is packed and tables its logs only on demand; theta and the
+    # coset polynomials are found without them
+    field = make_field(2, 16)
+    saved, field._dlog_table = field._dlog_table, None
+    try:
+        for n, lam in [(3, field.one), (17, field.one),
+                       (5, field.generator ** (65535 // 3))]:
+            params = CodeParams(2, 16, n, lam)      # not interned: theta is fresh
+            assert params.big_field is field
+            theta = params.theta
+            assert theta ** n == lam and mult_order(theta) == params.period
+            for Q in q_cosets(params, 1):
+                assert coset_poly(params, Q).degree == len(Q)
+        assert field._dlog_table is None
+    finally:
+        field._dlog_table = saved
 
 def test_cosets_length26_table():
     params = derive_params(5, 2, 26, -1)
