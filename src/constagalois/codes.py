@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .cosets import CodeParams, CosetFunction, QCoset, p_split
 from .gf import Field, FieldElement
@@ -72,15 +72,34 @@ def cf_poly(params: CodeParams, phi: CosetFunction) -> Poly:
     return result
 
 
+def _reciprocal_frob(poly: Poly, t: int) -> Poly:
+    """The monic reciprocal of poly with every coefficient raised to p^t.
+
+    poly must have a nonzero constant term, as every divisor of
+    X^n - lambda^s has; reversing its coefficients and dividing by that
+    term gives the monic reciprocal, and x -> x^(p^t) is a field
+    automorphism, so the result stays monic.
+    """
+    field = poly.field
+    mul, frob = field.mul, field.frob
+    inv = field.inv(poly.ints[0])
+    return Poly.wrap(field, [frob(mul(c, inv), t) for c in reversed(poly.ints)])
+
+
 class ConstaCode:
     """The lambda^residue-constacyclic code attached to a coset function.
 
     check = f_phi, generator = f_phibar, dim = deg f_phi; the generator
     and check polynomials are materialized lazily since much of the
-    classification theory never needs them.
+    classification theory never needs them.  A code built from phi
+    computes them as products of coset polynomials (``cf_poly``).  A
+    Galois dual holds its source code C and t in ``_dual_of`` (set by
+    ``duality.galois_dual``) and reads them off C's own polynomials: its
+    generator is the monic reciprocal of C's check, and its check that of
+    C's generator, each with every coefficient raised to p^t.
     """
 
-    __slots__ = ("params", "phi", "dim", "_generator", "_check")
+    __slots__ = ("params", "phi", "dim", "_generator", "_check", "_dual_of")
 
     def __init__(self, params: CodeParams, phi: CosetFunction):
         if phi.params is not params:
@@ -90,6 +109,7 @@ class ConstaCode:
         self.dim = phi.weight()
         self._generator: Optional[Poly] = None
         self._check: Optional[Poly] = None
+        self._dual_of: Optional[Tuple["ConstaCode", int]] = None
 
     @property
     def residue(self) -> int:
@@ -103,13 +123,21 @@ class ConstaCode:
     @property
     def check(self) -> Poly:
         if self._check is None:
-            self._check = cf_poly(self.params, self.phi)
+            if self._dual_of is None:
+                self._check = cf_poly(self.params, self.phi)
+            else:
+                source, t = self._dual_of
+                self._check = _reciprocal_frob(source.generator, t)
         return self._check
 
     @property
     def generator(self) -> Poly:
         if self._generator is None:
-            self._generator = cf_poly(self.params, self.phi.complement())
+            if self._dual_of is None:
+                self._generator = cf_poly(self.params, self.phi.complement())
+            else:
+                source, t = self._dual_of
+                self._generator = _reciprocal_frob(source.check, t)
         return self._generator
 
     def __eq__(self, other):

@@ -111,13 +111,23 @@ class Isometry:
 
 
 def galois_dual(code: ConstaCode, h: int) -> ConstaCode:
-    """The p^h-dual: the code with function (-p^(e-h)) * phibar."""
+    """The p^h-dual: the code with function (-p^(e-h)) * phibar.
+
+    Its polynomials are read off the code's own, with no coset-polynomial
+    product: the dual's generator is the monic reciprocal of the code's
+    check and its check that of the code's generator, each with every
+    coefficient raised to p^t, t = (e - h) mod e.  (The Euclidean dual is
+    generated by the reciprocal of the check polynomial, and
+    <a, b>_h = 0 for all a in C iff b^(p^h) lies in that dual.)
+    """
     params = code.params
     if not 0 <= h <= params.e:
         raise ValueError("h must lie in [0, e]")
     h_eff = h % params.e
     psi = code.phi.complement().act(-(params.p ** (params.e - h_eff)))
-    return build_code(params, psi)
+    dual = build_code(params, psi)
+    dual._dual_of = (code, (params.e - h_eff) % params.e)
+    return dual
 
 
 def selfdual_condition(params: CodeParams, phi: CosetFunction,

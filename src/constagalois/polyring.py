@@ -133,8 +133,9 @@ class Poly:
         while exp:
             if exp & 1:
                 result = result * base
-            base = base * base
             exp >>= 1
+            if exp:  # no squaring past the top bit
+                base = base * base
         return result
 
     def __divmod__(self, other):

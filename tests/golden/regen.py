@@ -40,6 +40,7 @@ GF65537 = ["--p", "65537", "--e", "1", "--n", "2", "--lambda", "-1"]
 GF65537_N4 = ["--p", "65537", "--e", "1", "--n", "4", "--lambda", "-1"]
 PHI2 = "1:1,5:2,9:1,13:2"
 PHI3 = "1:0,3:0,5:1,7:1"
+PHI_GF8_N14 = "0:1,1:2,2:0,3:1,4:0,5:2,6:1"  # nu = 1: multiplicities up to 2
 PHI4 = "1:0,3:0,5:0,7:0,9:1,11:0,13:0,27:1,29:1,31:1,33:0,35:1,37:1,39:1"
 
 CASES = [
@@ -97,6 +98,11 @@ CASES = [
     ("params_gf65537_no_dlog", ["params", *GF65537]),
     ("factor_gf65537_no_dlog", ["factor", *GF65537_N4]),
     ("code_gf65537_no_dlog", ["code", *GF65537_N4, "--phi", "1:1,3:0,5:1,7:0"]),
+    # e >= 3 with h != e - h, so a dual read off its source code must take
+    # the Frobenius power p^(e-h), not p^h; the second has repeated roots
+    ("dual_ex2_h3", ["dual", *EX2, "--phi", PHI2, "--h", "3"]),
+    ("dual_gf8_repeated_root_h1", ["dual", "--p", "2", "--e", "3", "--n", "14",
+                                   "--lambda", "1", "--phi", PHI_GF8_N14, "--h", "1"]),
 ]
 
 

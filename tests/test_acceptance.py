@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from constagalois import (CosetFunction, build_code, derive_params,
+from constagalois import (CosetFunction, build_code, cf_poly, derive_params,
                           euclidean_selfdual_exists, galois_dual,
                           galois_inner, galois_selfdual_exists,
                           hermitian_selfdual_exists, is_galois_selfdual,
@@ -153,9 +153,14 @@ def test_criterion_6_closed_form_dual_vs_oracle():
             for vals in candidates:
                 code = build_code(params, CosetFunction.from_values(params, list(vals)))
                 for h in range(params.e + 1):
+                    # the dual's polynomials are read off the code's, so
+                    # cf_poly on psi ties the span check to the closed form
                     closed = galois_dual(code, h)
-                    if not spans_equal(params.field, closed.generator_rows(),
-                                       dual_basis(code, h)):
+                    if ((closed.generator, closed.check)
+                            != (cf_poly(params, closed.phi.complement()),
+                                cf_poly(params, closed.phi))
+                            or not spans_equal(params.field, closed.generator_rows(),
+                                               dual_basis(code, h))):
                         mismatches.append((params, vals, h))
         assert not mismatches, mismatches[:5]
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from constagalois import (CosetFunction, Isometry, Poly, QuotientElem,
-                          build_code, derive_params, galois_dual,
+                          build_code, cf_poly, derive_params, galois_dual,
                           galois_inner, is_galois_selfdual,
                           is_iso_galois_selfdual, make_field, q_cosets)
 from constagalois import oracle
@@ -239,6 +239,34 @@ def test_dual_dimension_sum_and_double_dual():
                 assert code.dim + dual.dim == params.n
                 back = galois_dual(dual, params.e - h)
                 assert back.phi == phi and back.residue == code.residue
+
+
+def test_dual_polynomials_match_coset_products():
+    # the dual's polynomials are read off the code's; cf_poly on the dual's
+    # own function is the reference.  e >= 3 is needed to tell the
+    # Frobenius power p^(e-h) from p^h
+    rng = random.Random(8)
+    pairs = repeated = 0
+    for params in grid_instances([(2, 3), (3, 3), (2, 4), (3, 2), (5, 2)], 12,
+                                 max_cosets=64, max_multiplicity=64):
+        if params.e * params.d > 24:
+            continue
+        cap = params.p ** params.nu
+        size = len(q_cosets(params, 1))
+        for _ in range(2):
+            phi = CosetFunction.from_values(
+                params, [rng.randint(0, cap) for _ in range(size)])
+            code = build_code(params, phi)
+            for h in range(params.e + 1):
+                dual = galois_dual(code, h)
+                reference = (cf_poly(params, dual.phi.complement()),
+                             cf_poly(params, dual.phi))
+                assert (dual.generator, dual.check) == reference, (params, phi, h)
+                back = galois_dual(galois_dual(code, h), params.e - h)
+                assert (back.generator, back.check) == (code.generator, code.check)
+                pairs += 1
+                repeated += params.nu > 0
+    assert pairs > 500 and repeated > 50
 
 
 def test_selfdual_code_equals_own_dual_length4():

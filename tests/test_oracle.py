@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from constagalois import (CosetFunction, build_code, derive_params,
+from constagalois import (CosetFunction, build_code, cf_poly, derive_params,
                           galois_dual, make_field, q_cosets)
 from constagalois.oracle import (Matrix, brute_dual, brute_equal_codes,
                                  dual_basis, dual_basis_of_rows,
@@ -87,6 +87,7 @@ def test_rank_method_matches_closed_form_dual():
             code = build_code(params, CosetFunction.from_values(params, vals))
             for h in range(params.e + 1):
                 closed = galois_dual(code, h)
+                assert closed.generator == cf_poly(params, closed.phi.complement())
                 assert spans_equal(params.field, closed.generator_rows(),
                                    dual_basis(code, h))
 

@@ -29,6 +29,33 @@ def test_gf4_square_of_linear():
     assert lhs == Poly(field, [theta ** 2, field.zero, field.one])
 
 
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 11)])  # table and packed kernels
+def test_power_product_count(monkeypatch, p, m):
+    # f ** k takes floor(log2 k) squarings and popcount(k) products, the
+    # first of them with [1]
+    field = make_field(p, m)
+    rng = random.Random(p * m)
+    calls = []
+    poly_mul = field.poly_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(field, "poly_mul", counting)
+    f = Poly(field, [field.element([rng.randrange(p) for _ in range(m)])
+                     for _ in range(3)] + [field.one])
+    assert f ** 0 == Poly(field, [field.one])
+    expect = f
+    for k in range(1, 10):
+        calls.clear()
+        assert f ** k == expect
+        assert len(calls) <= k.bit_length() - 1 + bin(k).count("1")
+        expect = expect * f
+    zero = Poly(field, [])
+    assert zero ** 0 == Poly(field, [field.one]) and (zero ** 3).is_zero()
+
+
 def test_degree_of_products():
     rng = random.Random(7)
     field = make_field(3, 2)
