@@ -9,6 +9,7 @@ them for membership spot checks and exact minimum weights.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -18,6 +19,10 @@ from .gf import Field, FieldElement
 from .polyring import Poly, QuotientElem, poly_to_json
 
 DEFAULT_ENUM_CAP = 1 << 20
+
+# coset_poly and _packed_min_weight are functools caches keyed on interned
+# params and on cosets and codes of them; like those params they live for
+# the process, and ``cache_info()`` reads their hits and misses.
 
 
 def _enum_cap(cap: Optional[int]) -> int:
@@ -32,18 +37,16 @@ def _enum_cap(cap: Optional[int]) -> int:
         raise ValueError(f"CONSTAGALOIS_ENUM_CAP must be an integer, got {env!r}") from None
 
 
+@functools.cache
 def coset_poly(params: CodeParams, coset: QCoset) -> Poly:
     """prod_{i in coset} (X - theta^i), collapsed into F_q[X].
 
     The product is computed over the splitting field GF(q^d); because the
     coset is closed under k -> q*k its coefficients are fixed by the
     Galois group over F_q, so sectioning them into F_q must succeed.
-    The result is monic and irreducible of degree |coset|.
+    The result is monic and irreducible of degree |coset|.  Memoised on
+    (params, coset): a repeated call returns the same Poly.
     """
-    key = (coset.residue, coset.rep)
-    cached = params._coset_polys.get(key)
-    if cached is not None:
-        return cached
     big = params.big_field
     neg = big.neg
     # a balanced product tree keeps the operands of each product of
@@ -57,9 +60,7 @@ def coset_poly(params: CodeParams, coset: QCoset) -> Poly:
         ints = [emb.section_int(c) for c in factors[0].ints]
     except ValueError as exc:
         raise AssertionError("coset not Galois-stable") from exc
-    result = Poly.wrap(params.field, ints)
-    params._coset_polys[key] = result
-    return result
+    return Poly.wrap(params.field, ints)
 
 
 def cf_poly(params: CodeParams, phi: CosetFunction) -> Poly:
@@ -260,18 +261,15 @@ def min_weight(code: ConstaCode, cap: Optional[int] = None) -> Optional[int]:
     """Exact minimum Hamming weight by exhaustion; None for the zero code.
 
     Raises ValueError when q^dim exceeds the cap, as enumerate_codewords
-    does.  Results are memoised per coset function on the params, after
-    the cap check, so a smaller cap still refuses a memoised code.
+    does.  The cap is checked before the kernel, memoised per code
+    (params and coset function), so a smaller cap still refuses a
+    memoised code.
     """
     if code.dim == 0:
         return None
-    params = code.params
-    if params.q ** code.dim > _enum_cap(cap):
+    if code.params.q ** code.dim > _enum_cap(cap):
         raise ValueError("enumeration too large")
-    best = params._min_weights.get(code.phi)
-    if best is None:
-        best = params._min_weights[code.phi] = _packed_min_weight(code)
-    return best
+    return _packed_min_weight(code)
 
 
 # Messages per block of the Gray-order enumeration in _packed_min_weight;
@@ -279,6 +277,7 @@ def min_weight(code: ConstaCode, cap: Optional[int] = None) -> Optional[int]:
 _GRAY_BLOCK = 1024
 
 
+@functools.cache
 def _packed_min_weight(code: ConstaCode) -> int:
     """Minimum weight over the messages whose first nonzero entry is 1.
 

@@ -15,7 +15,7 @@ complement, the multiplier action s*phi, and pointwise meet.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldElement, make_field, mult_order, format_element, parse_element
@@ -62,7 +62,12 @@ class CodeParams:
 
     The splitting field GF(q^d) and theta are built lazily: the coset
     calculus and all existence predicates are pure integer work, and many
-    callers never need actual polynomial roots.
+    callers never need actual polynomial roots.  An instance memoises only
+    its own per-class data: the theta powers and the q-cosets of each
+    class mod r.  Results computed from the params elsewhere (coset
+    polynomials, minimum weights, the isometric family) are memoised by
+    the functions that compute them, keyed on the interned params that
+    :func:`derive_params` returns.
     """
 
     def __init__(self, p: int, e: int, n: int, lam: FieldElement):
@@ -90,13 +95,8 @@ class CodeParams:
         assert self.lam_prime.frobenius(nu) == lam
 
         self._theta_classes: Dict[int, List[FieldElement]] = {}
-        self._lam_pows: Dict[int, FieldElement] = {}
-        self._cosets: Dict[int, List[QCoset]] = {}
-        self._coset_tables: Dict[int, List[QCoset]] = {}
-        self._coset_polys: Dict[Tuple[int, int], Poly] = {}
-        self._min_weights: Dict[CosetFunction, int] = {}
-        # (label, witness phi, witness s) of the isometric family, or None
-        self._iso_family: Optional[tuple] = None
+        # class mod r -> (its q-cosets by rep, its coset table)
+        self._classes: Dict[int, Tuple[List[QCoset], List[QCoset]]] = {}
 
     # -- lazy splitting-field data -------------------------------------------
 
@@ -144,12 +144,7 @@ class CodeParams:
         return powers[k // self.r]
 
     def lam_power(self, s: int) -> FieldElement:
-        s %= self.r
-        cached = self._lam_pows.get(s)
-        if cached is None:
-            cached = self.lam ** s
-            self._lam_pows[s] = cached
-        return cached
+        return self.lam ** (s % self.r)
 
     def modulus_poly(self, s: int = 1) -> Poly:
         """X^n - lambda^s in F_q[X]."""
@@ -159,10 +154,10 @@ class CodeParams:
 
     # -- coset structure ---------------------------------------------------------
 
-    def cosets_on(self, residue: int) -> List[QCoset]:
-        """q-cosets partitioning the class {residue + r*k} mod n'r, by rep."""
+    def _class(self, residue: int) -> Tuple[List[QCoset], List[QCoset]]:
+        """(q-cosets by rep, coset table) of the class of residue mod r."""
         c = residue % self.r
-        cached = self._cosets.get(c)
+        cached = self._classes.get(c)
         if cached is not None:
             return cached
         period, r = self.period, self.r
@@ -182,18 +177,18 @@ class CodeParams:
             for k in members:
                 table[k // r] = Q
             cosets.append(Q)
-        self._cosets[c] = cosets
-        self._coset_tables[c] = table
-        return cosets
+        cached = self._classes[c] = (cosets, table)
+        return cached
+
+    def cosets_on(self, residue: int) -> List[QCoset]:
+        """q-cosets partitioning the class {residue + r*k} mod n'r, by rep."""
+        return self._class(residue)[0]
 
     def coset_table(self, residue: int) -> List[QCoset]:
         """Index of a class: entry k // r is the q-coset containing k, for
         every k = residue mod r in [0, n'r).  s*Q is again a q-coset, so
         it is ``coset_table(s * Q.rep)[(s * Q.rep) % n'r // r]``."""
-        c = residue % self.r
-        if c not in self._coset_tables:
-            self.cosets_on(c)
-        return self._coset_tables[c]
+        return self._class(residue)[1]
 
     def coset_of(self, k: int, residue: Optional[int] = None) -> QCoset:
         """The q-coset containing k (residue defaults to k mod r)."""
@@ -218,14 +213,18 @@ class CodeParams:
         }
 
 
-_PARAMS_CACHE: Dict[tuple, CodeParams] = {}
+# Interned CodeParams, keyed on (p, e, n, lambda) for the life of the
+# process; lambda lives in the interned GF(p^e), so equal keys mean equal
+# parameters.  ``_interned_params.cache_info()`` reads hits and misses.
+_interned_params = cache(CodeParams)
 
 
 def derive_params(p: int, e: int, n: int, lam) -> CodeParams:
     """Canonical CodeParams for (p, e, n, lambda); interned per argument set.
 
     `lam` may be a FieldElement of the canonical GF(p^e), an integer
-    (e.g. 1 or -1), or a string like "g^12" or "[1,2]".
+    (e.g. 1 or -1), or a string like "g^12" or "[1,2]"; every spelling of
+    one lambda returns the same object.
     """
     field = make_field(p, e)
     if isinstance(lam, str):
@@ -238,12 +237,7 @@ def derive_params(p: int, e: int, n: int, lam) -> CodeParams:
         raise ValueError("lambda must be a unit")
     if n < 1:
         raise ValueError("length must be positive")
-    key = (p, e, n, lam.v)
-    params = _PARAMS_CACHE.get(key)
-    if params is None:
-        params = CodeParams(p, e, n, lam)
-        _PARAMS_CACHE[key] = params
-    return params
+    return _interned_params(p, e, n, lam)
 
 
 def q_cosets(params: CodeParams, s: int = 1) -> List[QCoset]:
@@ -253,8 +247,7 @@ def q_cosets(params: CodeParams, s: int = 1) -> List[QCoset]:
     return params.cosets_on(s)
 
 
-def s_orbits(params: CodeParams, s: int,
-             cosets: Optional[Sequence[QCoset]] = None) -> List[List[QCoset]]:
+def s_orbits(params: CodeParams, s: int) -> List[List[QCoset]]:
     """Orbits of Q -> sQ on the quotient set of the unit class.
 
     Requires s = 1 mod r (so the multiplier preserves the class) and
@@ -267,10 +260,8 @@ def s_orbits(params: CodeParams, s: int,
         raise ValueError("s must be coprime to n'r")
     if (s - 1) % params.r != 0:
         raise ValueError("mu_s does not preserve the class 1 + r*Z")
-    if cosets is None:
-        cosets = params.cosets_on(1)
+    cosets, table = params.cosets_on(1), params.coset_table(1)
     r = params.r
-    table = params.coset_table(cosets[0].residue)
 
     def act(Q: QCoset) -> QCoset:
         return table[(s * Q.rep) % period // r]

@@ -9,6 +9,7 @@ against the duality predicates before returning it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -124,20 +125,16 @@ def iso_selfdual_exists(params: CodeParams, h: int = 0) -> ExistenceVerdict:
     return ExistenceVerdict(label is not None, label, phi)
 
 
+@functools.cache
 def iso_selfdual_family(params: CodeParams):
     """(label, witness phi, witness s) of the isometrically self-dual
-    family, or (None, None, None); memoised on the interned params.
+    family, or (None, None, None).
 
     The witness s is the smallest multiplier with s*phi = phibar, as
-    :func:`iso_witness_for` finds it.
+    :func:`iso_witness_for` finds it.  Memoised on the params for the
+    process, as interned params live: a repeated call returns the same
+    tuple.
     """
-    family = params._iso_family
-    if family is None:
-        family = params._iso_family = _iso_family(params)
-    return family
-
-
-def _iso_family(params: CodeParams):
     p = params.p
     if p == 2 and params.nu >= 1:
         phi = CosetFunction.constant(params, p ** params.nu // 2)

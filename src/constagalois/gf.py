@@ -34,6 +34,7 @@ use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -208,8 +209,7 @@ class Field:
         self.m = m
         self.order = p ** m
         self.modulus = tuple(modulus)          # length m+1, monic, ascending
-        self._group_factors: Optional[list] = None
-        self._embeddings: dict = {}
+        self._embeddings: dict = {}            # (p, M) of the target -> Embedding
         self._dlog_table: Optional[array] = None
         self._log: Optional[array] = None      # the table kernel's own log
         ring = PackedRing(p, self.modulus)
@@ -228,7 +228,7 @@ class Field:
         """The canonical generator: first primitive element in coefficient
         order, as a packed int of ``ring``."""
         n1 = self.order - 1
-        cofactors = [n1 // f for f in self.group_factors()]
+        cofactors = [n1 // f for f in self.group_factors]
         for coeffs in itertools.product(range(self.p), repeat=self.m):
             x = ring.encode(coeffs)
             if x and all(ring.power(x, k) != 1 for k in cofactors):
@@ -361,11 +361,10 @@ class Field:
 
     # -- internals -----------------------------------------------------------
 
+    @functools.cached_property
     def group_factors(self) -> list:
         """Prime factors of p^m - 1 (for multiplicative order computations)."""
-        if self._group_factors is None:
-            self._group_factors = _prime_factors(self.order - 1)
-        return self._group_factors
+        return _prime_factors(self.order - 1)
 
     def dlog(self, x: FieldElement) -> int:
         """Discrete log of x base the canonical generator (q <= 2^16 only)."""
@@ -398,15 +397,14 @@ class Field:
         return hash((self.p, self.modulus))
 
 
-_FIELD_CACHE: dict = {}
+@functools.cache
+def make_field(p: int, m: int, /) -> Field:
+    """The canonical GF(p^m); interned, so repeated calls return one object.
 
-
-def make_field(p: int, m: int) -> Field:
-    """The canonical GF(p^m); interned, so repeated calls return one object."""
-    key = (p, m)
-    field = _FIELD_CACHE.get(key)
-    if field is not None:
-        return field
+    Memoised for the life of the process on (p, m); ``make_field.cache_info()``
+    reads its hits and misses.  The arguments are positional-only, so a
+    keyword call cannot open a second cache entry and mint a second field.
+    """
     if not _isprime(p):
         raise ValueError("not a prime")
     if m < 1:
@@ -426,9 +424,7 @@ def make_field(p: int, m: int) -> Field:
                 break
         assert modulus is not None
 
-    field = Field(p, m, modulus)
-    _FIELD_CACHE[key] = field
-    return field
+    return Field(p, m, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +450,7 @@ def mult_order(x: FieldElement) -> int:
     if field._dlog_table is not None:
         return order // math.gcd(field.dlog(x), order)
     power, v = field.pow, x.v
-    for f in field.group_factors():
+    for f in field.group_factors:
         while order % f == 0 and power(v, order // f) == 1:
             order //= f
     return order
@@ -475,7 +471,6 @@ class Embedding:
             raise ValueError("incompatible fields: no subfield embedding")
         self.sub = sub
         self.sup = sup
-        self._section_table: Optional[dict] = None
         if sub is sup:
             self.powers = None
             return
@@ -514,12 +509,21 @@ class Embedding:
                 out = add(out, mul(c, b))
         return out
 
+    @functools.cached_property
+    def _section_table(self) -> dict:
+        """sup int -> sub int over the whole image; built on first use."""
+        return {self.map_int(v): v for v in self.sub.ints()}
+
     def section_int(self, w: int) -> int:
         """The preimage of the sup element with int w; raises outside the image."""
         if self.sub is self.sup:
             return w
-        if self._section_table is None:
-            self._section_table = {self.map_int(v): v for v in self.sub.ints()}
+        if self.sub.m == 1:
+            # a constant c of GF(p) is the int c in both encodings, and
+            # every other element's int is at least p: no table needed
+            if w < self.sub.p:
+                return w
+            raise ValueError("not in subfield")
         v = self._section_table.get(w)
         if v is None:
             raise ValueError("not in subfield")

@@ -10,6 +10,8 @@ tables of the smaller fields in it.
 
 from __future__ import annotations
 
+import functools
+
 
 class PackedRing:
     """Arithmetic in GF(p)[X]/(f) for a monic f of degree m, on packed ints.
@@ -110,20 +112,16 @@ class PackedRing:
                 a >>= W
             return mod_p(acc)
 
-        frob_rows = {}  # t -> the images of X^i under x -> x^(p^t)
-
+        @functools.cache  # one table per t, owned by this ring
         def rows_for(t):
-            rows = frob_rows.get(t)
-            if rows is None:
-                if t == 1:
-                    x_p = power(1 << W, p)
-                    rows = [1]
-                    for _ in range(m - 1):
-                        rows.append(reduce(rows[-1] * x_p))
-                else:
-                    rows = [linear_map(r, rows_for(1)) for r in rows_for(t - 1)]
-                frob_rows[t] = rows
-            return rows
+            """The images of X^i under x -> x^(p^t)."""
+            if t == 1:
+                x_p = power(1 << W, p)
+                rows = [1]
+                for _ in range(m - 1):
+                    rows.append(reduce(rows[-1] * x_p))
+                return rows
+            return [linear_map(r, rows_for(1)) for r in rows_for(t - 1)]
 
         def frob(a, t):
             """a^(p^t) for 0 <= t < m, as a GF(p)-linear map."""

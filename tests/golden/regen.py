@@ -103,6 +103,9 @@ CASES = [
     ("dual_ex2_h3", ["dual", *EX2, "--phi", PHI2, "--h", "3"]),
     ("dual_gf8_repeated_root_h1", ["dual", "--p", "2", "--e", "3", "--n", "14",
                                    "--lambda", "1", "--phi", PHI_GF8_N14, "--h", "1"]),
+    # coset polynomials over a prime field: sectioning GF(10007^2) -> GF(10007)
+    ("factor_gf10007_prime_section", ["factor", "--p", "10007", "--e", "1",
+                                      "--n", "3", "--lambda", "1"]),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from constagalois import (CodeParams, CosetFunction, derive_params, embed,
                           make_field, mult_order, q_cosets, s_orbits)
 from constagalois.codes import coset_poly
+from constagalois.existence import iso_selfdual_family
 from exhaustive import (PE_PAIRS, factor_walk_order, grid_instances, reference_act,
                         reference_s_orbits, reference_theta_dlog)
 
@@ -288,3 +289,22 @@ def test_coset_of_rejects_other_class():
     assert params.coset_of(2, residue=0).rep == 2
     with pytest.raises(ValueError, match="not in the class"):
         params.coset_of(2, residue=1)
+
+
+def test_derive_params_interns_every_spelling_of_lambda():
+    one_spelling = derive_params(3, 2, 4, -1)
+    assert one_spelling is derive_params(3, 2, 4, "g^4")
+    assert one_spelling is derive_params(3, 2, 4, make_field(3, 2).from_int(-1))
+
+
+def test_coset_poly_and_iso_family_memos_hit_on_repeat():
+    params = derive_params(5, 2, 26, -1)
+    Q = q_cosets(params, 1)[1]
+    first = coset_poly(params, Q)
+    hits = coset_poly.cache_info().hits
+    assert coset_poly(params, Q) is first
+    assert coset_poly.cache_info().hits == hits + 1
+    family = iso_selfdual_family(params)
+    hits = iso_selfdual_family.cache_info().hits
+    assert iso_selfdual_family(params) is family
+    assert iso_selfdual_family.cache_info().hits == hits + 1

@@ -226,6 +226,28 @@ def test_section_outside_subfield_rejected():
         section(outside, f4)
 
 
+def test_section_into_prime_field_needs_no_table():
+    # a constant c of GF(p) is the int c in GF(p^2) too, so sectioning
+    # into GF(10007) reads it off instead of tabling 10007 images
+    f = make_field(10007, 1)
+    big = make_field(10007, 2)
+    emb = f.embedding_into(big)
+    for c in (0, 1, 2, 5003, 10006):
+        assert emb.section(embed(f.from_int(c), big)) == f.from_int(c)
+    with pytest.raises(ValueError, match="not in subfield"):
+        emb.section(big.generator)
+    assert "_section_table" not in vars(emb)
+
+
+def test_make_field_is_interned_and_positional_only():
+    assert make_field(3, 2) is make_field(3, 2)
+    with pytest.raises(TypeError):
+        make_field(p=3, m=2)  # would otherwise open a second cache entry
+    hits = make_field.cache_info().hits
+    make_field(3, 2)
+    assert make_field.cache_info().hits == hits + 1
+
+
 def test_element_text_round_trip():
     field = make_field(5, 2)
     for x in field.elements():
