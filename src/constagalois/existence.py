@@ -76,16 +76,16 @@ def _even_orbit_multiplier(params: CodeParams) -> Optional[int]:
     return None
 
 
-def _alternating_function(params: CodeParams, s: int, d: int = 0) -> CosetFunction:
-    """phi taking d on even positions and p^nu - d on odd positions of
-    every s-orbit; requires all orbits even."""
+def _alternating_function(params: CodeParams, s: int) -> CosetFunction:
+    """phi taking 0 on even positions and p^nu on odd positions of every
+    s-orbit; requires all orbits even."""
     cap = params.p ** params.nu
     assignment = {}
     for orbit in s_orbits(params, s):
         if len(orbit) % 2 != 0:
             raise AssertionError("alternating construction needs even orbits")
         for i, Q in enumerate(orbit):
-            assignment[Q.rep] = d if i % 2 == 0 else cap - d
+            assignment[Q.rep] = 0 if i % 2 == 0 else cap
     return CosetFunction(params, assignment, 1)
 
 

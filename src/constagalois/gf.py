@@ -8,25 +8,24 @@ coefficient-vector order.  Repeated calls to ``make_field(p, m)`` return
 the identical interned ``Field`` object, so element encodings like "g^k"
 mean the same thing across runs and machines.
 
-Every element is an int owned by its field (``FieldElement.v``), and the
-field's kernel runs all arithmetic on those ints.  The kernel is chosen
-by the field's size:
+Every element is an int owned by its field (``FieldElement.v``): its
+coefficients packed in W-bit base-p slots (``packed.PackedRing``), so
+0, 1 and every constant c of GF(p) are the ints 0, 1 and c.  The field's
+kernel runs all arithmetic on those ints, and is chosen by the field's
+size:
 
-* q <= 2^10: log/antilog tables.  The int is the base-p index
-  c_0 + c_1 p + ... + c_(m-1) p^(m-1); products, inverses, powers and
-  the Frobenius map add or scale logs, and sums go through Zech
-  logarithms (Huber, IEEE T-IT 36, 1990).  Building the tables costs a
-  few microseconds per element (at most about 6 ms here), so larger
-  fields, which often serve only some hundreds of products as splitting
-  fields, do without.
-* larger q: packed base-p slots (``packed.PackedRing``).  Coefficient i
-  sits in a W-bit slot.  A product is one big-int (Kronecker) product,
-  reduced mod p in every slot at once and brought below the modulus by
-  Barrett division; sums use guard bits; the Frobenius map is the
-  precomputed GF(p)-linear map x -> x^p.
+* q <= 2^10: log/antilog tables keyed by the packed ints.  Products,
+  inverses, powers and the Frobenius map add or scale logs, and sums go
+  through Zech logarithms (Huber, IEEE T-IT 36, 1990).  Building the
+  tables costs a few microseconds per element (at most about 6 ms
+  here), so larger fields, which often serve only some hundreds of
+  products as splitting fields, do without.
+* larger q: the packed ring itself.  A product is one big-int
+  (Kronecker) product, reduced mod p in every slot at once and brought
+  below the modulus by Barrett division; sums use guard bits; the
+  Frobenius map is the precomputed GF(p)-linear map x -> x^p.
 
-In both encodings 0, 1 and every constant c of GF(p) are the ints 0, 1
-and c.  ``FieldElement`` wraps one int for the public API; ``Poly``, the
+``FieldElement`` wraps one int for the public API; ``Poly``, the
 oracle's matrices and the coset machinery work on the ints directly.
 Elements are immutable; all operations are pure and safe for concurrent
 use.
@@ -89,18 +88,17 @@ def _is_irreducible(f, p):
 _new = object.__new__
 
 
-def _power_tables(q: int, mul, index, g: int):
-    """exp and log arrays of the powers of g: exp[k] = index(g^k) for
-    k < 2(q - 1), doubled so that a sum of two logs needs no mod, and
-    log[index(g^k)] = k.  One product by g per element."""
+def _power_tables(q: int, mul, g: int):
+    """The powers of g: the list exp[k] = g^k for k < 2(q - 1), doubled so
+    that a sum of two logs needs no mod, and the dict log[g^k] = k.  One
+    product by g per element."""
     n1 = q - 1
-    exp = array("i", [0]) * (2 * n1)
-    log = array("i", [0]) * q
+    exp = [0] * (2 * n1)
+    log = {}
     acc = 1
     for k in range(n1):
-        i = index(acc)
-        exp[k] = exp[k + n1] = i
-        log[i] = k
+        exp[k] = exp[k + n1] = acc
+        log[acc] = k
         acc = mul(acc, g)
     return exp, log
 
@@ -200,8 +198,10 @@ class Field:
     instance: ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``pow``,
     ``frob(v, t)`` (0 <= t < m), ``poly_mul`` (coefficient lists) and
     ``add_scaled(xs, c, ys)`` (the list xs + c * ys) take and return
-    element ints; ``encode``/``decode`` convert between an int
-    and its coefficient tuple, ``wrap`` makes the FieldElement of an int.
+    element ints; ``encode``/``decode``, the packed ring's, convert
+    between an int and its coefficient tuple, and ``wrap`` makes the
+    FieldElement of an int.  Fields compare by identity: one object per
+    field, as ``make_field`` interns them.
     """
 
     def __init__(self, p: int, m: int, modulus):
@@ -209,13 +209,13 @@ class Field:
         self.m = m
         self.order = p ** m
         self.modulus = tuple(modulus)          # length m+1, monic, ascending
-        self._embeddings: dict = {}            # (p, M) of the target -> Embedding
-        self._dlog_table: Optional[array] = None
-        self._log: Optional[array] = None      # the table kernel's own log
+        self._dlog_table: Optional[dict] = None
+        self._log: Optional[dict] = None       # the table kernel's own log
         ring = PackedRing(p, self.modulus)
+        self.encode, self.decode = ring.encode, ring.decode
         generator = self._first_primitive(ring)
         if self.order <= _TABLE_MAX:
-            generator = self._bind_tables(ring, generator)
+            self._bind_tables(ring, generator)
         else:
             self._bind_packed(ring)
         self.zero = self.wrap(0)
@@ -242,31 +242,18 @@ class Field:
         self.pow = lambda a, k: power(a, k % n1) if a else _power_of_zero(k)
         self.frob, self.poly_mul = ring.frob, ring.poly_mul
         self.add_scaled = ring.add_scaled
-        self.encode, self.decode, self.index = ring.encode, ring.decode, ring.index
 
-    def _bind_tables(self, ring: PackedRing, generator: int) -> int:
+    def _bind_tables(self, ring: PackedRing, generator: int) -> None:
         """Log/antilog tables from the powers of the generator, walked in
-        ``ring``; returns the generator's index."""
+        ``ring`` and keyed by its ints."""
         p, m, q = self.p, self.m, self.order
         n1 = q - 1
-        index = ring.index
-        exp, log = _power_tables(q, ring.mul, index, generator)
+        exp, log = _power_tables(q, ring.mul, generator)
         self._log = self._dlog_table = log
         frob_scale = [pow(p, t, n1) for t in range(m)]
         self.pow = lambda a, k: exp[log[a] * k % n1] if a else _power_of_zero(k)
         self.inv = lambda a: exp[n1 - log[a]]
         self.frob = lambda a, t: exp[log[a] * frob_scale[t] % n1] if a else 0
-        self.index = lambda v: v
-
-        def decode(v):
-            out = []
-            for _ in range(m):
-                v, c = divmod(v, p)
-                out.append(c)
-            return tuple(out)
-
-        self.decode = decode
-        self.encode = lambda coeffs: index(ring.encode(coeffs))
 
         mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
         if m == 1:  # residues: plain arithmetic beats two lookups
@@ -283,8 +270,7 @@ class Field:
             half = n1 // 2
             zech = array("i", [0]) * (2 * n1)
             for d in range(n1):
-                i = exp[d]
-                one_plus = i + 1 if i % p != p - 1 else i - (p - 1)
+                one_plus = ring.add(exp[d], 1)
                 zech[d] = zech[d + n1] = log[one_plus] if one_plus else -1
 
             def add(a, b):
@@ -329,7 +315,6 @@ class Field:
 
         self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
         self.poly_mul, self.add_scaled = poly_mul, add_scaled
-        return index(generator)
 
     # -- construction of elements -------------------------------------------
 
@@ -375,26 +360,14 @@ class Field:
                 raise ValueError("dlog table too large for this field")
             self._dlog_table = self._log
             if self._log is None:
-                self._dlog_table = _power_tables(self.order, self.mul, self.index,
-                                                 self.generator.v)[1]
-        return self._dlog_table[self.index(x.v)]
+                self._dlog_table = _power_tables(self.order, self.mul, self.generator.v)[1]
+        return self._dlog_table[x.v]
 
     def embedding_into(self, sup: "Field") -> "Embedding":
-        key = (sup.p, sup.m)
-        emb = self._embeddings.get(key)
-        if emb is None:
-            emb = Embedding(self, sup)
-            self._embeddings[key] = emb
-        return emb
+        return _interned_embedding(self, sup)
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.p == other.p and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((self.p, self.modulus))
 
 
 @functools.cache
@@ -519,8 +492,8 @@ class Embedding:
         if self.sub is self.sup:
             return w
         if self.sub.m == 1:
-            # a constant c of GF(p) is the int c in both encodings, and
-            # every other element's int is at least p: no table needed
+            # a constant c of GF(p) is the int c, and every other
+            # element's int is at least p: no table needed
             if w < self.sub.p:
                 return w
             raise ValueError("not in subfield")
@@ -539,6 +512,12 @@ class Embedding:
         if y.field is not self.sup:
             raise ValueError("element not in the target field")
         return self.sub.wrap(self.section_int(y.v))
+
+
+# One Embedding per (sub, sup) pair for the life of the process.  Fields
+# hash by identity, so a field built directly gets its own embeddings;
+# the interned fields live as long as this memo anyway.
+_interned_embedding = functools.cache(Embedding)
 
 
 def embed(x: FieldElement, sup: Field) -> FieldElement:

@@ -3,9 +3,10 @@
 A residue mod a monic f of degree m over GF(p) is one int holding its m
 coefficients in W-bit slots.  Products are one big-int (Kronecker)
 product, reduced mod p in every slot at once and brought below f by
-Barrett division; sums use guard bits.  ``gf`` runs every field with
-q > 2^10 on this ring, and walks the canonical searches and the log
-tables of the smaller fields in it.
+Barrett division; sums use guard bits.  Its packed int is the element
+encoding of every ``gf`` field: fields with q > 2^10 run their
+arithmetic on this ring, and the smaller fields key their log tables by
+its ints.
 """
 
 from __future__ import annotations
@@ -160,16 +161,7 @@ class PackedRing:
             """xs[i] + c * ys[i] for every i."""
             return [reduce(x + c * y) if y else x for x, y in zip(xs, ys)]
 
-        top_down = slots[::-1]
-
-        def index(v):
-            """The base-p index sum c_i p^i of a residue."""
-            i = 0
-            for slot in top_down:
-                i = i * p + ((v >> slot) & mask)
-            return i
-
         self.add, self.sub, self.neg, self.mul, self.power = add, sub, neg, mul, power
         self.frob, self.poly_mul, self.add_scaled = frob, poly_mul, add_scaled
-        self.encode, self.index = pack, index
-        self.decode = lambda v: tuple((v >> slot) & mask for slot in slots)
+        self.encode = pack
+        self.decode = lambda v: tuple([(v >> slot) & mask for slot in slots])

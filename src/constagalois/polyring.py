@@ -93,9 +93,6 @@ class Poly:
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 
-    def coeff(self, k: int) -> FieldElement:
-        return self.field.wrap(self.ints[k] if 0 <= k < len(self.ints) else 0)
-
     # -- ring operations ---------------------------------------------------------
 
     def _check(self, other):

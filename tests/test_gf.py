@@ -9,6 +9,7 @@ import pytest
 
 from constagalois import (embed, format_element, frobenius, make_field,
                           mult_order, parse_element, section)
+from constagalois.gf import Field
 from constagalois.numtheory import (_PSI_13, _isprime, _prime_factors,
                                     _strong_lucas_probable_prime)
 from exhaustive import brute_monic_irreducibles, factor_walk_order
@@ -237,6 +238,18 @@ def test_section_into_prime_field_needs_no_table():
     with pytest.raises(ValueError, match="not in subfield"):
         emb.section(big.generator)
     assert "_section_table" not in vars(emb)
+
+
+def test_embedding_into_a_directly_built_field_lands_there():
+    # embeddings are memoised on the field pair, and fields compare by
+    # identity: the canonical GF(9) built first must not answer for a
+    # GF(9) with another modulus
+    gf3 = make_field(3, 1)
+    gf3.embedding_into(make_field(3, 2))
+    other = Field(3, 2, (2, 1, 1))
+    assert gf3.embedding_into(other).sup is other
+    assert embed(gf3.one, other).field is other
+    assert gf3.embedding_into(other) is gf3.embedding_into(other)
 
 
 def test_make_field_is_interned_and_positional_only():

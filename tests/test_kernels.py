@@ -7,6 +7,7 @@ and the oracle's ``Matrix``, and against the canonical moduli and
 generators recorded in tests/golden/fields.json.
 """
 
+import itertools
 import json
 import os
 import random
@@ -17,6 +18,7 @@ from constagalois import Poly, make_field, poly_gcd
 from constagalois.gf import _DLOG_MAX, _TABLE_MAX
 from constagalois.numtheory import _isprime
 from constagalois.oracle import Matrix
+from constagalois.packed import PackedRing
 from exhaustive import ReferenceField
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -128,6 +130,24 @@ def test_kernel_choice_follows_field_size():
     assert make_field(2, 10).order <= _TABLE_MAX < make_field(2, 11).order
     assert make_field(2, 10)._dlog_table is not None   # the table kernel's own log
     assert make_field(3, 7)._log is None                # packed: no kernel tables
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 10), (3, 7), (2, 11)])
+def test_table_and_packed_fields_share_one_encoding(p, m):
+    # an element's int is its packed coefficient int whichever kernel runs
+    # the field: every vector of the table fields, 2 000 of the packed ones
+    field = make_field(p, m)
+    ring = PackedRing(p, field.modulus)
+    if field.order <= _TABLE_MAX:
+        vectors = itertools.product(range(p), repeat=m)
+    else:
+        rng = random.Random(p * 100 + m)
+        vectors = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(2000)]
+    for c in vectors:
+        v = field.encode(c)
+        assert v == ring.encode(c) and field.decode(v) == c, c
+    assert field.generator.v == ring.encode(field.generator.coeffs)
+    assert not hasattr(field, "index")
 
 
 def test_canonical_fields_match_the_recorded_table():
