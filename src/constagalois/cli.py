@@ -211,7 +211,7 @@ def cmd_search(args) -> List[dict]:
                     params = derive_params(p, e, n, lam)
                     if max_cosets is not None and len(q_cosets(params, 1)) > max_cosets:
                         continue
-                    if max_mult is not None and p ** params.nu > max_mult:
+                    if max_mult is not None and params.mult_cap > max_mult:
                         continue
                     head = {"p": p, "e": e, "n": n, "lambda": lam_text, "r": params.r,
                             "nprime": params.nprime, "nu": params.nu}

@@ -219,7 +219,7 @@ def code_from_generator(params: CodeParams, g: Poly) -> ConstaCode:
         raise ValueError("not a constacyclic generator")
     rem = g
     comp = {}
-    cap = params.p ** params.nu
+    cap = params.mult_cap
     for Q in params.cosets_on(1):
         fq = coset_poly(params, Q)
         mult = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldElement, make_field, mult_order, format_element, parse_element
 from .polyring import Poly
@@ -62,12 +62,15 @@ class CodeParams:
 
     The splitting field GF(q^d) and theta are built lazily: the coset
     calculus and all existence predicates are pure integer work, and many
-    callers never need actual polynomial roots.  An instance memoises only
-    its own per-class data: the theta powers and the q-cosets of each
-    class mod r.  Results computed from the params elsewhere (coset
-    polynomials, minimum weights, the isometric family) are memoised by
-    the functions that compute them, keyed on the interned params that
-    :func:`derive_params` returns.
+    callers never need actual polynomial roots.  ``mult_cap`` is p^nu, the
+    largest multiplicity of a coset; :meth:`image` and :meth:`multipliers`
+    are the multiplier action on cosets and the multipliers s = 1 mod r
+    that preserve the unit class.  Beyond the lazy field and theta, an
+    instance holds no memo: per-class data (the q-cosets and theta powers
+    of each class mod r), like every result computed from the params
+    elsewhere (coset polynomials, minimum weights, the isometric family),
+    is memoised by the function that computes it, keyed on the interned
+    params that :func:`derive_params` returns.
     """
 
     def __init__(self, p: int, e: int, n: int, lam: FieldElement):
@@ -81,6 +84,7 @@ class CodeParams:
         nu, nprime = p_split(p, n)
         self.nu = nu
         self.nprime = nprime
+        self.mult_cap = p ** nu            # multiplicities lie in [0, p^nu]
         self.period = nprime * self.r      # the modulus n'r for coset arithmetic
         d = 1
         if self.period > 1:
@@ -93,10 +97,6 @@ class CodeParams:
         # inverse Frobenius power; (lambda')^(p^nu) is the Frobenius power nu
         self.lam_prime = lam.frobenius((-nu) % e)
         assert self.lam_prime.frobenius(nu) == lam
-
-        self._theta_classes: Dict[int, List[FieldElement]] = {}
-        # class mod r -> (its q-cosets by rep, its coset table)
-        self._classes: Dict[int, Tuple[List[QCoset], List[QCoset]]] = {}
 
     # -- lazy splitting-field data -------------------------------------------
 
@@ -130,18 +130,7 @@ class CodeParams:
         """theta^k.  The first call in a class mod r walks the whole class,
         theta^(c + r j) = theta^c (theta^r)^j: one product per power."""
         k %= self.period
-        c = k % self.r
-        powers = self._theta_classes.get(c)
-        if powers is None:
-            big = self.big_field
-            mul, theta = big.mul, self.theta.v
-            acc, step = big.pow(theta, c), big.pow(theta, self.r)
-            powers = []
-            for _ in range(self.nprime):
-                powers.append(big.wrap(acc))
-                acc = mul(acc, step)
-            self._theta_classes[c] = powers
-        return powers[k // self.r]
+        return _theta_class(self, k % self.r)[k // self.r]
 
     def lam_power(self, s: int) -> FieldElement:
         return self.lam ** (s % self.r)
@@ -154,41 +143,15 @@ class CodeParams:
 
     # -- coset structure ---------------------------------------------------------
 
-    def _class(self, residue: int) -> Tuple[List[QCoset], List[QCoset]]:
-        """(q-cosets by rep, coset table) of the class of residue mod r."""
-        c = residue % self.r
-        cached = self._classes.get(c)
-        if cached is not None:
-            return cached
-        period, r = self.period, self.r
-        table: List[Optional[QCoset]] = [None] * self.nprime
-        cosets = []
-        # members are walked upwards, so each new coset starts at its rep
-        for j in range(self.nprime):
-            if table[j] is not None:
-                continue
-            start = c + r * j
-            members = [start]
-            k = (start * self.q) % period
-            while k != start:
-                members.append(k)
-                k = (k * self.q) % period
-            Q = QCoset(c, members)
-            for k in members:
-                table[k // r] = Q
-            cosets.append(Q)
-        cached = self._classes[c] = (cosets, table)
-        return cached
-
     def cosets_on(self, residue: int) -> List[QCoset]:
         """q-cosets partitioning the class {residue + r*k} mod n'r, by rep."""
-        return self._class(residue)[0]
+        return _coset_class(self, residue % self.r)[0]
 
     def coset_table(self, residue: int) -> List[QCoset]:
         """Index of a class: entry k // r is the q-coset containing k, for
-        every k = residue mod r in [0, n'r).  s*Q is again a q-coset, so
-        it is ``coset_table(s * Q.rep)[(s * Q.rep) % n'r // r]``."""
-        return self._class(residue)[1]
+        every k = residue mod r in [0, n'r).  :meth:`image` reads s*Q off
+        it."""
+        return _coset_class(self, residue % self.r)[1]
 
     def coset_of(self, k: int, residue: Optional[int] = None) -> QCoset:
         """The q-coset containing k (residue defaults to k mod r)."""
@@ -197,6 +160,19 @@ class CodeParams:
         if m % self.r != c:
             raise ValueError(f"{k} is not in the class {c} mod {self.r}")
         return self.coset_table(c)[m // self.r]
+
+    def image(self, Q: QCoset, s: int) -> QCoset:
+        """The q-coset s*Q for s coprime to n'r: the coset of s * Q.rep,
+        in the class s * Q.residue mod r."""
+        k = s * Q.rep % self.period
+        return _coset_class(self, k % self.r)[1][k // self.r]
+
+    def multipliers(self) -> Iterator[int]:
+        """Every s = 1 mod r in [1, n'r] coprime to n'r, ascending: the
+        multipliers that preserve the unit class, one per action (the
+        action depends only on s mod n'r)."""
+        period = self.period
+        return (s for s in range(1, period + 1, self.r) if math.gcd(s, period) == 1)
 
     # -- misc ----------------------------------------------------------------------
 
@@ -211,6 +187,46 @@ class CodeParams:
             "nu": self.nu, "nprime": self.nprime, "period": self.period,
             "d": self.d, "lambda_prime": format_element(self.lam_prime),
         }
+
+
+@cache
+def _coset_class(params: CodeParams, c: int) -> Tuple[List[QCoset], List[QCoset]]:
+    """(q-cosets by rep, coset table) of the class c mod r, 0 <= c < r.
+
+    Memoised on (params, c) for the process, as interned params live."""
+    period, r, q = params.period, params.r, params.q
+    table: List[Optional[QCoset]] = [None] * params.nprime
+    cosets = []
+    # members are walked upwards, so each new coset starts at its rep
+    for j in range(params.nprime):
+        if table[j] is not None:
+            continue
+        start = c + r * j
+        members = [start]
+        k = (start * q) % period
+        while k != start:
+            members.append(k)
+            k = (k * q) % period
+        Q = QCoset(c, members)
+        for k in members:
+            table[k // r] = Q
+        cosets.append(Q)
+    return cosets, table
+
+
+@cache
+def _theta_class(params: CodeParams, c: int) -> List[FieldElement]:
+    """theta^(c + r j) for j < n', 0 <= c < r: one product per power.
+
+    Memoised on (params, c) for the process, as interned params live."""
+    big = params.big_field
+    mul, theta = big.mul, params.theta.v
+    acc, step = big.pow(theta, c), big.pow(theta, params.r)
+    powers = []
+    for _ in range(params.nprime):
+        powers.append(big.wrap(acc))
+        acc = mul(acc, step)
+    return powers
 
 
 # Interned CodeParams, keyed on (p, e, n, lambda) for the life of the
@@ -251,37 +267,27 @@ def s_orbits(params: CodeParams, s: int) -> List[List[QCoset]]:
     """Orbits of Q -> sQ on the quotient set of the unit class.
 
     Requires s = 1 mod r (so the multiplier preserves the class) and
-    gcd(s, n'r) = 1.  Each orbit is listed in action order starting from
-    the coset with the smallest rep in that orbit; orbits are sorted by
-    that rep.
+    gcd(s, n'r) = 1.  Each orbit is listed in action order from its first
+    coset in rep order, so it starts at its smallest rep and the orbits
+    come out sorted by that rep.
     """
-    period = params.period
-    if math.gcd(s, period) != 1:
+    if math.gcd(s, params.period) != 1:
         raise ValueError("s must be coprime to n'r")
     if (s - 1) % params.r != 0:
         raise ValueError("mu_s does not preserve the class 1 + r*Z")
-    cosets, table = params.cosets_on(1), params.coset_table(1)
-    r = params.r
-
-    def act(Q: QCoset) -> QCoset:
-        return table[(s * Q.rep) % period // r]
-
+    image = params.image
     assigned = set()
     orbits = []
-    for Q in cosets:
+    for Q in params.cosets_on(1):
         if Q.rep in assigned:
             continue
         orbit = [Q]
-        assigned.add(Q.rep)
-        nxt = act(Q)
-        while nxt.rep != Q.rep:
+        nxt = image(Q, s)
+        while nxt is not Q:
             orbit.append(nxt)
-            assigned.add(nxt.rep)
-            nxt = act(nxt)
-        # rotate so the orbit starts at its minimal rep, preserving action order
-        start = min(range(len(orbit)), key=lambda i: orbit[i].rep)
-        orbits.append(orbit[start:] + orbit[:start])
-    orbits.sort(key=lambda orb: orb[0].rep)
+            nxt = image(nxt, s)
+        assigned.update(P.rep for P in orbit)
+        orbits.append(orbit)
     return orbits
 
 
@@ -298,7 +304,7 @@ class CosetFunction:
         reps = {Q.rep for Q in cosets}
         if set(assignment) != reps:
             raise ValueError("assignment domain must be exactly the coset reps")
-        cap = params.p ** params.nu
+        cap = params.mult_cap
         for v in assignment.values():
             if not 0 <= v <= cap:
                 raise ValueError(f"multiplicity {v} outside [0, {cap}]")
@@ -345,7 +351,7 @@ class CosetFunction:
     # -- the calculus -------------------------------------------------------------
 
     def complement(self) -> "CosetFunction":
-        cap = self.params.p ** self.params.nu
+        cap = self.params.mult_cap
         return CosetFunction(self.params,
                              {k: cap - v for k, v in self.assignment.items()},
                              self.residue)
@@ -353,15 +359,13 @@ class CosetFunction:
     def act(self, s: int) -> "CosetFunction":
         """The multiplier action: (s*phi)(k) = phi(s^-1 k), moving the
         function to the class s*residue mod r."""
-        period = self.params.period
-        if math.gcd(s, period) != 1:
+        params = self.params
+        if math.gcd(s, params.period) != 1:
             raise ValueError("s must be coprime to n'r")
-        r = self.params.r
-        table = self.params.coset_table(s * self.residue)
-        new_assignment = {}
-        for Q in self.params.cosets_on(self.residue):
-            new_assignment[table[(s * Q.rep) % period // r].rep] = self.assignment[Q.rep]
-        return CosetFunction(self.params, new_assignment, s * self.residue)
+        image, assignment = params.image, self.assignment
+        return CosetFunction(params, {image(Q, s).rep: assignment[Q.rep]
+                                      for Q in params.cosets_on(self.residue)},
+                             s * self.residue)
 
     def meet(self, other: "CosetFunction") -> "CosetFunction":
         if (other.params is not self.params or other.residue != self.residue):

@@ -174,22 +174,15 @@ def is_galois_selfdual(code: ConstaCode, h: int) -> SelfDualCertificate:
 def iso_witness_for(params: CodeParams, phi: CosetFunction) -> Optional[int]:
     """Smallest s = 1 mod r, coprime to n'r, with s*phi = phibar; else None.
 
-    One period of s suffices because the action only depends on s mod n'r.
-    Candidates are tested by the pairing condition phi(Q) + phi(sQ) = p^nu
-    on every coset (sQ read off the coset table); the winner is
-    re-verified as s*phi = phibar.
+    Candidates are the class-preserving multipliers of one period (the
+    action depends only on s mod n'r), tested by the pairing condition
+    phi(Q) + phi(sQ) = p^nu on every coset; the winner is re-verified as
+    s*phi = phibar.
     """
-    period, r = params.period, params.r
-    cap = params.p ** params.nu
-    values = phi.assignment
+    cap, image, values = params.mult_cap, params.image, phi.assignment
     cosets = params.cosets_on(phi.residue)
-    table = params.coset_table(phi.residue)
-    for k in range(params.nprime):
-        s = 1 + r * k
-        if math.gcd(s, period) != 1:
-            continue
-        if all(values[Q.rep] + values[table[(s * Q.rep) % period // r].rep] == cap
-               for Q in cosets):
+    for s in params.multipliers():
+        if all(values[Q.rep] + values[image(Q, s).rep] == cap for Q in cosets):
             if phi.act(s) != phi.complement():
                 raise AssertionError("witness fails s*phi = phibar")
             return s

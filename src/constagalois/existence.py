@@ -10,7 +10,6 @@ against the duality predicates before returning it.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,10 +66,7 @@ class ExistenceVerdict:
 
 def _even_orbit_multiplier(params: CodeParams) -> Optional[int]:
     """Smallest s = 1 mod r, coprime to n'r, whose coset orbits are all even."""
-    for k in range(params.nprime):
-        s = 1 + params.r * k
-        if math.gcd(s, params.period) != 1:
-            continue
+    for s in params.multipliers():
         if all(len(orbit) % 2 == 0 for orbit in s_orbits(params, s)):
             return s
     return None
@@ -79,7 +75,7 @@ def _even_orbit_multiplier(params: CodeParams) -> Optional[int]:
 def _alternating_function(params: CodeParams, s: int) -> CosetFunction:
     """phi taking 0 on even positions and p^nu on odd positions of every
     s-orbit; requires all orbits even."""
-    cap = params.p ** params.nu
+    cap = params.mult_cap
     assignment = {}
     for orbit in s_orbits(params, s):
         if len(orbit) % 2 != 0:
@@ -137,7 +133,7 @@ def iso_selfdual_family(params: CodeParams):
     """
     p = params.p
     if p == 2 and params.nu >= 1:
-        phi = CosetFunction.constant(params, p ** params.nu // 2)
+        phi = CosetFunction.constant(params, params.mult_cap // 2)
         label = "(i)"
     else:
         duadic = duadic_exists(params)
@@ -163,7 +159,7 @@ def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
         return ExistenceVerdict(False)
     if p == 2 and params.nu >= 1:
         label = "(i)"
-        phi = CosetFunction.constant(params, p ** params.nu // 2)
+        phi = CosetFunction.constant(params, params.mult_cap // 2)
     else:
         even = params.nprime % 2 == 0 and params.r % 2 == 0
         if even and p % 4 == 1:

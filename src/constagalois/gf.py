@@ -15,11 +15,11 @@ kernel runs all arithmetic on those ints, and is chosen by the field's
 size:
 
 * q <= 2^10: log/antilog tables keyed by the packed ints.  Products,
-  inverses, powers and the Frobenius map add or scale logs, and sums go
-  through Zech logarithms (Huber, IEEE T-IT 36, 1990).  Building the
-  tables costs a few microseconds per element (at most about 6 ms
-  here), so larger fields, which often serve only some hundreds of
-  products as splitting fields, do without.
+  inverses, powers and the Frobenius map add or scale logs; sums are
+  xor for p = 2, plain residues for m = 1, and otherwise the packed
+  ring's guard-bit sums.  Building the tables costs a few microseconds
+  per element (at most about 6 ms here), so larger fields, which often
+  serve only some hundreds of products as splitting fields, do without.
 * larger q: the packed ring itself.  A product is one big-int
   (Kronecker) product, reduced mod p in every slot at once and brought
   below the modulus by Barrett division; sums use guard bits; the
@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from typing import Iterable, Iterator, Optional
 
 from .numtheory import _isprime, _prime_factors
@@ -210,7 +209,6 @@ class Field:
         self.order = p ** m
         self.modulus = tuple(modulus)          # length m+1, monic, ascending
         self._dlog_table: Optional[dict] = None
-        self._log: Optional[dict] = None       # the table kernel's own log
         ring = PackedRing(p, self.modulus)
         self.encode, self.decode = ring.encode, ring.decode
         generator = self._first_primitive(ring)
@@ -249,7 +247,7 @@ class Field:
         p, m, q = self.p, self.m, self.order
         n1 = q - 1
         exp, log = _power_tables(q, ring.mul, generator)
-        self._log = self._dlog_table = log
+        self._dlog_table = log
         frob_scale = [pow(p, t, n1) for t in range(m)]
         self.pow = lambda a, k: exp[log[a] * k % n1] if a else _power_of_zero(k)
         self.inv = lambda a: exp[n1 - log[a]]
@@ -264,36 +262,8 @@ class Field:
         elif p == 2:
             add = sub = int.__xor__
             neg = int.__pos__
-        else:
-            # zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0; doubled, and
-            # a negative d reads it from the end
-            half = n1 // 2
-            zech = array("i", [0]) * (2 * n1)
-            for d in range(n1):
-                one_plus = ring.add(exp[d], 1)
-                zech[d] = zech[d + n1] = log[one_plus] if one_plus else -1
-
-            def add(a, b):
-                if not a:
-                    return b
-                if not b:
-                    return a
-                la = log[a]
-                z = zech[log[b] - la]
-                return exp[la + z] if z >= 0 else 0
-
-            def neg(a):
-                return exp[log[a] + half] if a else 0
-
-            def sub(a, b):
-                if not b:
-                    return a
-                lb = log[b] + half
-                if not a:
-                    return exp[lb]
-                la = log[a]
-                z = zech[lb - la]
-                return exp[la + z] if z >= 0 else 0
+        else:  # the packed ring's guard-bit sums
+            add, sub, neg = ring.add, ring.sub, ring.neg
 
         def poly_mul(a, b):
             if not a or not b:
@@ -358,9 +328,7 @@ class Field:
         if self._dlog_table is None:
             if self.order > _DLOG_MAX:
                 raise ValueError("dlog table too large for this field")
-            self._dlog_table = self._log
-            if self._log is None:
-                self._dlog_table = _power_tables(self.order, self.mul, self.generator.v)[1]
+            self._dlog_table = _power_tables(self.order, self.mul, self.generator.v)[1]
         return self._dlog_table[x.v]
 
     def embedding_into(self, sup: "Field") -> "Embedding":

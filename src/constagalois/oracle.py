@@ -9,7 +9,7 @@ Exponential cost is fine; these run at desk scale only.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .codes import ConstaCode, enumerate_codewords, linear_combinations
 from .cosets import CodeParams

@@ -7,8 +7,9 @@ from constagalois import (CodeParams, CosetFunction, derive_params, embed,
                           make_field, mult_order, q_cosets, s_orbits)
 from constagalois.codes import coset_poly
 from constagalois.existence import iso_selfdual_family
+from constagalois.cosets import _coset_class, _theta_class
 from exhaustive import (PE_PAIRS, factor_walk_order, grid_instances, reference_act,
-                        reference_s_orbits, reference_theta_dlog)
+                        reference_image_rep, reference_s_orbits, reference_theta_dlog)
 
 
 def test_params_repeated_root_gf4():
@@ -259,13 +260,16 @@ def _census_grid():
 
 
 def test_coset_table_matches_member_minimum_on_census_grid():
-    # s_orbits and CosetFunction.act read images off the coset table;
-    # the reference takes the least image over every member of the coset
+    # params.image, and s_orbits and CosetFunction.act through it, read
+    # images off the coset table; the reference takes the least image over
+    # every member of the coset
     rng = random.Random(3)
     for params in _census_grid():
         period, cap = params.period, params.p ** params.nu
+        assert params.mult_cap == cap
         units = [1 + params.r * k for k in range(params.nprime)
                  if math.gcd(1 + params.r * k, period) == 1]
+        assert list(params.multipliers()) == units, params
         negs = [-(params.p ** h) for h in range(params.e + 1)]
         phi = CosetFunction.from_values(
             params, [rng.randint(0, cap) for _ in q_cosets(params, 1)])
@@ -275,6 +279,9 @@ def test_coset_table_matches_member_minimum_on_census_grid():
         for s in units + negs:
             if math.gcd(s, period) != 1:
                 continue
+            for Q in q_cosets(params, 1):
+                assert params.image(Q, s).rep == reference_image_rep(params, Q.members, s), \
+                    (params, Q, s)
             image = phi.act(s)
             assert image.assignment == reference_act(phi, s), (params, s)
             assert image.residue == s % params.r
@@ -308,3 +315,19 @@ def test_coset_poly_and_iso_family_memos_hit_on_repeat():
     hits = iso_selfdual_family.cache_info().hits
     assert iso_selfdual_family(params) is family
     assert iso_selfdual_family.cache_info().hits == hits + 1
+    cosets = params.cosets_on(1)
+    hits = _coset_class.cache_info().hits
+    assert params.cosets_on(1) is cosets
+    assert _coset_class.cache_info().hits == hits + 1
+    theta = params.theta_pow(1)
+    hits = _theta_class.cache_info().hits
+    assert params.theta_pow(1) is theta
+    assert _theta_class.cache_info().hits == hits + 1
+
+
+def test_params_hold_no_memo_dict():
+    # per-class cosets and theta powers live in the module's memos
+    params = derive_params(5, 2, 26, -1)
+    params.cosets_on(1)
+    params.theta_pow(1)
+    assert not [name for name, value in vars(params).items() if isinstance(value, dict)]

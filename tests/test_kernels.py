@@ -2,9 +2,9 @@
 
 Fields with q <= 2^10 run on log/antilog tables, larger ones on packed
 slots; both are checked element by element (every ordered pair of every
-field with q <= 256, random pairs on six large fields), through ``Poly``
-and the oracle's ``Matrix``, and against the canonical moduli and
-generators recorded in tests/golden/fields.json.
+field with q <= 256, random pairs on six large fields and on GF(31^2)),
+through ``Poly`` and the oracle's ``Matrix``, and against the canonical
+moduli and generators recorded in tests/golden/fields.json.
 """
 
 import itertools
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from constagalois import Poly, make_field, poly_gcd
-from constagalois.gf import _DLOG_MAX, _TABLE_MAX
+from constagalois.gf import _DLOG_MAX, _TABLE_MAX, Field
 from constagalois.numtheory import _isprime
 from constagalois.oracle import Matrix
 from constagalois.packed import PackedRing
@@ -83,7 +83,9 @@ def test_every_pair_of_prime_fields_up_to_256():
             check_element(field, ref, x)
 
 
-LARGE = [(2, 16), (3, 10), (5, 24), (7, 12), (257, 2), (1000003, 1)]
+# GF(31^2) is a table field with odd p and m = 2: the ring's sums near the
+# table bound
+LARGE = [(2, 16), (3, 10), (5, 24), (7, 12), (257, 2), (1000003, 1), (31, 2)]
 
 
 @pytest.mark.parametrize("p,m", LARGE)
@@ -129,7 +131,7 @@ def test_random_pairs_of_large_fields(p, m):
 def test_kernel_choice_follows_field_size():
     assert make_field(2, 10).order <= _TABLE_MAX < make_field(2, 11).order
     assert make_field(2, 10)._dlog_table is not None   # the table kernel's own log
-    assert make_field(3, 7)._log is None                # packed: no kernel tables
+    assert Field(3, 7, make_field(3, 7).modulus)._dlog_table is None  # packed: no tables
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (2, 10), (3, 7), (2, 11)])
