@@ -174,7 +174,7 @@ def cmd_dual(args) -> List[dict]:
 def cmd_check(args) -> List[dict]:
     code = _code_from_args(args)
     cert = is_galois_selfdual(code, args.h)
-    cert.iso_witness = is_iso_galois_selfdual(code, args.h)
+    cert = cert._replace(iso_witness=is_iso_galois_selfdual(code, args.h))
     return [cert.to_json()]
 
 

@@ -34,7 +34,10 @@ def p_split(p: int, k: int) -> Tuple[int, int]:
 
 
 class QCoset:
-    """One orbit of k -> q*k on the residues of a fixed class mod r."""
+    """One orbit of k -> q*k on the residues of a fixed class mod r.
+
+    Interned: one object per coset of a params, so cosets compare and
+    hash by identity."""
 
     __slots__ = ("residue", "members", "rep")
 
@@ -45,13 +48,6 @@ class QCoset:
 
     def __len__(self):
         return len(self.members)
-
-    def __eq__(self, other):
-        return (isinstance(other, QCoset) and self.residue == other.residue
-                and self.members == other.members)
-
-    def __hash__(self):
-        return hash((self.residue, self.members))
 
     def __repr__(self):
         return f"Q{self.rep}{set(self.members)!r}" if len(self.members) > 1 else f"Q{self.rep}{{{self.rep}}}"
@@ -147,19 +143,13 @@ class CodeParams:
         """q-cosets partitioning the class {residue + r*k} mod n'r, by rep."""
         return _coset_class(self, residue % self.r)[0]
 
-    def coset_table(self, residue: int) -> List[QCoset]:
-        """Index of a class: entry k // r is the q-coset containing k, for
-        every k = residue mod r in [0, n'r).  :meth:`image` reads s*Q off
-        it."""
-        return _coset_class(self, residue % self.r)[1]
-
     def coset_of(self, k: int, residue: Optional[int] = None) -> QCoset:
         """The q-coset containing k (residue defaults to k mod r)."""
         c = (k if residue is None else residue) % self.r
         m = k % self.period
         if m % self.r != c:
             raise ValueError(f"{k} is not in the class {c} mod {self.r}")
-        return self.coset_table(c)[m // self.r]
+        return _coset_class(self, c)[1][m // self.r]
 
     def image(self, Q: QCoset, s: int) -> QCoset:
         """The q-coset s*Q for s coprime to n'r: the coset of s * Q.rep,
@@ -193,7 +183,10 @@ class CodeParams:
 def _coset_class(params: CodeParams, c: int) -> Tuple[List[QCoset], List[QCoset]]:
     """(q-cosets by rep, coset table) of the class c mod r, 0 <= c < r.
 
-    Memoised on (params, c) for the process, as interned params live."""
+    Entry k // r of the table is the q-coset containing k, for every
+    k = c mod r in [0, n'r); :meth:`CodeParams.coset_of` and
+    :meth:`CodeParams.image` read it.  Memoised on (params, c) for the
+    process, as interned params live."""
     period, r, q = params.period, params.r, params.q
     table: List[Optional[QCoset]] = [None] * params.nprime
     cosets = []
@@ -292,7 +285,12 @@ def s_orbits(params: CodeParams, s: int) -> List[List[QCoset]]:
 
 
 class CosetFunction:
-    """A map from the q-cosets of one residue class to [0, p^nu]."""
+    """A map from the q-cosets of one residue class to [0, p^nu].
+
+    Both self-duality criteria ask whether t*phi = phibar for a
+    multiplier t (t = -p^h, or some s = 1 mod r);
+    :meth:`act_is_complement` answers that without building either side.
+    """
 
     __slots__ = ("params", "residue", "assignment", "_hash")
 
@@ -366,6 +364,18 @@ class CosetFunction:
         return CosetFunction(params, {image(Q, s).rep: assignment[Q.rep]
                                       for Q in params.cosets_on(self.residue)},
                              s * self.residue)
+
+    def act_is_complement(self, t: int) -> bool:
+        """Whether t*phi = phibar, i.e. ``self.act(t) == self.complement()``:
+        t must keep the class, and phi(Q) + phi(tQ) = p^nu on every coset."""
+        params = self.params
+        if math.gcd(t, params.period) != 1:
+            raise ValueError("s must be coprime to n'r")
+        if (t - 1) * self.residue % params.r != 0:
+            return False
+        cap, image, values = params.mult_cap, params.image, self.assignment
+        return all(values[Q.rep] + values[image(Q, t).rep] == cap
+                   for Q in params.cosets_on(self.residue))
 
     def meet(self, other: "CosetFunction") -> "CosetFunction":
         if (other.params is not self.params or other.residue != self.residue):

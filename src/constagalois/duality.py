@@ -16,8 +16,7 @@ s * phi = phibar for some s = 1 mod r coprime to n'r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .codes import ConstaCode, build_code
 from .cosets import CodeParams, CosetFunction, p_split
@@ -137,20 +136,22 @@ def selfdual_condition(params: CodeParams, phi: CosetFunction,
     Returns (verdict, failed_clause) where failed_clause is "order" when
     r does not divide residue*(p^h + 1) (so the dual lands in a different
     ring), "coset_function" when the multiplier condition
-    (-p^h) * phi = phibar fails, and None on success.
+    (-p^h) * phi = phibar fails (:meth:`CosetFunction.act_is_complement`),
+    and None on success.
     """
     if not 0 <= h <= params.e:
         raise ValueError("h must lie in [0, e]")
     h_eff = h % params.e
     if (phi.residue * (params.p ** h_eff + 1)) % params.r != 0:
         return False, "order"
-    if phi.act(-(params.p ** h_eff)) != phi.complement():
+    if not phi.act_is_complement(-(params.p ** h_eff)):
         return False, "coset_function"
     return True, None
 
 
-@dataclass
-class SelfDualCertificate:
+class SelfDualCertificate(NamedTuple):
+    """An immutable verdict; ``_replace`` gives a copy with fields changed."""
+
     selfdual: bool
     h: int
     failed_clause: Optional[str]
@@ -160,9 +161,7 @@ class SelfDualCertificate:
         return self.selfdual
 
     def to_json(self) -> dict:
-        return {"selfdual": self.selfdual, "h": self.h,
-                "failed_clause": self.failed_clause,
-                "iso_witness": self.iso_witness}
+        return self._asdict()
 
 
 def is_galois_selfdual(code: ConstaCode, h: int) -> SelfDualCertificate:
@@ -175,18 +174,11 @@ def iso_witness_for(params: CodeParams, phi: CosetFunction) -> Optional[int]:
     """Smallest s = 1 mod r, coprime to n'r, with s*phi = phibar; else None.
 
     Candidates are the class-preserving multipliers of one period (the
-    action depends only on s mod n'r), tested by the pairing condition
-    phi(Q) + phi(sQ) = p^nu on every coset; the winner is re-verified as
-    s*phi = phibar.
+    action depends only on s mod n'r), each tested by
+    :meth:`CosetFunction.act_is_complement`.
     """
-    cap, image, values = params.mult_cap, params.image, phi.assignment
-    cosets = params.cosets_on(phi.residue)
-    for s in params.multipliers():
-        if all(values[Q.rep] + values[image(Q, s).rep] == cap for Q in cosets):
-            if phi.act(s) != phi.complement():
-                raise AssertionError("witness fails s*phi = phibar")
-            return s
-    return None
+    return next((s for s in params.multipliers() if phi.act_is_complement(s)),
+                None)
 
 
 def is_iso_galois_selfdual(code: ConstaCode, h: int = 0) -> Optional[int]:

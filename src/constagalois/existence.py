@@ -10,8 +10,7 @@ against the duality predicates before returning it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cosets import CodeParams, CosetFunction, p_split, s_orbits
 from .duality import iso_witness_for, selfdual_condition
@@ -43,8 +42,9 @@ def nu2_power_pm1(k: int, d: int):
     return v + nu(2, d), 1
 
 
-@dataclass
-class ExistenceVerdict:
+class ExistenceVerdict(NamedTuple):
+    """An immutable verdict; ``_replace`` gives a copy with fields changed."""
+
     exists: bool
     matched_condition: Optional[str] = None
     witness_phi: Optional[CosetFunction] = None

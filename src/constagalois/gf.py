@@ -112,16 +112,11 @@ class FieldElement:
     """An element of GF(p^m): the int ``v`` in its field's encoding.
 
     ``coeffs`` reads it back as m residues mod p, ascending degree.
+    Elements come from ``Field.wrap``, ``Field.element``,
+    ``Field.from_int`` and ``parse_element``.
     """
 
     __slots__ = ("field", "v")
-
-    def __init__(self, field: "Field", coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != field.m:
-            raise ValueError("coefficient vector has wrong length")
-        self.field = field
-        self.v = field.encode(coeffs)
 
     @property
     def coeffs(self) -> tuple:

@@ -262,7 +262,8 @@ def _census_grid():
 def test_coset_table_matches_member_minimum_on_census_grid():
     # params.image, and s_orbits and CosetFunction.act through it, read
     # images off the coset table; the reference takes the least image over
-    # every member of the coset
+    # every member of the coset.  act_is_complement(t) must agree with its
+    # definition, act(t) == complement()
     rng = random.Random(3)
     for params in _census_grid():
         period, cap = params.period, params.p ** params.nu
@@ -285,6 +286,15 @@ def test_coset_table_matches_member_minimum_on_census_grid():
             image = phi.act(s)
             assert image.assignment == reference_act(phi, s), (params, s)
             assert image.residue == s % params.r
+            assert phi.act_is_complement(s) == (image == phi.complement()), (params, s)
+        _, psi, witness = iso_selfdual_family(params)
+        if psi is not None:
+            assert psi.act_is_complement(witness), params
+        if params.r > 2:                 # -1 moves the class 1 + rZ
+            assert not phi.act_is_complement(period - 1)
+        if period > 1:
+            with pytest.raises(ValueError, match="coprime"):
+                phi.act_is_complement(period)
         for Q in q_cosets(params, 1):
             assert Q.rep == Q.members[0]
             assert all(params.coset_of(k) is Q for k in Q.members)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""The library's imports: every name imported is used, and importing
+the package and its CLI loads no heavy standard module.
 
 Each ``src/constagalois/*.py`` except the package's ``__init__.py``
 (whose imports are its re-exports) is parsed with ``ast``; an imported
@@ -9,6 +10,8 @@ included.  ``from __future__`` imports are directives, not names.
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "constagalois")
@@ -45,3 +48,18 @@ def test_library_modules_use_every_import():
         if unused:
             offenders[os.path.basename(path)] = unused
     assert offenders == {}
+
+
+# dataclasses pulls in inspect, and inspect ast, dis and tokenize; none of
+# them is needed to run the library or its CLI
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_package_import_loads_no_heavy_module():
+    # -S keeps site-packages start-up hooks (.pth files) out of the check
+    script = (f"import sys; sys.path.insert(0, {os.path.dirname(SRC)!r}); "
+              "import constagalois, constagalois.cli; "
+              f"print(','.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", script], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
