@@ -14,8 +14,9 @@ import itertools
 import os
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .cosets import CodeParams, CosetFunction, QCoset, p_split
+from .cosets import CodeParams, CosetFunction, QCoset
 from .gf import Field, FieldElement
+from .numtheory import p_split
 from .polyring import Poly, QuotientElem, poly_to_json
 
 DEFAULT_ENUM_CAP = 1 << 20

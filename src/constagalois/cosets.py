@@ -19,38 +19,30 @@ from functools import cache, cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gf import Field, FieldElement, make_field, mult_order, format_element, parse_element
+from .numtheory import p_split
 from .polyring import Poly
-
-
-def p_split(p: int, k: int) -> Tuple[int, int]:
-    """(v, k / p^v) for the p-adic valuation v of a nonzero integer k."""
-    if k == 0:
-        raise ValueError("valuation of zero is undefined")
-    v = 0
-    while k % p == 0:
-        k //= p
-        v += 1
-    return v, k
 
 
 class QCoset:
     """One orbit of k -> q*k on the residues of a fixed class mod r.
 
     Interned: one object per coset of a params, so cosets compare and
-    hash by identity."""
+    hash by identity.  ``index`` is its place in its class's cosets in
+    rep order."""
 
-    __slots__ = ("residue", "members", "rep")
+    __slots__ = ("residue", "members", "rep", "index")
 
-    def __init__(self, residue: int, members: Iterable[int]):
+    def __init__(self, residue: int, members: Iterable[int], index: int):
         self.residue = residue
         self.members = tuple(sorted(members))
         self.rep = self.members[0]
+        self.index = index
 
     def __len__(self):
         return len(self.members)
 
     def __repr__(self):
-        return f"Q{self.rep}{set(self.members)!r}" if len(self.members) > 1 else f"Q{self.rep}{{{self.rep}}}"
+        return f"Q{self.rep}{set(self.members)!r}"
 
 
 class CodeParams:
@@ -59,7 +51,7 @@ class CodeParams:
     The splitting field GF(q^d) and theta are built lazily: the coset
     calculus and all existence predicates are pure integer work, and many
     callers never need actual polynomial roots.  ``mult_cap`` is p^nu, the
-    largest multiplicity of a coset; :meth:`image` and :meth:`multipliers`
+    largest multiplicity of a coset; :meth:`images` and :meth:`multipliers`
     are the multiplier action on cosets and the multipliers s = 1 mod r
     that preserve the unit class.  Beyond the lazy field and theta, an
     instance holds no memo: per-class data (the q-cosets and theta powers
@@ -89,10 +81,12 @@ class CodeParams:
                 acc = (acc * self.q) % self.period
                 d += 1
         self.d = d
-        # lambda' is the unique p^nu-th root of lambda inside GF(q), the
-        # inverse Frobenius power; (lambda')^(p^nu) is the Frobenius power nu
-        self.lam_prime = lam.frobenius((-nu) % e)
-        assert self.lam_prime.frobenius(nu) == lam
+
+    @cached_property
+    def lam_prime(self) -> FieldElement:
+        """The unique p^nu-th root of lambda in GF(q), the inverse
+        Frobenius power: (lambda')^(p^nu) is the Frobenius power nu."""
+        return self.lam.frobenius((-self.nu) % self.e)
 
     # -- lazy splitting-field data -------------------------------------------
 
@@ -151,11 +145,22 @@ class CodeParams:
             raise ValueError(f"{k} is not in the class {c} mod {self.r}")
         return _coset_class(self, c)[1][m // self.r]
 
+    def images(self, residue: int, s: int) -> List[QCoset]:
+        """The q-cosets s*Q for the cosets Q of the class residue mod r, in
+        rep order, for s coprime to n'r: s*Q is the coset of s * Q.rep, in
+        the class s * residue mod r, read off that class's table."""
+        period, r = self.period, self.r
+        if math.gcd(s, period) != 1:
+            raise ValueError("s must be coprime to n'r")
+        c, t = residue % r, s * residue % r
+        cosets, table = _coset_class(self, c)
+        if t != c:
+            table = _coset_class(self, t)[1]
+        return [table[s * Q.rep % period // r] for Q in cosets]
+
     def image(self, Q: QCoset, s: int) -> QCoset:
-        """The q-coset s*Q for s coprime to n'r: the coset of s * Q.rep,
-        in the class s * Q.residue mod r."""
-        k = s * Q.rep % self.period
-        return _coset_class(self, k % self.r)[1][k // self.r]
+        """The q-coset s*Q for s coprime to n'r."""
+        return self.images(Q.residue, s)[Q.index]
 
     def multipliers(self) -> Iterator[int]:
         """Every s = 1 mod r in [1, n'r] coprime to n'r, ascending: the
@@ -185,7 +190,7 @@ def _coset_class(params: CodeParams, c: int) -> Tuple[List[QCoset], List[QCoset]
 
     Entry k // r of the table is the q-coset containing k, for every
     k = c mod r in [0, n'r); :meth:`CodeParams.coset_of` and
-    :meth:`CodeParams.image` read it.  Memoised on (params, c) for the
+    :meth:`CodeParams.images` read it.  Memoised on (params, c) for the
     process, as interned params live."""
     period, r, q = params.period, params.r, params.q
     table: List[Optional[QCoset]] = [None] * params.nprime
@@ -200,7 +205,7 @@ def _coset_class(params: CodeParams, c: int) -> Tuple[List[QCoset], List[QCoset]
         while k != start:
             members.append(k)
             k = (k * q) % period
-        Q = QCoset(c, members)
+        Q = QCoset(c, members, len(cosets))
         for k in members:
             table[k // r] = Q
         cosets.append(Q)
@@ -264,22 +269,21 @@ def s_orbits(params: CodeParams, s: int) -> List[List[QCoset]]:
     coset in rep order, so it starts at its smallest rep and the orbits
     come out sorted by that rep.
     """
-    if math.gcd(s, params.period) != 1:
-        raise ValueError("s must be coprime to n'r")
+    images = params.images(1, s)
     if (s - 1) % params.r != 0:
         raise ValueError("mu_s does not preserve the class 1 + r*Z")
-    image = params.image
-    assigned = set()
+    seen = [False] * len(images)
     orbits = []
     for Q in params.cosets_on(1):
-        if Q.rep in assigned:
+        if seen[Q.index]:
             continue
         orbit = [Q]
-        nxt = image(Q, s)
+        nxt = images[Q.index]
         while nxt is not Q:
             orbit.append(nxt)
-            nxt = image(nxt, s)
-        assigned.update(P.rep for P in orbit)
+            nxt = images[nxt.index]
+        for P in orbit:
+            seen[P.index] = True
         orbits.append(orbit)
     return orbits
 
@@ -306,6 +310,7 @@ class CosetFunction:
         for v in assignment.values():
             if not 0 <= v <= cap:
                 raise ValueError(f"multiplicity {v} outside [0, {cap}]")
+        # in rep order, so the values line up with params.images(residue, s)
         self.assignment = dict(sorted(assignment.items()))
         self._hash = None
 
@@ -357,25 +362,20 @@ class CosetFunction:
     def act(self, s: int) -> "CosetFunction":
         """The multiplier action: (s*phi)(k) = phi(s^-1 k), moving the
         function to the class s*residue mod r."""
-        params = self.params
-        if math.gcd(s, params.period) != 1:
-            raise ValueError("s must be coprime to n'r")
-        image, assignment = params.image, self.assignment
-        return CosetFunction(params, {image(Q, s).rep: assignment[Q.rep]
-                                      for Q in params.cosets_on(self.residue)},
+        images = self.params.images(self.residue, s)
+        return CosetFunction(self.params,
+                             {P.rep: v for P, v in zip(images, self.assignment.values())},
                              s * self.residue)
 
     def act_is_complement(self, t: int) -> bool:
         """Whether t*phi = phibar, i.e. ``self.act(t) == self.complement()``:
         t must keep the class, and phi(Q) + phi(tQ) = p^nu on every coset."""
         params = self.params
-        if math.gcd(t, params.period) != 1:
-            raise ValueError("s must be coprime to n'r")
+        images = params.images(self.residue, t)
         if (t - 1) * self.residue % params.r != 0:
             return False
-        cap, image, values = params.mult_cap, params.image, self.assignment
-        return all(values[Q.rep] + values[image(Q, t).rep] == cap
-                   for Q in params.cosets_on(self.residue))
+        cap, values = params.mult_cap, self.assignment
+        return all(v + values[P.rep] == cap for P, v in zip(images, values.values()))
 
     def meet(self, other: "CosetFunction") -> "CosetFunction":
         if (other.params is not self.params or other.residue != self.residue):

@@ -19,9 +19,17 @@ import math
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .codes import ConstaCode, build_code
-from .cosets import CodeParams, CosetFunction, p_split
+from .cosets import CodeParams, CosetFunction
 from .gf import FieldElement
+from .numtheory import p_split
 from .polyring import Poly, QuotientElem
+
+
+def _galois_h(e: int, h: int) -> int:
+    """h mod e for a Galois exponent h in [0, e]: h = e acts like h = 0."""
+    if not 0 <= h <= e:
+        raise ValueError("h must lie in [0, e]")
+    return h % e
 
 
 def galois_inner(a: Sequence[FieldElement], b: Sequence[FieldElement],
@@ -32,10 +40,8 @@ def galois_inner(a: Sequence[FieldElement], b: Sequence[FieldElement],
     if not a:
         raise ValueError("empty vectors")
     field = a[0].field
-    if not 0 <= h <= field.m:
-        raise ValueError("h must lie in [0, e]")
+    t = _galois_h(field.m, h)
     mul, add, frob = field.mul, field.add, field.frob
-    t = h % field.m
     acc = 0
     for x, y in zip(a, b):
         if x.field is not field or y.field is not field:
@@ -120,9 +126,7 @@ def galois_dual(code: ConstaCode, h: int) -> ConstaCode:
     <a, b>_h = 0 for all a in C iff b^(p^h) lies in that dual.)
     """
     params = code.params
-    if not 0 <= h <= params.e:
-        raise ValueError("h must lie in [0, e]")
-    h_eff = h % params.e
+    h_eff = _galois_h(params.e, h)
     psi = code.phi.complement().act(-(params.p ** (params.e - h_eff)))
     dual = build_code(params, psi)
     dual._dual_of = (code, (params.e - h_eff) % params.e)
@@ -139,9 +143,7 @@ def selfdual_condition(params: CodeParams, phi: CosetFunction,
     (-p^h) * phi = phibar fails (:meth:`CosetFunction.act_is_complement`),
     and None on success.
     """
-    if not 0 <= h <= params.e:
-        raise ValueError("h must lie in [0, e]")
-    h_eff = h % params.e
+    h_eff = _galois_h(params.e, h)
     if (phi.residue * (params.p ** h_eff + 1)) % params.r != 0:
         return False, "order"
     if not phi.act_is_complement(-(params.p ** h_eff)):
@@ -188,6 +190,5 @@ def is_iso_galois_selfdual(code: ConstaCode, h: int = 0) -> Optional[int]:
     changes which isometry M_(-p^(e-h) s) realizes the duality), so the
     verdict is the same for every h in [0, e].
     """
-    if not 0 <= h <= code.params.e:
-        raise ValueError("h must lie in [0, e]")
+    _galois_h(code.params.e, h)
     return iso_witness_for(code.params, code.phi)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional
 
-from .cosets import CodeParams, CosetFunction, p_split, s_orbits
-from .duality import iso_witness_for, selfdual_condition
+from .cosets import CodeParams, CosetFunction, s_orbits
+from .duality import _galois_h, iso_witness_for, selfdual_condition
+from .numtheory import p_split
 
 
 def nu(p: int, k: int) -> int:
@@ -115,8 +116,7 @@ def iso_selfdual_exists(params: CodeParams, h: int = 0) -> ExistenceVerdict:
     In characteristic 2 with nu >= 1 the family is (i); otherwise it exists
     exactly when duadic codes do.  The verdict is computed once per params.
     """
-    if not 0 <= h <= params.e:
-        raise ValueError("h must lie in [0, e]")
+    _galois_h(params.e, h)
     label, phi, _ = iso_selfdual_family(params)
     return ExistenceVerdict(label is not None, label, phi)
 
@@ -152,8 +152,7 @@ def iso_selfdual_family(params: CodeParams):
 
 def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
     """Existence of p^h-self-dual lambda-constacyclic codes of length n."""
-    if not 0 <= h <= params.e:
-        raise ValueError("h must lie in [0, e]")
+    _galois_h(params.e, h)
     p = params.p
     if (p ** h + 1) % params.r != 0:
         return ExistenceVerdict(False)

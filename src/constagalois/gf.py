@@ -58,8 +58,6 @@ def _is_irreducible(f, p):
     m = len(f) - 1
     if m == 1:
         return True
-    if f[0] == 0:
-        return False  # divisible by X
     from .polyring import Poly, poly_gcd  # the one polynomial implementation
 
     gf_p = make_field(p, 1)
@@ -347,20 +345,12 @@ def make_field(p: int, m: int, /) -> Field:
         raise ValueError("degree must be positive")
 
     if m == 1:
-        modulus = (0, 1)
-    else:
-        modulus = None
-        for c0 in range(1, p):
-            for rest in itertools.product(range(p), repeat=m - 1):
-                cand = (c0,) + rest + (1,)
-                if _is_irreducible(cand, p):
-                    modulus = cand
-                    break
-            if modulus:
-                break
-        assert modulus is not None
-
-    return Field(p, m, modulus)
+        return Field(p, 1, (0, 1))
+    # c0 = 0 would make X a factor
+    for low in itertools.product(range(1, p), *[range(p)] * (m - 1)):
+        if _is_irreducible(low + (1,), p):
+            return Field(p, m, low + (1,))
+    raise AssertionError("no monic irreducible polynomial of degree m")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Primality and factoring of integers: the characteristic p and the
-group order p^m - 1 of every field ``gf`` builds, with the standard
-library only."""
+"""Valuations, primality and factoring of integers: the characteristic
+p and the group order p^m - 1 of every field ``gf`` builds, and the
+p-parts of lengths and multipliers, with the standard library only."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Tuple
 
 # Strong probable-prime tests to the first 13 primes are exact below PSI_13
 # (Sorenson and Webster, Math. Comp. 86, 2017); above it _isprime is
@@ -14,10 +15,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
-def _odd_part(k: int):
-    """(d, s) with k = d * 2^s and d odd, for k > 0."""
-    s = (k & -k).bit_length() - 1
-    return k >> s, s
+def p_split(p: int, k: int) -> Tuple[int, int]:
+    """(v, k / p^v) for the p-adic valuation v of a nonzero integer k."""
+    if k == 0:
+        raise ValueError("valuation of zero is undefined")
+    v = 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v, k
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -45,7 +51,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False  # gcd(D, n) > 1 and n > |D|
         D = -D - 2 if D > 0 else -D + 2
     Q, half = (1 - D) // 4, (n + 1) // 2
-    d, s = _odd_part(n + 1)
+    s, d = p_split(2, n + 1)
     U, V, Qk = 1, 1, Q % n  # (U_k, V_k, Q^k) mod n, k running up the bits of d
     for bit in bin(d)[3:]:
         U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
@@ -64,7 +70,7 @@ def _isprime(n: int) -> bool:
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    d, s = _odd_part(n - 1)
+    s, d = p_split(2, n - 1)
     for a in _MR_BASES if n < _PSI_13 else (2,):  # strong probable prime to a?
         x = pow(a, d, n)
         if x == 1:

@@ -41,6 +41,8 @@ def test_theta_invariants_on_grid():
             continue
         assert mult_order(params.theta) == max(params.period, 1) or params.period == 1
         assert params.theta ** params.n == embed(params.lam, params.big_field)
+    # lambda' lives in GF(q): no splitting field needed
+    for params in _census_grid():
         assert params.lam_prime ** (params.p ** params.nu) == params.lam
         assert mult_order(params.lam_prime) == params.r
 
@@ -180,6 +182,7 @@ def test_orbits_reject_class_breaking_multiplier():
 def test_complement_involution_and_values():
     params = derive_params(3, 4, 12, "g^20")
     phi = CosetFunction.from_values(params, [1, 2, 1, 2])
+    assert [phi(k) for k in (1, 5, 9, 13, 17, -3)] == [1, 2, 1, 2, 1, 2]
     assert phi.complement().values() == (2, 1, 2, 1)
     assert phi.complement().complement() == phi
 
@@ -260,10 +263,10 @@ def _census_grid():
 
 
 def test_coset_table_matches_member_minimum_on_census_grid():
-    # params.image, and s_orbits and CosetFunction.act through it, read
-    # images off the coset table; the reference takes the least image over
-    # every member of the coset.  act_is_complement(t) must agree with its
-    # definition, act(t) == complement()
+    # params.images, and image, s_orbits and CosetFunction.act through it,
+    # read images off the coset table; the reference takes the least image
+    # over every member of the coset.  act_is_complement(t) must agree with
+    # its definition, act(t) == complement()
     rng = random.Random(3)
     for params in _census_grid():
         period, cap = params.period, params.p ** params.nu
@@ -272,17 +275,20 @@ def test_coset_table_matches_member_minimum_on_census_grid():
                  if math.gcd(1 + params.r * k, period) == 1]
         assert list(params.multipliers()) == units, params
         negs = [-(params.p ** h) for h in range(params.e + 1)]
+        cosets = q_cosets(params, 1)
+        assert [Q.index for Q in cosets] == list(range(len(cosets)))
         phi = CosetFunction.from_values(
-            params, [rng.randint(0, cap) for _ in q_cosets(params, 1)])
+            params, [rng.randint(0, cap) for _ in cosets])
         for s in units:
             assert [[Q.rep for Q in orbit] for orbit in s_orbits(params, s)] \
                 == reference_s_orbits(params, s), (params, s)
         for s in units + negs:
             if math.gcd(s, period) != 1:
                 continue
-            for Q in q_cosets(params, 1):
-                assert params.image(Q, s).rep == reference_image_rep(params, Q.members, s), \
-                    (params, Q, s)
+            images = params.images(1, s)
+            assert [P.rep for P in images] == \
+                [reference_image_rep(params, Q.members, s) for Q in cosets], (params, s)
+            assert all(params.image(Q, s) is P for Q, P in zip(cosets, images))
             image = phi.act(s)
             assert image.assignment == reference_act(phi, s), (params, s)
             assert image.residue == s % params.r
@@ -295,9 +301,27 @@ def test_coset_table_matches_member_minimum_on_census_grid():
         if period > 1:
             with pytest.raises(ValueError, match="coprime"):
                 phi.act_is_complement(period)
-        for Q in q_cosets(params, 1):
+            with pytest.raises(ValueError, match="coprime"):
+                params.images(1, period)
+            with pytest.raises(ValueError, match="coprime"):
+                params.image(cosets[0], period)
+        for Q in cosets:
             assert Q.rep == Q.members[0]
             assert all(params.coset_of(k) is Q for k in Q.members)
+            assert all(phi(k + period) == phi.assignment[Q.rep] for k in Q.members)
+
+
+def test_multiplier_action_reads_the_coset_memo_per_class():
+    # images maps a whole class from one read of the class's coset table,
+    # so the action pays no memo hit per coset
+    params = derive_params(5, 2, 26, -1)
+    assert len(q_cosets(params, 1)) == 14
+    phi = CosetFunction.from_values(params, [0, 1] * 7)
+    for action in (lambda: phi.act_is_complement(-1), lambda: phi.act(-5),
+                   lambda: s_orbits(params, -5)):
+        hits = _coset_class.cache_info().hits
+        action()
+        assert _coset_class.cache_info().hits - hits <= 2
 
 
 def test_coset_of_rejects_other_class():

@@ -158,7 +158,9 @@ def test_isometry_compose_and_equality():
     k = 1
     while (1 + nr * k) % params.p == 0:
         k += 1
-    assert Isometry(params, s) == Isometry(params, s * params.p ** params.e * (1 + nr * k))
+    same = Isometry(params, s * params.p ** params.e * (1 + nr * k))
+    assert Isometry(params, s) == same and hash(Isometry(params, s)) == hash(same)
+    assert len({iso, same, Isometry(params, 1)}) == 2
     assert Isometry(params, params.p) != Isometry(params, 1)  # Frobenius != id when e > 1
     with pytest.raises(ValueError, match="coprime"):
         Isometry(params, 2)

@@ -1,5 +1,6 @@
-"""The library's imports: every name imported is used, and importing
-the package and its CLI loads no heavy standard module.
+"""The library's imports and domain errors: every name imported is used,
+importing the package and its CLI loads no heavy standard module, and
+each domain-rule message is raised from one place.
 
 Each ``src/constagalois/*.py`` except the package's ``__init__.py``
 (whose imports are its re-exports) is parsed with ``ast``; an imported
@@ -63,3 +64,47 @@ def test_package_import_loads_no_heavy_module():
     out = subprocess.run([sys.executable, "-S", "-c", script], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+def raised_messages(source: str, module: str):
+    """{message: [qualified name of each function raising it]} for every
+    ``raise Error("literal")`` in the module's source."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and child.exc.args and isinstance(child.exc.args[0], ast.Constant)):
+                found.setdefault(child.exc.args[0].value, []).append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [module])
+    return found
+
+
+def test_guard_sees_each_raise_of_a_message():
+    source = ("def f(h):\n    raise ValueError('bad h')\n"
+              "class C:\n    def g(self):\n        if 1:\n            raise ValueError('bad h')\n")
+    assert raised_messages(source, "m") == {"bad h": ["m.f", "m.C.g"]}
+
+
+# one home per domain rule; the oracle keeps its own coset check, as its
+# independent reference
+SINGLE_SOURCE = {
+    "h must lie in [0, e]": ["duality._galois_h"],
+    "s must be coprime to n'r": ["cosets.CodeParams.images", "cosets.q_cosets",
+                                 "oracle.naive_cosets"],
+}
+
+
+def test_each_domain_rule_is_raised_from_one_place():
+    raisers = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            for message, where in raised_messages(fh.read(), module).items():
+                raisers.setdefault(message, []).extend(where)
+    assert {message: raisers.get(message) for message in SINGLE_SOURCE} == SINGLE_SOURCE

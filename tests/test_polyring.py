@@ -103,6 +103,8 @@ def test_division_identity_random():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+        assert a // b == q
+        assert a - b == a + -b
 
 
 def test_division_by_zero_rejected():
@@ -178,6 +180,9 @@ def test_quotient_mul_matches_generic_division():
         qa = QuotientElem(params, 1, a)
         qb = QuotientElem(params, 1, b)
         assert (qa * qb).rep == (a * b) % modulus
+        assert QuotientElem(params, 1, a * b) == qa * qb   # reduces degree >= n
+        assert (qa - qb).rep == a - b and (-qa).rep == -a
+        assert (qa * field.generator).rep == a * field.generator
 
 
 def test_quotient_ring_axioms_exhaustive_r2():
