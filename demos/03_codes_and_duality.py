@@ -8,9 +8,9 @@ the code with coset function phi is again constacyclic, with function
 Gaussian-elimination oracle here only to double-check.
 """
 
-from constagalois import (CosetFunction, build_code, derive_params,
+from constagalois import (CosetFunction, build_code, cf_poly, derive_params,
                           format_element, galois_dual, galois_inner,
-                          is_galois_selfdual, make_field)
+                          is_galois_selfdual, make_field, poly_gcd)
 from constagalois.oracle import brute_dual
 from constagalois.polyring import format_poly
 
@@ -45,6 +45,9 @@ for h in (0, 1):
 params12 = derive_params(3, 4, 12, "g^20")
 phi = CosetFunction.from_values(params12, [1, 2, 1, 2])
 code12 = build_code(params12, phi)
+# meets of coset functions are gcds of their polynomials
+assert cf_poly(params12, phi.meet(phi.complement())) == poly_gcd(code12.check,
+                                                                 code12.generator)
 print(f"\nlength-12 code over GF(81), dim {code12.dim}")
 for h in range(5):
     dual = galois_dual(code12, h)

@@ -26,6 +26,16 @@ for i in range(4):
     image = iso.apply(QuotientElem(params, 1, Poly.x_power(params.field, i)))
     print(f"  X^{i} -> {format_poly(image.rep)}")
 
+# M_s is additive, multiplicative and weight-preserving; M_3 also twists
+# every coefficient by the Frobenius map
+g, one, zero = params.field.generator, params.field.one, params.field.zero
+a = QuotientElem.from_vector(params, 1, [one, g, zero, g ** 3])
+b = QuotientElem.from_vector(params, 1, [g ** 2, zero, one, -one])
+for mover in (iso, Isometry(params, 3)):
+    assert mover.apply(a + b) == mover.apply(a) + mover.apply(b)
+    assert mover.apply(a * b) == mover.apply(a) * mover.apply(b)
+    assert mover.apply(a).weight() == a.weight()
+
 # isometries compose like their multipliers
 assert Isometry(params, -1).compose(Isometry(params, 3)) == Isometry(params, -3)
 print("M_(-1) after M_3 == M_(-3):", True)

@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .cosets import CodeParams, CosetFunction, QCoset
 from .gf import Field, FieldElement
 from .numtheory import p_split
-from .polyring import Poly, QuotientElem, poly_to_json
+from .polyring import Poly, poly_to_json
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -154,27 +154,6 @@ class ConstaCode:
 
     # -- code operations ------------------------------------------------------
 
-    def element(self, vec) -> QuotientElem:
-        return QuotientElem.from_vector(self.params, self.residue, list(vec))
-
-    def contains(self, elem: QuotientElem) -> bool:
-        """Membership, checked through both characterizations.
-
-        c is in the code iff the generator divides c, iff c * check = 0
-        in the quotient ring; the two routes must agree.
-        """
-        if elem.params is not self.params or elem.s != self.residue:
-            raise ValueError("element lives in a different ring")
-        by_division = (elem.rep % self.generator).is_zero()
-        check_elem = QuotientElem(self.params, self.residue, self.check)
-        by_annihilation = not (elem * check_elem)
-        assert by_division == by_annihilation, "membership routes disagree"
-        return by_division
-
-    def annihilator(self) -> "ConstaCode":
-        """The code of everything multiplying this one to zero."""
-        return ConstaCode(self.params, self.phi.complement())
-
     def codewords(self, cap: Optional[int] = None) -> List[tuple]:
         return enumerate_codewords(self, cap)
 
@@ -206,35 +185,6 @@ class ConstaCode:
 
 def build_code(params: CodeParams, phi: CosetFunction) -> ConstaCode:
     return ConstaCode(params, phi)
-
-
-def code_from_generator(params: CodeParams, g: Poly) -> ConstaCode:
-    """Recover the code generated by a monic divisor of X^n - lambda.
-
-    The complement multiplicities are read off by repeated exact division
-    of g by each coset polynomial; no general factorization is needed.
-    """
-    if not g.is_monic():
-        raise ValueError("not a constacyclic generator")
-    if not (params.modulus_poly(1) % g).is_zero():
-        raise ValueError("not a constacyclic generator")
-    rem = g
-    comp = {}
-    cap = params.mult_cap
-    for Q in params.cosets_on(1):
-        fq = coset_poly(params, Q)
-        mult = 0
-        while mult < cap:
-            quo, r = divmod(rem, fq)
-            if not r.is_zero():
-                break
-            rem = quo
-            mult += 1
-        comp[Q.rep] = mult
-    if rem.degree != 0:
-        raise ValueError("not a constacyclic generator")
-    phibar = CosetFunction(params, comp, 1)
-    return ConstaCode(params, phibar.complement())
 
 
 def linear_combinations(field: Field, rows: Sequence[tuple], n: int) -> Iterator[tuple]:

@@ -137,14 +137,6 @@ class CodeParams:
         """q-cosets partitioning the class {residue + r*k} mod n'r, by rep."""
         return _coset_class(self, residue % self.r)[0]
 
-    def coset_of(self, k: int, residue: Optional[int] = None) -> QCoset:
-        """The q-coset containing k (residue defaults to k mod r)."""
-        c = (k if residue is None else residue) % self.r
-        m = k % self.period
-        if m % self.r != c:
-            raise ValueError(f"{k} is not in the class {c} mod {self.r}")
-        return _coset_class(self, c)[1][m // self.r]
-
     def images(self, residue: int, s: int) -> List[QCoset]:
         """The q-cosets s*Q for the cosets Q of the class residue mod r, in
         rep order, for s coprime to n'r: s*Q is the coset of s * Q.rep, in
@@ -189,9 +181,8 @@ def _coset_class(params: CodeParams, c: int) -> Tuple[List[QCoset], List[QCoset]
     """(q-cosets by rep, coset table) of the class c mod r, 0 <= c < r.
 
     Entry k // r of the table is the q-coset containing k, for every
-    k = c mod r in [0, n'r); :meth:`CodeParams.coset_of` and
-    :meth:`CodeParams.images` read it.  Memoised on (params, c) for the
-    process, as interned params live."""
+    k = c mod r in [0, n'r); :meth:`CodeParams.images` reads it.
+    Memoised on (params, c) for the process, as interned params live."""
     period, r, q = params.period, params.r, params.q
     table: List[Optional[QCoset]] = [None] * params.nprime
     cosets = []
@@ -327,11 +318,6 @@ class CosetFunction:
             raise ValueError("one value per coset required")
         return cls(params, {Q.rep: v for Q, v in zip(cosets, values)}, residue)
 
-    def __call__(self, k: int) -> int:
-        """Value on the coset containing the residue k."""
-        Q = self.params.coset_of(k % self.params.period, self.residue)
-        return self.assignment[Q.rep]
-
     def values(self) -> Tuple[int, ...]:
         return tuple(self.assignment[Q.rep] for Q in self.params.cosets_on(self.residue))
 
@@ -384,9 +370,6 @@ class CosetFunction:
                              {k: min(v, other.assignment[k])
                               for k, v in self.assignment.items()},
                              self.residue)
-
-    def leq(self, other: "CosetFunction") -> bool:
-        return self.meet(other) == self
 
     def weight(self) -> int:
         """Sum of value * coset size; the dimension of the attached code."""

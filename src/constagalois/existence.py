@@ -22,27 +22,6 @@ def nu(p: int, k: int) -> int:
     return p_split(p, k)[0]
 
 
-def nu2_power_pm1(k: int, d: int):
-    """(nu_2(k^d - 1), nu_2(k^d + 1)) for odd |k| >= 3, without powering.
-
-    Writing k = +-1 + 2^v * u with u odd and v >= 2, the 2-adic valuations
-    of k^d -+ 1 follow a closed form split on k mod 4 and the parity of d.
-    """
-    if k % 2 == 0:
-        raise ValueError("k must be odd")
-    if abs(k) < 3:
-        raise ValueError("|k| must be at least 3")
-    if d < 1:
-        raise ValueError("d must be positive")
-    if k % 4 == 1:
-        v = nu(2, k - 1)
-        return v + nu(2, d), 1
-    v = nu(2, k + 1)
-    if d % 2 == 1:
-        return 1, v
-    return v + nu(2, d), 1
-
-
 class ExistenceVerdict(NamedTuple):
     """An immutable verdict; ``_replace`` gives a copy with fields changed."""
 

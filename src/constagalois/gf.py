@@ -220,8 +220,7 @@ class Field:
         order, as a packed int of ``ring``."""
         n1 = self.order - 1
         cofactors = [n1 // f for f in self.group_factors]
-        for coeffs in itertools.product(range(self.p), repeat=self.m):
-            x = ring.encode(coeffs)
+        for x in self.ints():
             if x and all(ring.power(x, k) != 1 for k in cofactors):
                 return x
         raise AssertionError("no primitive element: the modulus is reducible")
@@ -300,7 +299,12 @@ class Field:
         return self.wrap(value % self.p)
 
     def ints(self) -> Iterator[int]:
-        """The ints of all p^m elements in canonical (lexicographic) order."""
+        """The ints of all p^m elements in canonical (lexicographic) order.
+
+        A prime field's ints are its residues, walked lazily: a tuple of
+        range(p) would not fit in memory for large p."""
+        if self.m == 1:
+            return iter(range(self.p))
         return map(self.encode, itertools.product(range(self.p), repeat=self.m))
 
     def elements(self) -> Iterator[FieldElement]:

@@ -19,8 +19,7 @@ from .gf import Field, FieldElement
 class Matrix:
     """A dense matrix over a finite field; just enough linear algebra.
 
-    Entries are kept as the field's element ints (``ints``); ``entries``
-    wraps them as FieldElements.
+    Entries are kept as the field's element ints (``ints``).
     """
 
     def __init__(self, field: Field, entries: Sequence[Sequence[FieldElement]]):
@@ -41,10 +40,6 @@ class Matrix:
         mat.ints, mat.rows = ints, len(ints)
         mat.cols = len(ints[0]) if ints else 0
         return mat
-
-    @property
-    def entries(self) -> List[List[FieldElement]]:
-        return [list(map(self.field.wrap, row)) for row in self.ints]
 
     def rref(self) -> Tuple["Matrix", List[int]]:
         """Reduced row echelon form and the pivot column list."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import starmap, zip_longest
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement, format_element, parse_element
+from .gf import Field, FieldElement, format_element
 
 
 _new = object.__new__
@@ -77,9 +77,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.ints
 
-    def is_monic(self) -> bool:
-        return bool(self.ints) and self.ints[-1] == 1
-
     def __bool__(self):
         return bool(self.ints)
 
@@ -142,9 +139,6 @@ class Poly:
         quot, rem = _divmod_ints(self.field, self.ints, other.ints)
         return Poly.wrap(self.field, quot), Poly.wrap(self.field, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -172,9 +166,6 @@ class Poly:
         for c in reversed(ints):
             acc = add(mul(acc, v), c)
         return big.wrap(acc)
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        return self.eval(x)
 
     def vector(self, n: int) -> tuple:
         """Coefficients padded with zeros to length n (requires degree < n)."""
@@ -284,14 +275,6 @@ class QuotientElem:
             out[k - n] = add(out[k - n], mul(unit, out[k]))
         return QuotientElem(self.params, self.s, Poly.wrap(field, out[:n]))
 
-    def x_shift(self) -> "QuotientElem":
-        """Multiply by X: the constacyclic shift with lambda^s wraparound."""
-        n = self.params.n
-        field = self.params.field
-        vec = self.rep.ints + (0,) * (n - len(self.rep.ints))
-        shifted = (field.mul(self.unit.v, vec[-1]),) + vec[:-1]
-        return QuotientElem(self.params, self.s, Poly.wrap(field, shifted))
-
     def weight(self) -> int:
         return sum(1 for c in self.rep.ints if c)
 
@@ -321,8 +304,3 @@ def format_poly(poly: Poly) -> str:
 def poly_to_json(poly: Poly) -> list:
     """JSON form: array of element strings ascending by degree."""
     return [format_element(c) for c in poly.coeffs]
-
-
-def parse_poly(data, field: Field) -> Poly:
-    """Inverse of poly_to_json (accepts any element-string encoding)."""
-    return Poly(field, [parse_element(s, field) for s in data])

@@ -6,14 +6,20 @@ form a second way (the even-orbit valuation criteria, the Euclidean and
 Hermitian theorems on their own terms, extended Euclid), so the library's
 closed forms are checked against code that shares nothing with them
 beyond field arithmetic.  ``ReferenceField`` redoes that arithmetic too,
-on coefficient tuples, for the checks of the int kernels.
+on coefficient tuples, for the checks of the int kernels.  The cross-checks
+that only tests call live here too, not in the library: membership by both
+of its characterizations, a code recovered from its generator, the 2-adic
+closed form of acceptance criterion 7, and the parser of the JSON
+polynomial form.
 """
 
 import itertools
 import math
 
-from constagalois import (ExistenceVerdict, Poly, derive_params,
-                          galois_selfdual_exists, make_field, nu, q_cosets)
+from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
+                          build_code, coset_poly, derive_params,
+                          galois_selfdual_exists, make_field, nu, parse_element,
+                          q_cosets)
 from constagalois.codes import enumerate_codewords
 from constagalois.oracle import naive_cosets
 
@@ -187,6 +193,7 @@ def reference_theta_dlog(params):
             return j * m_step
     raise AssertionError("no primitive n'r-th root theta with theta^n = lambda")
 
+
 def brute_min_weight(code):
     """Minimum Hamming weight over every listed codeword; None for the zero code."""
     weights = [sum(1 for c in word if c) for word in enumerate_codewords(code)]
@@ -293,6 +300,76 @@ def poly_xgcd(a, b):
         raise ValueError("gcd of two zero polynomials")
     lead_inv = r0.coeffs[-1].inverse()
     return r0 * lead_inv, u0 * lead_inv, v0 * lead_inv
+
+
+def parse_poly(data, field):
+    """Inverse of ``polyring.poly_to_json`` (accepts any element-string encoding)."""
+    return Poly(field, [parse_element(s, field) for s in data])
+
+
+def code_from_generator(params, g):
+    """Recover the code generated by a monic divisor of X^n - lambda.
+
+    The complement multiplicities are read off by repeated exact division
+    of g by each coset polynomial; no general factorization is needed.
+    """
+    if g.ints[-1:] != (1,):
+        raise ValueError("not a constacyclic generator")
+    if not (params.modulus_poly(1) % g).is_zero():
+        raise ValueError("not a constacyclic generator")
+    rem = g
+    comp = {}
+    cap = params.mult_cap
+    for Q in params.cosets_on(1):
+        fq = coset_poly(params, Q)
+        mult = 0
+        while mult < cap:
+            quo, r = divmod(rem, fq)
+            if not r.is_zero():
+                break
+            rem = quo
+            mult += 1
+        comp[Q.rep] = mult
+    if rem.degree != 0:
+        raise ValueError("not a constacyclic generator")
+    phibar = CosetFunction(params, comp, 1)
+    return build_code(params, phibar.complement())
+
+
+def code_contains(code, elem):
+    """Membership, checked through both characterizations.
+
+    c is in the code iff the generator divides c, iff c * check = 0
+    in the quotient ring; the two routes must agree.
+    """
+    if elem.params is not code.params or elem.s != code.residue:
+        raise ValueError("element lives in a different ring")
+    by_division = (elem.rep % code.generator).is_zero()
+    check_elem = QuotientElem(code.params, code.residue, code.check)
+    by_annihilation = not (elem * check_elem)
+    assert by_division == by_annihilation, "membership routes disagree"
+    return by_division
+
+
+def nu2_power_pm1(k, d):
+    """(nu_2(k^d - 1), nu_2(k^d + 1)) for odd |k| >= 3, without powering.
+
+    Writing k = +-1 + 2^v * u with u odd and v >= 2, the 2-adic valuations
+    of k^d -+ 1 follow a closed form split on k mod 4 and the parity of d.
+    """
+    if k % 2 == 0:
+        raise ValueError("k must be odd")
+    if abs(k) < 3:
+        raise ValueError("|k| must be at least 3")
+    if d < 1:
+        raise ValueError("d must be positive")
+    if k % 4 == 1:
+        v = nu(2, k - 1)
+        return v + nu(2, d), 1
+    v = nu(2, k + 1)
+    if d % 2 == 1:
+        return 1, v
+    return v + nu(2, d), 1
 
 
 def grid_instances(pe_pairs, n_max, max_cosets=6, max_multiplicity=9):

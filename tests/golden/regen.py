@@ -106,6 +106,15 @@ CASES = [
     # coset polynomials over a prime field: sectioning GF(10007^2) -> GF(10007)
     ("factor_gf10007_prime_section", ["factor", "--p", "10007", "--e", "1",
                                       "--n", "3", "--lambda", "1"]),
+    # GF(2^29): factoring 2^29 - 1 = 233 * 1103 * 2089 takes Brent's rho, and
+    # the packed ring's Frobenius matrix is built for the generator search
+    ("params_gf2e29_nu1", ["params", "--p", "2", "--e", "29", "--n", "2",
+                           "--lambda", "1"]),
+    # p = 13 * 2^82 + 1, above the Miller-Rabin bound PSI_13, so primality
+    # takes the strong Lucas half of Baillie-PSW; the prime field's elements
+    # are walked lazily (a tuple of range(p) overflows)
+    ("params_prime_above_psi13", ["params", "--p", "62864142619960717084721153",
+                                  "--e", "1", "--n", "2", "--lambda", "-1"]),
 ]
 
 

@@ -13,12 +13,12 @@ from constagalois import (CosetFunction, build_code, cf_poly, derive_params,
                           galois_inner, galois_selfdual_exists,
                           hermitian_selfdual_exists, is_galois_selfdual,
                           is_iso_galois_selfdual, iso_selfdual_exists,
-                          make_field, nu, nu2_power_pm1, q_cosets, s_orbits)
+                          make_field, nu, q_cosets, s_orbits)
 from constagalois.duality import Isometry
 from constagalois.oracle import brute_dual, dual_basis, naive_cosets, spans_equal
 from constagalois.polyring import QuotientElem
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
-                        brute_iso_selfdual_exists, grid_instances)
+                        brute_iso_selfdual_exists, grid_instances, nu2_power_pm1)
 
 
 def run_criterion(num, label, limit_s, body):

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from constagalois import derive_params, make_field, parse_poly
+from constagalois import derive_params, make_field
 from constagalois.cli import build_parser, main, parse_phi
+from exhaustive import parse_poly
 
 
 def run_cli(capsys, *argv):

@@ -182,7 +182,9 @@ def test_orbits_reject_class_breaking_multiplier():
 def test_complement_involution_and_values():
     params = derive_params(3, 4, 12, "g^20")
     phi = CosetFunction.from_values(params, [1, 2, 1, 2])
-    assert [phi(k) for k in (1, 5, 9, 13, 17, -3)] == [1, 2, 1, 2, 1, 2]
+    # the coset of a unit k is k*Q1, the image of the coset of 1
+    values = [phi.assignment[params.images(1, k)[0].rep] for k in (1, 5, 9, 13, 17, -3)]
+    assert values == [1, 2, 1, 2, 1, 2]
     assert phi.complement().values() == (2, 1, 2, 1)
     assert phi.complement().complement() == phi
 
@@ -229,8 +231,8 @@ def test_meet_and_leq():
     assert phi.meet(phi) == phi
     assert phi.meet(phi.complement()).values() == (1, 1, 1, 1)
     zero = CosetFunction.constant(params, 0)
-    assert zero.leq(phi)
-    assert not phi.leq(zero)
+    assert zero.meet(phi) == zero        # zero <= phi
+    assert phi.meet(zero) != phi         # not phi <= zero
 
 
 def test_meet_domain_mismatch_rejected():
@@ -305,10 +307,11 @@ def test_coset_table_matches_member_minimum_on_census_grid():
                 params.images(1, period)
             with pytest.raises(ValueError, match="coprime"):
                 params.image(cosets[0], period)
+        table = _coset_class(params, 1 % params.r)[1]
         for Q in cosets:
             assert Q.rep == Q.members[0]
-            assert all(params.coset_of(k) is Q for k in Q.members)
-            assert all(phi(k + period) == phi.assignment[Q.rep] for k in Q.members)
+            assert all(table[k // params.r] is Q for k in Q.members)
+        assert params.images(1, 1 + period) == cosets   # s acts mod n'r
 
 
 def test_multiplier_action_reads_the_coset_memo_per_class():
@@ -325,11 +328,13 @@ def test_multiplier_action_reads_the_coset_memo_per_class():
 
 
 def test_coset_of_rejects_other_class():
-    params = derive_params(5, 2, 26, -1)   # r = 2
-    assert params.coset_of(27).members == (27, 51)
-    assert params.coset_of(2, residue=0).rep == 2
-    with pytest.raises(ValueError, match="not in the class"):
-        params.coset_of(2, residue=1)
+    # the coset of k is the image of a coset of k's class: images reads the
+    # table of the class s * residue mod r at s * rep
+    params = derive_params(5, 2, 26, -1)   # r = 2, n'r = 52
+    assert params.images(1, 27)[0].members == (27, 51)           # 27 * Q1
+    assert params.images(0, 27)[1].rep == 2                      # 27 * Q2 = Q2
+    with pytest.raises(ValueError, match="coprime"):
+        params.images(1, 2)      # 2 * Q1 would leave the units of the class 1
 
 
 def test_derive_params_interns_every_spelling_of_lambda():

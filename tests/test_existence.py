@@ -7,13 +7,13 @@ from constagalois import (CosetFunction, build_code, derive_params,
                           duadic_exists, euclidean_selfdual_exists,
                           galois_selfdual_exists, hermitian_selfdual_exists,
                           is_galois_selfdual, is_iso_galois_selfdual,
-                          iso_selfdual_exists, make_field, nu, nu2_power_pm1,
-                          q_cosets, s_orbits)
+                          iso_selfdual_exists, make_field, nu, q_cosets,
+                          s_orbits)
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_family
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
                         brute_iso_selfdual_exists, grid_instances,
-                        orbits_even_by_case, orbits_even_by_valuations,
+                        nu2_power_pm1, orbits_even_by_case, orbits_even_by_valuations,
                         reference_euclidean_selfdual_exists,
                         reference_hermitian_selfdual_exists)
 

@@ -225,7 +225,7 @@ def test_matrix_ops_against_reference(p, m):
         mat = Matrix(field, entries)
         red, pivots = mat.rref()
         want, want_pivots = ref.rref([[x.coeffs for x in row] for row in entries])
-        assert [[x.coeffs for x in row] for row in red.entries] == want
+        assert [list(map(field.decode, row)) for row in red.ints] == want
         assert pivots == want_pivots and mat.rank() == len(want_pivots)
         kernel = mat.kernel_basis()
         assert len(kernel) == cols - len(want_pivots)
