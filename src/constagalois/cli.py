@@ -109,7 +109,7 @@ def _csv_cell(value):
 def phi_text(phi: Optional[CosetFunction]) -> str:
     if phi is None:
         return ""
-    return ",".join(f"{k}:{v}" for k, v in phi.assignment.items())
+    return ",".join(f"{k}:{v}" for k, v in phi.to_json().items())
 
 
 # ---------------------------------------------------------------------------

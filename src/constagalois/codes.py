@@ -67,8 +67,7 @@ def coset_poly(params: CodeParams, coset: QCoset) -> Poly:
 def cf_poly(params: CodeParams, phi: CosetFunction) -> Poly:
     """prod_Q coset_poly(Q)^phi(Q) over the cosets of phi's class."""
     result = Poly(params.field, [params.field.one])
-    for Q in params.cosets_on(phi.residue):
-        mult = phi.assignment[Q.rep]
+    for Q, mult in zip(params.cosets_on(phi.residue), phi.values()):
         if mult:
             result = result * coset_poly(params, Q) ** mult
     return result

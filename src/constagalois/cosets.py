@@ -156,8 +156,8 @@ class CodeParams:
 
     def multipliers(self) -> Iterator[int]:
         """Every s = 1 mod r in [1, n'r] coprime to n'r, ascending: the
-        multipliers that preserve the unit class, one per action (the
-        action depends only on s mod n'r)."""
+        multipliers that preserve the unit class, one per residue mod n'r.
+        Not one per action: s and s*q act alike on q-cosets."""
         period = self.period
         return (s for s in range(1, period + 1, self.r) if math.gcd(s, period) == 1)
 
@@ -280,58 +280,64 @@ def s_orbits(params: CodeParams, s: int) -> List[List[QCoset]]:
 
 
 class CosetFunction:
-    """A map from the q-cosets of one residue class to [0, p^nu].
+    """A map from the q-cosets of one residue class to [0, p^nu], held as
+    one tuple of values against the cosets in rep order.
 
     Both self-duality criteria ask whether t*phi = phibar for a
     multiplier t (t = -p^h, or some s = 1 mod r);
     :meth:`act_is_complement` answers that without building either side.
     """
 
-    __slots__ = ("params", "residue", "assignment", "_hash")
+    __slots__ = ("params", "residue", "_values")
 
     def __init__(self, params: CodeParams, assignment: Dict[int, int],
                  residue: int = 1):
-        self.params = params
-        self.residue = residue % params.r
-        cosets = params.cosets_on(self.residue)
-        reps = {Q.rep for Q in cosets}
-        if set(assignment) != reps:
+        """phi(Q) = assignment[Q.rep]; the keys must be exactly the reps."""
+        reps = [Q.rep for Q in params.cosets_on(residue)]
+        if set(assignment) != set(reps):
             raise ValueError("assignment domain must be exactly the coset reps")
-        cap = params.mult_cap
-        for v in assignment.values():
-            if not 0 <= v <= cap:
-                raise ValueError(f"multiplicity {v} outside [0, {cap}]")
-        # in rep order, so the values line up with params.images(residue, s)
-        self.assignment = dict(sorted(assignment.items()))
-        self._hash = None
+        self._fill(params, [assignment[k] for k in reps], residue)
 
     @classmethod
     def constant(cls, params: CodeParams, value: int, residue: int = 1) -> "CosetFunction":
-        return cls(params, {Q.rep: value for Q in params.cosets_on(residue)}, residue)
+        return cls.from_values(params, [value] * len(params.cosets_on(residue)), residue)
 
     @classmethod
     def from_values(cls, params: CodeParams, values: Sequence[int],
                     residue: int = 1) -> "CosetFunction":
         """Values listed against the cosets in rep order."""
-        cosets = params.cosets_on(residue)
-        if len(values) != len(cosets):
+        if len(values) != len(params.cosets_on(residue)):
             raise ValueError("one value per coset required")
-        return cls(params, {Q.rep: v for Q, v in zip(cosets, values)}, residue)
+        phi = cls.__new__(cls)
+        phi._fill(params, values, residue)
+        return phi
+
+    def _fill(self, params: CodeParams, values: Sequence[int], residue: int) -> None:
+        cap = params.mult_cap
+        for v in values:
+            if not 0 <= v <= cap:
+                raise ValueError(f"multiplicity {v} outside [0, {cap}]")
+        self.params = params
+        self.residue = residue % params.r
+        self._values = tuple(values)
 
     def values(self) -> Tuple[int, ...]:
-        return tuple(self.assignment[Q.rep] for Q in self.params.cosets_on(self.residue))
+        return self._values
+
+    @property
+    def assignment(self) -> Dict[int, int]:
+        """{Q.rep: phi(Q)} in rep order."""
+        cosets = self.params.cosets_on(self.residue)
+        return {Q.rep: v for Q, v in zip(cosets, self._values)}
 
     def __eq__(self, other):
         return (isinstance(other, CosetFunction)
                 and self.params is other.params
                 and self.residue == other.residue
-                and self.assignment == other.assignment)
+                and self._values == other._values)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.params), self.residue,
-                               tuple(self.assignment.items())))
-        return self._hash
+        return hash((id(self.params), self.residue, self._values))
 
     def __repr__(self):
         inner = ", ".join(f"{k}:{v}" for k, v in self.assignment.items())
@@ -341,17 +347,17 @@ class CosetFunction:
 
     def complement(self) -> "CosetFunction":
         cap = self.params.mult_cap
-        return CosetFunction(self.params,
-                             {k: cap - v for k, v in self.assignment.items()},
-                             self.residue)
+        return CosetFunction.from_values(self.params, [cap - v for v in self._values],
+                                         self.residue)
 
     def act(self, s: int) -> "CosetFunction":
         """The multiplier action: (s*phi)(k) = phi(s^-1 k), moving the
         function to the class s*residue mod r."""
         images = self.params.images(self.residue, s)
-        return CosetFunction(self.params,
-                             {P.rep: v for P, v in zip(images, self.assignment.values())},
-                             s * self.residue)
+        values = [0] * len(images)
+        for P, v in zip(images, self._values):
+            values[P.index] = v
+        return CosetFunction.from_values(self.params, values, s * self.residue)
 
     def act_is_complement(self, t: int) -> bool:
         """Whether t*phi = phibar, i.e. ``self.act(t) == self.complement()``:
@@ -360,21 +366,20 @@ class CosetFunction:
         images = params.images(self.residue, t)
         if (t - 1) * self.residue % params.r != 0:
             return False
-        cap, values = params.mult_cap, self.assignment
-        return all(v + values[P.rep] == cap for P, v in zip(images, values.values()))
+        cap, values = params.mult_cap, self._values
+        return all(v + values[P.index] == cap for P, v in zip(images, values))
 
     def meet(self, other: "CosetFunction") -> "CosetFunction":
         if (other.params is not self.params or other.residue != self.residue):
             raise ValueError("coset functions live on different domains")
-        return CosetFunction(self.params,
-                             {k: min(v, other.assignment[k])
-                              for k, v in self.assignment.items()},
-                             self.residue)
+        return CosetFunction.from_values(self.params,
+                                         list(map(min, self._values, other._values)),
+                                         self.residue)
 
     def weight(self) -> int:
         """Sum of value * coset size; the dimension of the attached code."""
-        return sum(self.assignment[Q.rep] * len(Q)
-                   for Q in self.params.cosets_on(self.residue))
+        return sum(v * len(Q) for Q, v in
+                   zip(self.params.cosets_on(self.residue), self._values))
 
     def to_json(self) -> dict:
         return {str(k): v for k, v in self.assignment.items()}

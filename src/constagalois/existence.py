@@ -13,7 +13,7 @@ import functools
 from typing import NamedTuple, Optional
 
 from .cosets import CodeParams, CosetFunction, s_orbits
-from .duality import _galois_h, iso_witness_for, selfdual_condition
+from .duality import _galois_h, selfdual_condition
 from .numtheory import p_split
 
 
@@ -44,25 +44,17 @@ class ExistenceVerdict(NamedTuple):
 # witness constructions
 # ---------------------------------------------------------------------------
 
-def _even_orbit_multiplier(params: CodeParams) -> Optional[int]:
-    """Smallest s = 1 mod r, coprime to n'r, whose coset orbits are all even."""
-    for s in params.multipliers():
-        if all(len(orbit) % 2 == 0 for orbit in s_orbits(params, s)):
-            return s
-    return None
-
-
-def _alternating_function(params: CodeParams, s: int) -> CosetFunction:
+def _alternating_function(params: CodeParams, s: int) -> Optional[CosetFunction]:
     """phi taking 0 on even positions and p^nu on odd positions of every
-    s-orbit; requires all orbits even."""
+    s-orbit; None when some s-orbit is odd."""
     cap = params.mult_cap
-    assignment = {}
+    values = [0] * len(params.cosets_on(1))
     for orbit in s_orbits(params, s):
         if len(orbit) % 2 != 0:
-            raise AssertionError("alternating construction needs even orbits")
-        for i, Q in enumerate(orbit):
-            assignment[Q.rep] = 0 if i % 2 == 0 else cap
-    return CosetFunction(params, assignment, 1)
+            return None
+        for Q in orbit[1::2]:
+            values[Q.index] = cap
+    return CosetFunction.from_values(params, values)
 
 
 # ---------------------------------------------------------------------------
@@ -105,28 +97,30 @@ def iso_selfdual_family(params: CodeParams):
     """(label, witness phi, witness s) of the isometrically self-dual
     family, or (None, None, None).
 
-    The witness s is the smallest multiplier with s*phi = phibar, as
-    :func:`iso_witness_for` finds it.  Memoised on the params for the
-    process, as interned params live: a repeated call returns the same
-    tuple.
+    Outside (i), phi alternates 0 and p^nu along the orbits of the first
+    multiplier s whose orbits are all even; phi alternates along the orbits
+    of any witness too, so s is the smallest, as :func:`iso_witness_for`
+    finds it.  Memoised on the params for the process, as interned params
+    live: a repeated call returns the same tuple.
     """
     p = params.p
     if p == 2 and params.nu >= 1:
+        label, s = "(i)", 1
         phi = CosetFunction.constant(params, params.mult_cap // 2)
-        label = "(i)"
     else:
         duadic = duadic_exists(params)
         if not duadic:
             return None, None, None
         label = _ISO_LABELS[duadic.matched_condition]
-        s = _even_orbit_multiplier(params)
-        if s is None:
+        for s in params.multipliers():
+            phi = _alternating_function(params, s)
+            if phi is not None:
+                break
+        else:
             raise AssertionError("even-orbit multiplier promised but not found")
-        phi = _alternating_function(params, s)
-    witness = iso_witness_for(params, phi)
-    if witness is None:
+    if not phi.act_is_complement(s):
         raise AssertionError("existence witness fails the duality predicate")
-    return label, phi, witness
+    return label, phi, s
 
 
 def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
@@ -150,8 +144,7 @@ def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
         else:
             return ExistenceVerdict(False)
         phi = _alternating_function(params, -(p ** h))
-    ok, _ = selfdual_condition(params, phi, h)
-    if not ok:
+    if phi is None or not selfdual_condition(params, phi, h)[0]:
         raise AssertionError("existence witness fails the duality predicate")
     return ExistenceVerdict(True, label, phi)
 

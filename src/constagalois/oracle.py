@@ -9,9 +9,9 @@ Exponential cost is fine; these run at desk scale only.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from .codes import ConstaCode, enumerate_codewords, linear_combinations
+from .codes import ConstaCode, _enum_cap, enumerate_codewords, linear_combinations
 from .cosets import CodeParams
 from .gf import Field, FieldElement
 
@@ -87,9 +87,9 @@ class Matrix:
         return basis
 
 
-def span(field: Field, rows: Sequence[tuple], cap: int = 1 << 16) -> Set[tuple]:
-    """All linear combinations of the given rows."""
-    if field.order ** len(rows) > cap:
+def span(field: Field, rows: Sequence[tuple], cap: Optional[int] = None) -> Set[tuple]:
+    """All linear combinations of the given rows (cap as for codewords)."""
+    if field.order ** len(rows) > _enum_cap(cap):
         raise ValueError("enumeration too large")
     return set(linear_combinations(field, rows, len(rows[0]) if rows else 0))
 
@@ -122,7 +122,7 @@ def dual_basis(code: ConstaCode, h: int) -> List[tuple]:
                               code.params.n, h)
 
 
-def brute_dual(code: ConstaCode, h: int, cap: int = 1 << 16) -> Set[tuple]:
+def brute_dual(code: ConstaCode, h: int, cap: Optional[int] = None) -> Set[tuple]:
     """Every vector pairing to zero with the whole code under <.,.>_h."""
     basis = dual_basis(code, h)
     return span(code.params.field, basis, cap) if basis else {
@@ -130,7 +130,7 @@ def brute_dual(code: ConstaCode, h: int, cap: int = 1 << 16) -> Set[tuple]:
 
 
 def brute_equal_codes(words: Set[tuple], code: ConstaCode,
-                      cap: int = 1 << 16) -> bool:
+                      cap: Optional[int] = None) -> bool:
     return words == set(enumerate_codewords(code, cap))
 
 

@@ -138,6 +138,17 @@ def brute_iso_witness(phi):
     return None
 
 
+def even_orbit_multiplier(params):
+    """Smallest s = 1 mod r, coprime to n'r, whose reference orbits on the
+    unit class are all even; None when there is none."""
+    for k in range(params.nprime):
+        s = 1 + params.r * k
+        if (math.gcd(s, params.period) == 1
+                and all(len(orbit) % 2 == 0 for orbit in reference_s_orbits(params, s))):
+            return s
+    return None
+
+
 def factor_walk_order(x):
     """Multiplicative order of x by walking q-1 down its prime factors
     (trial division); integer powers in prime fields."""

@@ -6,6 +6,7 @@ import pytest
 from constagalois import (CodeParams, CosetFunction, derive_params, embed,
                           make_field, mult_order, q_cosets, s_orbits)
 from constagalois.codes import coset_poly
+from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_family
 from constagalois.cosets import _coset_class, _theta_class
 from exhaustive import (PE_PAIRS, factor_walk_order, grid_instances, reference_act,
@@ -250,6 +251,11 @@ def test_assignment_validation():
         CosetFunction(params, {1: 0, 5: 1})
     with pytest.raises(ValueError, match="outside"):
         CosetFunction(params, {1: 4, 5: 0, 9: 0, 13: 0})
+    with pytest.raises(ValueError, match="one value per coset"):
+        CosetFunction.from_values(params, [0, 0, 0])
+    for bad in (params.mult_cap + 1, -1):
+        with pytest.raises(ValueError, match="outside"):
+            CosetFunction.from_values(params, [0, bad, 0, 0])
 
 
 def _census_grid():
@@ -298,6 +304,7 @@ def test_coset_table_matches_member_minimum_on_census_grid():
         _, psi, witness = iso_selfdual_family(params)
         if psi is not None:
             assert psi.act_is_complement(witness), params
+            assert witness == iso_witness_for(params, psi), params
         if params.r > 2:                 # -1 moves the class 1 + rZ
             assert not phi.act_is_complement(period - 1)
         if period > 1:

@@ -12,7 +12,7 @@ from constagalois import (CosetFunction, build_code, derive_params,
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_family
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
-                        brute_iso_selfdual_exists, grid_instances,
+                        brute_iso_selfdual_exists, even_orbit_multiplier, grid_instances,
                         nu2_power_pm1, orbits_even_by_case, orbits_even_by_valuations,
                         reference_euclidean_selfdual_exists,
                         reference_hermitian_selfdual_exists)
@@ -52,9 +52,8 @@ def test_duadic_examples():
 
 
 def test_duadic_matches_even_orbit_multiplier_search():
-    from constagalois.existence import _even_orbit_multiplier
     for params in grid_instances(PE_PAIRS, 10):
-        assert duadic_exists(params).exists == (_even_orbit_multiplier(params) is not None)
+        assert duadic_exists(params).exists == (even_orbit_multiplier(params) is not None)
 
 
 def test_iso_exists_examples():

@@ -1,6 +1,7 @@
 """The library's imports and domain errors: every name imported is used,
-importing the package and its CLI loads no heavy standard module, and
-each domain-rule message is raised from one place.
+importing the package and its CLI loads no heavy standard module, only
+cosets.py reads a coset function's rep-keyed view, and each domain-rule
+message is raised from one place.
 
 Each ``src/constagalois/*.py`` except the package's ``__init__.py``
 (whose imports are its re-exports) is parsed with ``ast``; an imported
@@ -48,6 +49,33 @@ def test_library_modules_use_every_import():
             unused = unused_imports(fh.read())
         if unused:
             offenders[os.path.basename(path)] = unused
+    assert offenders == {}
+
+
+def attribute_reads(source: str, attr: str):
+    """Line numbers where the module reads ``<anything>.attr``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_guard_sees_an_attribute_read():
+    source = "x = phi.assignment\nphi.assignment = {}\nassignment = 1\n"
+    assert attribute_reads(source, "assignment") == [1]
+
+
+def test_only_cosets_reads_a_coset_function_by_rep():
+    # a coset function holds its values in coset order; the rep-keyed
+    # ``assignment`` view is for output and for tests, and only cosets.py
+    # builds or reads it
+    offenders = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "cosets.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            lines = attribute_reads(fh.read(), "assignment")
+        if lines:
+            offenders[os.path.basename(path)] = lines
     assert offenders == {}
 
 

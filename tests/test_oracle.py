@@ -108,6 +108,17 @@ def test_span_enumeration_cap():
     assert span(field, []) == {()}  # the product over zero rows is one empty word
 
 
+def test_span_cap_defaults_to_the_enumeration_cap(monkeypatch):
+    # without a cap, span refuses what enumerate_codewords would refuse
+    field = make_field(3, 1)
+    rows = [tuple(field.one for _ in range(5))] * 5
+    monkeypatch.setenv("CONSTAGALOIS_ENUM_CAP", "100")
+    with pytest.raises(ValueError, match="too large"):
+        span(field, rows)
+    monkeypatch.setenv("CONSTAGALOIS_ENUM_CAP", "243")
+    assert len(span(field, rows)) == 3
+
+
 def test_naive_cosets_match_fast_path():
     for params in grid_instances(PE_PAIRS, 14, max_cosets=99):
         fast = [Q.members for Q in q_cosets(params, 1)]
