@@ -4,7 +4,8 @@ Subcommands mirror the library: params, cosets, factor, code, dual,
 check, exist, search, verify.  Output is JSON Lines by default, CSV or
 plain text on request; identical invocations produce byte-identical
 output because every canonical choice (modulus, generator, theta) is
-deterministic.
+deterministic.  ``search`` streams its rows, one (p, e, n) block at a
+time, after checking all of its input.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
-from typing import List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from .codes import ConstaCode, _enum_cap, build_code, coset_poly, min_weight
 from .cosets import CodeParams, CosetFunction, derive_params, q_cosets, s_orbits
-from .duality import galois_dual, is_galois_selfdual, is_iso_galois_selfdual
+from .duality import _galois_h, galois_dual, is_galois_selfdual, is_iso_galois_selfdual
 from .existence import (duadic_exists, euclidean_selfdual_exists,
                         galois_selfdual_exists, hermitian_selfdual_exists,
                         iso_selfdual_exists, iso_selfdual_family)
@@ -80,15 +82,31 @@ def params_from_args(args) -> CodeParams:
 # output
 # ---------------------------------------------------------------------------
 
-def emit(records: List[dict], fmt: str, columns: Optional[List[str]] = None) -> str:
+def emit(records: list, fmt: str, columns: Optional[List[str]] = None,
+         header: bool = True) -> str:
+    """The records as text, one line each, with no final newline.
+
+    A record is a dict, or with ``columns`` a tuple in that column order
+    (search rows); a csv header leads unless ``header`` is false.
+    """
+    if columns is not None and fmt != "csv":
+        records = [dict(zip(columns, row)) for row in records]
     if fmt == "json":
         return "\n".join(json.dumps(r) for r in records)
     if fmt == "csv":
-        cols = columns or (list(records[0].keys()) if records else [])
+        if columns is None:
+            columns = list(records[0].keys()) if records else []
+            rows = ([_csv_cell(r.get(c)) for c in columns] for r in records)
+        else:
+            # a search row's cells are str, int or None (an empty cell), but
+            # for selfdual, the one bool, which csv would spell True or False
+            k = columns.index("selfdual")
+            rows = ((*row[:k], _CSV_BOOL[row[k]], *row[k + 1:]) for row in records)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        writer.writerows([_csv_cell(r.get(c)) for c in cols] for r in records)
+        if header:
+            writer.writerow(columns)
+        writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
     if fmt == "text":
         return "\n".join("  ".join(f"{k}={_csv_cell(v)}" for k, v in r.items())
@@ -96,11 +114,14 @@ def emit(records: List[dict], fmt: str, columns: Optional[List[str]] = None) -> 
     raise ValueError(f"unknown format {fmt!r}")
 
 
+_CSV_BOOL = {True: "true", False: "false"}
+
+
 def _csv_cell(value):
     if value is None:
         return ""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _CSV_BOOL[value]
     if isinstance(value, (dict, list)):
         return json.dumps(value)
     return value
@@ -192,11 +213,17 @@ def cmd_exist(args) -> List[dict]:
     return [record]
 
 
-def cmd_search(args) -> List[dict]:
-    """Census rows in output order: (p, e, n, lambda text, h)."""
+def cmd_search(args) -> Iterator[List[tuple]]:
+    """Census rows in output order, (p, e, n, lambda text, h), each a tuple
+    in CSV_COLUMNS order, one list per (p, e, n) that has rows.
+
+    All input is checked here, so an error comes before the first row:
+    every field, and the first instance's length and every h of each
+    (p, e) that has rows.  The rows themselves are generated lazily.
+    """
     wanted, h_set = args.orders or None, args.h_list or None  # empty: no restriction
-    max_cosets, max_mult = args.max_cosets, args.max_multiplicity
-    rows = []
+    lengths = range(args.n_min, args.n_max + 1)
+    blocks = []
     for p in sorted(args.p_list):
         for e in sorted(args.e_list):
             q = p ** e
@@ -206,30 +233,53 @@ def cmd_search(args) -> List[dict]:
                       if (q - 1) % r == 0 and (wanted is None or r in wanted))
             lams = sorted({format_element(lam): lam for lam in powers}.items())
             hs = range(e + 1) if h_set is None else sorted(h_set)
-            for n in range(args.n_min, args.n_max + 1):
-                for lam_text, lam in lams:
-                    params = derive_params(p, e, n, lam)
-                    if max_cosets is not None and len(q_cosets(params, 1)) > max_cosets:
-                        continue
-                    if max_mult is not None and params.mult_cap > max_mult:
-                        continue
-                    head = {"p": p, "e": e, "n": n, "lambda": lam_text, "r": params.r,
-                            "nprime": params.nprime, "nu": params.nu}
-                    _, iso_phi, iso_witness = iso_selfdual_family(params)
-                    for h in hs:
-                        verdict = galois_selfdual_exists(params, h)
-                        phi = verdict.witness_phi or iso_phi
-                        d_min = None
-                        if phi is not None and args.with_weights:
-                            try:
-                                d_min = min_weight(build_code(params, phi), args.cap)
-                            except ValueError:
-                                pass
-                        rows.append({**head, "h": h, "phi": phi_text(phi),
-                                     "dim": phi.weight() if phi else None,
-                                     "d_min": d_min, "selfdual": verdict.exists,
-                                     "iso_witness": iso_witness})
-    return rows
+            if lams and lengths:
+                derive_params(p, e, args.n_min, lams[0][1])
+                for h in hs:
+                    _galois_h(e, h)
+            blocks.append((p, e, lams, hs))
+    return _search_rows(args, blocks, lengths)
+
+
+def _search_rows(args, blocks, lengths) -> Iterator[List[tuple]]:
+    max_cosets, max_mult = args.max_cosets, args.max_multiplicity
+
+    def phi_cells(params, phi):
+        """The phi, dim and d_min cells of a witness, computed once per phi."""
+        if phi is None:
+            return "", None, None
+        d_min = None
+        if args.with_weights:
+            try:
+                d_min = min_weight(build_code(params, phi), args.cap)
+            except ValueError:
+                pass
+        return phi_text(phi), phi.weight(), d_min
+
+    for p, e, lams, hs in blocks:
+        for n in lengths:
+            rows = []
+            for lam_text, lam in lams:
+                params = derive_params(p, e, n, lam)
+                if max_cosets is not None and len(q_cosets(params, 1)) > max_cosets:
+                    continue
+                if max_mult is not None and params.mult_cap > max_mult:
+                    continue
+                r, nprime, nu = params.r, params.nprime, params.nu
+                _, iso_phi, iso_witness = iso_selfdual_family(params)
+                iso_cells = None  # the iso witness's cells, once some h needs them
+                for h in hs:
+                    verdict = galois_selfdual_exists(params, h)
+                    if verdict.witness_phi is not None:
+                        cells = phi_cells(params, verdict.witness_phi)
+                    else:
+                        if iso_cells is None:
+                            iso_cells = phi_cells(params, iso_phi)
+                        cells = iso_cells
+                    rows.append((p, e, n, lam_text, r, nprime, nu, h, *cells,
+                                 verdict.exists, iso_witness))
+            if rows:
+                yield rows
 
 
 def cmd_verify(args) -> List[dict]:
@@ -377,6 +427,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         records = args.func(args)
+        if args.command == "search":
+            _print_search(records, args.format)
+        else:
+            out = emit(records, args.format)
+            if out:
+                print(out)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -387,13 +444,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         detail = " ".join(str(exc).split()) or "assertion failed"
         print(f"internal error: {detail}", file=sys.stderr)
         return 3
-    columns = CSV_COLUMNS if args.command == "search" else None
-    out = emit(records, args.format, columns)
-    if out:
-        print(out)
+    except BrokenPipeError:
+        # the reader has gone (``| head``): send what is still buffered to
+        # devnull, or the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if args.command == "verify" and not all(r["ok"] for r in records):
         return 1
     return 0
+
+
+def _print_search(blocks: Iterator[List[tuple]], fmt: str) -> None:
+    """Print search rows one (p, e, n) block at a time; a csv header leads,
+    also when there are no rows."""
+    header = fmt == "csv"
+    for rows in blocks:
+        print(emit(rows, fmt, CSV_COLUMNS, header))
+        header = False
+    if header:
+        print(emit([], fmt, CSV_COLUMNS))
 
 
 if __name__ == "__main__":

@@ -3,11 +3,15 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 from constagalois import derive_params, make_field
-from constagalois.cli import build_parser, main, parse_phi
+from constagalois.cli import build_parser, cmd_search, main, parse_phi
 from exhaustive import parse_poly
 
 
@@ -193,6 +197,61 @@ def test_empty_records_empty_output(capsys):
     code, out, err = run_cli(capsys, "search", "--p-list", "2", "--e-list", "1",
                              "--n-min", "2", "--n-max", "2", "--orders", "7")
     assert code == 0 and out == ""
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--p-list", "3,4", "not a prime"),
+    ("--e-list", "1,0", "degree must be positive"),
+    ("--n-min", "0", "length must be positive"),
+    ("--h-list", "0,2", "h must lie in [0, e]"),
+])
+def test_search_errors_come_before_any_output(capsys, flag, value, message):
+    # csv would lead with its header; the rows of p = 3 would come first
+    argv = {"--p-list": "3", "--e-list": "1", "--n-min": "1", "--n-max": "4"}
+    argv[flag] = value
+    code, out, err = run_cli(capsys, "search", *itertools.chain(*argv.items()),
+                             "--format", "csv")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_search_is_lazy():
+    args = build_parser().parse_args(["search", "--p-list", "2", "--e-list", "1",
+                                      "--n-max", "1000000"])
+    start = time.process_time()
+    first = next(iter(cmd_search(args)))[0]
+    assert time.process_time() - start < 0.5
+    assert first[:3] == (2, 1, 1)
+
+
+def test_internal_error_mid_search_follows_the_rows_before_it(capsys, monkeypatch):
+    import constagalois.cli as cli_module
+    exists = cli_module.galois_selfdual_exists
+
+    def broken(params, h):
+        if params.n == 3:
+            raise AssertionError("witness fails")
+        return exists(params, h)
+
+    monkeypatch.setattr(cli_module, "galois_selfdual_exists", broken)
+    code, out, err = run_cli(capsys, "search", "--p-list", "3", "--e-list", "1",
+                             "--n-max", "4", "--format", "csv")
+    assert (code, err) == (3, "internal error: witness fails\n")
+    # the header and the blocks of n = 1, 2: two orders, two h each
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["1"] * 4 + ["2"] * 4
+
+
+def test_closed_pipe_ends_without_a_traceback():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    argv = [sys.executable, "-m", "constagalois.cli", "search",
+            "--p-list", "2,3,5,7,11,13", "--e-list", "1,2,3", "--n-max", "60",
+            "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src)) as child:
+        assert child.stdout.readline().startswith(b"p,e,n,")
+        child.stdout.close()  # the reader goes, as `| head -1` does
+        err = child.stderr.read()
+    assert child.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
