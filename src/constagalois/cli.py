@@ -457,12 +457,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _print_search(blocks: Iterator[List[tuple]], fmt: str) -> None:
     """Print search rows one (p, e, n) block at a time; a csv header leads,
     also when there are no rows."""
-    header = fmt == "csv"
-    for rows in blocks:
-        print(emit(rows, fmt, CSV_COLUMNS, header))
-        header = False
-    if header:
+    if fmt == "csv":
         print(emit([], fmt, CSV_COLUMNS))
+    for rows in blocks:
+        print(emit(rows, fmt, CSV_COLUMNS, header=False))
 
 
 if __name__ == "__main__":
