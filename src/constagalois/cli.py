@@ -26,6 +26,7 @@ from .existence import (duadic_exists, euclidean_selfdual_exists,
                         galois_selfdual_exists, hermitian_selfdual_exists,
                         iso_selfdual_exists, iso_selfdual_family)
 from .gf import format_element, make_field
+from .numtheory import p_split
 from .oracle import brute_dual, brute_equal_codes, dual_basis, naive_cosets, spans_equal
 from .polyring import format_poly, poly_to_json
 
@@ -228,9 +229,14 @@ def cmd_search(args) -> Iterator[List[tuple]]:
         for e in sorted(args.e_list):
             q = p ** e
             field = make_field(p, e)
-            # one lambda per order r | q - 1: g^((q-1)/r), in the order of its text
-            powers = (field.generator ** ((q - 1) // r) for r in range(1, q)
-                      if (q - 1) % r == 0 and (wanted is None or r in wanted))
+            # one lambda per order r | q - 1: g^((q-1)/r), in the order of its text;
+            # the orders are the divisors of q - 1, read off its factorisation
+            orders = [1]
+            for f in field.group_factors:
+                orders = [r * f ** k for r in orders
+                          for k in range(p_split(f, q - 1)[0] + 1)]
+            powers = (field.generator ** ((q - 1) // r) for r in orders
+                      if wanted is None or r in wanted)
             lams = sorted({format_element(lam): lam for lam in powers}.items())
             hs = range(e + 1) if h_set is None else sorted(h_set)
             if lams and lengths:

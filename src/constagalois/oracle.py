@@ -73,9 +73,9 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> List[tuple]:
-        """A basis of the right kernel {v : M v = 0}."""
+        """A basis of the right kernel {v : M v = 0}, as element-int tuples."""
         red, pivots = self.rref()
-        neg, wrap = self.field.neg, self.field.wrap
+        neg = self.field.neg
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
@@ -83,7 +83,7 @@ class Matrix:
             vec[fc] = 1
             for r, pc in enumerate(pivots):
                 vec[pc] = neg(red.ints[r][fc])
-            basis.append(tuple(map(wrap, vec)))
+            basis.append(tuple(vec))
         return basis
 
 
@@ -98,28 +98,35 @@ def generator_matrix(code: ConstaCode) -> Matrix:
     return Matrix(code.params.field, code.generator_rows())
 
 
-def dual_basis_of_rows(field: Field, rows: Sequence[tuple], n: int,
-                       h: int) -> List[tuple]:
-    """Basis of the p^h-dual of the span of the given length-n rows.
+def dual_basis_of_rows(mat: Matrix, n: int, h: int) -> List[tuple]:
+    """Basis of the p^h-dual of the span of the matrix's length-n rows.
 
     Solve G b = 0 for the twisted vector b (b_i = a_i^(p^h)), then untwist
     each basis vector through the inverse Frobenius.  The untwisted basis
-    spans the dual because untwisting is a semilinear bijection.
+    spans the dual because untwisting is a semilinear bijection.  The work
+    stays on element ints; each output entry is wrapped once.
     """
-    if rows:
-        kernel = Matrix(field, rows).kernel_basis()
+    if mat.rows:
+        kernel = mat.kernel_basis()
     else:
-        kernel = [tuple(field.one if j == i else field.zero for j in range(n))
-                  for i in range(n)]
+        kernel = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    field = mat.field
     back = (field.m - h) % field.m
     frob, wrap = field.frob, field.wrap
-    return [tuple(wrap(frob(b.v, back)) for b in vec) for vec in kernel]
+    return [tuple(wrap(frob(b, back)) for b in vec) for vec in kernel]
 
 
 def dual_basis(code: ConstaCode, h: int) -> List[tuple]:
-    """Basis of the p^h-dual of a constacyclic code, by the rank method."""
-    return dual_basis_of_rows(code.params.field, code.generator_rows(),
-                              code.params.n, h)
+    """Basis of the p^h-dual of a constacyclic code, by the rank method.
+
+    The rows are the generator_rows() of the code, built on the generator's
+    element ints; the zero code has none, and its generator (X^n - lambda,
+    the product of every coset polynomial) is not built.
+    """
+    n, dim = code.params.n, code.dim
+    gen = list(code.generator.ints) if dim else []
+    rows = [[0] * i + gen + [0] * (n - len(gen) - i) for i in range(dim)]
+    return dual_basis_of_rows(Matrix.wrap(code.params.field, rows), n, h)
 
 
 def brute_dual(code: ConstaCode, h: int, cap: Optional[int] = None) -> Set[tuple]:
@@ -136,15 +143,19 @@ def brute_equal_codes(words: Set[tuple], code: ConstaCode,
 
 def spans_equal(field: Field, rows_a: Sequence[tuple],
                 rows_b: Sequence[tuple]) -> bool:
-    """Row-space equality by three rank computations."""
+    """Row-space equality: a row space has exactly one reduced row echelon
+    form, so two spans are equal iff their pivots and nonzero RREF rows are."""
     if not rows_a and not rows_b:
         return True
     if not rows_a or not rows_b:
         return False
-    ra = Matrix(field, rows_a).rank()
-    rb = Matrix(field, rows_b).rank()
-    rab = Matrix(field, list(rows_a) + list(rows_b)).rank()
-    return ra == rb == rab
+    mat_a, mat_b = Matrix(field, rows_a), Matrix(field, rows_b)
+    if mat_a.cols != mat_b.cols:
+        raise ValueError("ragged matrix")
+    red_a, pivots_a = mat_a.rref()
+    red_b, pivots_b = mat_b.rref()
+    rank = len(pivots_a)
+    return pivots_a == pivots_b and red_a.ints[:rank] == red_b.ints[:rank]
 
 
 def naive_cosets(params: CodeParams, s: int = 1) -> List[tuple]:

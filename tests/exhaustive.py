@@ -9,19 +9,21 @@ beyond field arithmetic.  ``ReferenceField`` redoes that arithmetic too,
 on coefficient tuples, for the checks of the int kernels.  The cross-checks
 that only tests call live here too, not in the library: membership by both
 of its characterizations, a code recovered from its generator, the 2-adic
-closed form of acceptance criterion 7, and the parser of the JSON
-polynomial form.
+closed form of acceptance criterion 7, the parser of the JSON
+polynomial form, and the oracle's span equality by three ranks and its
+dual basis on wrapped elements.
 """
 
 import itertools
 import math
+import random
 
 from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
                           build_code, coset_poly, derive_params,
                           galois_selfdual_exists, make_field, nu, parse_element,
                           q_cosets)
 from constagalois.codes import enumerate_codewords
-from constagalois.oracle import naive_cosets
+from constagalois.oracle import Matrix, naive_cosets
 
 
 def brute_monic_irreducibles(p, m):
@@ -405,6 +407,57 @@ def grid_instances(pe_pairs, n_max, max_cosets=6, max_multiplicity=9):
 
 
 PE_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+def criterion6_codes():
+    """(params, code) over acceptance criterion 6's grid: every coset
+    function when there are at most 32, else the zero and full functions
+    and six drawn ones."""
+    rng = random.Random(1234)
+    for params in grid_instances(PE_PAIRS, 12):
+        cosets = q_cosets(params, 1)
+        cap = params.p ** params.nu
+        if (cap + 1) ** len(cosets) <= 32:
+            candidates = list(itertools.product(range(cap + 1), repeat=len(cosets)))
+        else:
+            candidates = [tuple([0] * len(cosets)), tuple([cap] * len(cosets))]
+            candidates += [tuple(rng.randint(0, cap) for _ in cosets) for _ in range(6)]
+        for vals in candidates:
+            yield params, build_code(params, CosetFunction.from_values(params, list(vals)))
+
+
+def rank_spans_equal(field, rows_a, rows_b):
+    """Row-space equality by three ranks: each span's and the stacked
+    matrix's (the oracle's first method)."""
+    if not rows_a and not rows_b:
+        return True
+    if not rows_a or not rows_b:
+        return False
+    ra = Matrix(field, rows_a).rank()
+    rb = Matrix(field, rows_b).rank()
+    rab = Matrix(field, list(rows_a) + list(rows_b)).rank()
+    return ra == rb == rab
+
+
+def reference_dual_basis(code, h):
+    """The oracle's dual basis on coefficient tuples and wrapped elements:
+    ``ReferenceField.rref`` of generator_rows(), one kernel vector per free
+    column, each entry made an element and untwisted by
+    ``FieldElement.frobenius``.  The RREF is unique, so the basis is the
+    oracle's entry for entry."""
+    field, n = code.params.field, code.params.n
+    ref = ReferenceField(field)
+    rows = [[x.coeffs for x in row] for row in code.generator_rows()]
+    red, pivots = ref.rref(rows)
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [ref.zero] * n
+        vec[fc] = ref.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = ref.neg(red[r][fc])
+        kernel.append([field.element(c) for c in vec])
+    back = (field.m - h) % field.m
+    return [tuple(x.frobenius(back) for x in vec) for vec in kernel]
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,10 @@ CASES = [
     # are walked lazily (a tuple of range(p) overflows)
     ("params_prime_above_psi13", ["params", "--p", "62864142619960717084721153",
                                   "--e", "1", "--n", "2", "--lambda", "-1"]),
+    # GF(101^4): the lambda orders come from the factored group order
+    # 101^4 - 1, not from trial division over every r < q
+    ("search_gf101e4_order2", ["search", "--p-list", "101", "--e-list", "4",
+                               "--n-max", "1", "--orders", "2", "--format", "csv"]),
 ]
 
 

@@ -18,7 +18,8 @@ from constagalois.duality import Isometry
 from constagalois.oracle import brute_dual, dual_basis, naive_cosets, spans_equal
 from constagalois.polyring import QuotientElem
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
-                        brute_iso_selfdual_exists, grid_instances, nu2_power_pm1)
+                        brute_iso_selfdual_exists, criterion6_codes, grid_instances,
+                        nu2_power_pm1)
 
 
 def run_criterion(num, label, limit_s, body):
@@ -136,32 +137,18 @@ def test_criterion_5_existence_criteria_vs_enumeration():
 
 def test_criterion_6_closed_form_dual_vs_oracle():
     def body():
-        rng = random.Random(1234)
         mismatches = []
-        for params in grid_instances(PE_PAIRS, 12):
-            cosets = q_cosets(params, 1)
-            cap = params.p ** params.nu
-            total = (cap + 1) ** len(cosets)
-            if total <= 32:
-                candidates = list(itertools.product(range(cap + 1),
-                                                    repeat=len(cosets)))
-            else:
-                candidates = [tuple([0] * len(cosets)),
-                              tuple([cap] * len(cosets))]
-                candidates += [tuple(rng.randint(0, cap) for _ in cosets)
-                               for _ in range(6)]
-            for vals in candidates:
-                code = build_code(params, CosetFunction.from_values(params, list(vals)))
-                for h in range(params.e + 1):
-                    # the dual's polynomials are read off the code's, so
-                    # cf_poly on psi ties the span check to the closed form
-                    closed = galois_dual(code, h)
-                    if ((closed.generator, closed.check)
-                            != (cf_poly(params, closed.phi.complement()),
-                                cf_poly(params, closed.phi))
-                            or not spans_equal(params.field, closed.generator_rows(),
-                                               dual_basis(code, h))):
-                        mismatches.append((params, vals, h))
+        for params, code in criterion6_codes():
+            for h in range(params.e + 1):
+                # the dual's polynomials are read off the code's, so
+                # cf_poly on psi ties the span check to the closed form
+                closed = galois_dual(code, h)
+                if ((closed.generator, closed.check)
+                        != (cf_poly(params, closed.phi.complement()),
+                            cf_poly(params, closed.phi))
+                        or not spans_equal(params.field, closed.generator_rows(),
+                                           dual_basis(code, h))):
+                    mismatches.append((params, code.phi.values(), h))
         assert not mismatches, mismatches[:5]
 
     run_criterion(6, "closed-form dual equals Gaussian-elimination dual (n <= 12)",

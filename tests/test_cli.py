@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -221,6 +222,46 @@ def test_search_is_lazy():
     first = next(iter(cmd_search(args)))[0]
     assert time.process_time() - start < 0.5
     assert first[:3] == (2, 1, 1)
+
+
+CENSUS_PE = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("orders", [None, "1,2,3,4,6,7,9,12,13,14,16,28"])
+def test_search_lambda_orders_are_the_divisors_of_q_minus_1(orders):
+    # one lambda per divisor r of q - 1, found here by trial division
+    argv = ["search", "--p-list", "2,3,5,7,11,13", "--e-list", "1,2,3",
+            "--n-max", "1", "--h-list", "0"]
+    if orders:
+        argv += ["--orders", orders]
+    seen = {}
+    for block in cmd_search(build_parser().parse_args(argv)):
+        for row in block:
+            seen.setdefault(row[:2], []).append(row[4])  # (p, e) -> r
+    wanted = set(map(int, orders.split(","))) if orders else None
+    for p, e in CENSUS_PE:
+        q = p ** e
+        divisors = [r for r in range(1, q) if (q - 1) % r == 0
+                    and (wanted is None or r in wanted)]
+        assert sorted(seen[p, e]) == divisors
+
+
+def test_search_lambda_orders_of_a_large_field_within_a_cpu_limit(capsys):
+    # GF(101^4): trial division over r < q took about 10 s of CPU here
+    def over(signum, frame):
+        raise TimeoutError("search over GF(101^4) ran past 1 s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, over)
+    signal.setitimer(signal.ITIMER_PROF, 1.0)
+    try:
+        code, out, err = run_cli(capsys, "search", "--p-list", "101", "--e-list", "4",
+                                 "--n-max", "1", "--orders", "2", "--format", "csv")
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["lambda"], row["r"]) for row in rows] == [("[100,0,0,0]", "2")] * 5
 
 
 def test_internal_error_mid_search_follows_the_rows_before_it(capsys, monkeypatch):

@@ -233,5 +233,5 @@ def test_matrix_ops_against_reference(p, m):
             for row in entries:
                 acc = ref.zero
                 for x, y in zip(row, vec):
-                    acc = ref.add(acc, ref.mul(x.coeffs, y.coeffs))
+                    acc = ref.add(acc, ref.mul(x.coeffs, field.decode(y)))
                 assert acc == ref.zero

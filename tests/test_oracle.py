@@ -9,7 +9,8 @@ from constagalois.oracle import (Matrix, brute_dual, brute_equal_codes,
                                  dual_basis, dual_basis_of_rows,
                                  generator_matrix, naive_cosets, span,
                                  spans_equal)
-from exhaustive import PE_PAIRS, grid_instances
+from exhaustive import (PE_PAIRS, criterion6_codes, grid_instances, rank_spans_equal,
+                        reference_dual_basis)
 
 
 def test_matrix_rank_and_kernel():
@@ -21,11 +22,11 @@ def test_matrix_rank_and_kernel():
         mat = Matrix(field, rows)
         kernel = mat.kernel_basis()
         assert mat.rank() + len(kernel) == 5
-        for vec in kernel:
+        for vec in kernel:  # element ints
             for row in rows:
                 acc = field.zero
                 for r, v in zip(row, vec):
-                    acc = acc + r * v
+                    acc = acc + r * field.wrap(v)
                 assert not acc
 
 
@@ -72,7 +73,7 @@ def test_brute_dual_involution_through_h():
             rows = [code.generator.shift(i).vector(params.n) for i in range(code.dim)]
             for h in range(params.e + 1):
                 first = dual_basis(code, h)
-                second = dual_basis_of_rows(field, first, params.n,
+                second = dual_basis_of_rows(Matrix(field, first), params.n,
                                             (params.e - h) % params.e)
                 assert spans_equal(field, second, rows)
 
@@ -144,3 +145,120 @@ def test_generator_matrix_shape():
     mat = generator_matrix(code)
     assert mat.rows == code.dim and mat.cols == params.n
     assert mat.rank() == code.dim
+
+
+def _random_row_sets(field, rng):
+    """Pairs of row sets: equal spans written two ways, unequal spans,
+    dependent and zero rows, and one set empty."""
+    elems = list(field.elements())
+    zero = field.zero
+    for _ in range(30):
+        cols = rng.randint(1, 6)
+        rows_a = [tuple(rng.choice(elems) for _ in range(cols))
+                  for _ in range(rng.randint(1, 4))]
+        combos = [tuple(sum((c * x for c, x in zip(coef, col)), zero)
+                        for col in zip(*rows_a))
+                  for coef in ([rng.choice(elems) for _ in rows_a]
+                               for _ in range(rng.randint(1, 5)))]
+        zeros = [tuple(zero for _ in range(cols))] * rng.randint(0, 2)
+        yield rows_a, combos                                  # a subspace, maybe equal
+        yield rows_a, rows_a[::-1] + combos + zeros           # equal, dependent rows
+        yield rows_a + zeros, [tuple(rng.choice(elems) for _ in range(cols))
+                               for _ in range(rng.randint(1, 4))]
+        yield zeros or [tuple(zero for _ in range(cols))], combos
+        yield rows_a, []
+        yield [], combos
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (5, 1), (3, 2), (5, 2)])
+def test_spans_equal_matches_three_ranks(p, e):
+    field = make_field(p, e)
+    rng = random.Random(f"spans {p}^{e}")
+    verdicts = set()
+    for rows_a, rows_b in _random_row_sets(field, rng):
+        want = rank_spans_equal(field, rows_a, rows_b)
+        assert spans_equal(field, rows_a, rows_b) == want
+        assert spans_equal(field, rows_b, rows_a) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    assert spans_equal(field, [], [])
+
+
+def test_spans_equal_checks_both_inputs():
+    field, other = make_field(3, 2), make_field(3, 1)
+    one, zero = field.one, field.zero
+    good = [(one, zero, one)]
+    bad = {
+        "ragged": [(one, zero, one), (one, zero)],
+        "mixed": [(one, other.one, zero)],
+        "length": [(one, zero)],
+    }
+    for rows in bad.values():
+        for a, b in [(good, rows), (rows, good)]:
+            with pytest.raises(ValueError):
+                rank_spans_equal(field, a, b)
+            with pytest.raises(ValueError):
+                spans_equal(field, a, b)
+
+
+def test_spans_equal_is_two_eliminations(monkeypatch):
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append(self.rows)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    field = make_field(5, 2)
+    g = field.generator
+    rows_a = [(field.one, g, g * g), (g, g, field.zero)]
+    rows_b = rows_a + [tuple(x + y for x, y in zip(*rows_a))]
+    assert spans_equal(field, rows_a, rows_b)
+    assert calls == [2, 3]
+
+
+def test_dual_basis_matches_wrapped_reference_on_criterion6_grid():
+    for params, code in criterion6_codes():
+        for h in range(params.e + 1):
+            basis = dual_basis(code, h)
+            assert basis == reference_dual_basis(code, h)
+            assert all(x.field is params.field for vec in basis for x in vec)
+
+
+def test_dual_basis_wraps_each_entry_once(monkeypatch):
+    params = derive_params(3, 2, 8, -1)
+    code = build_code(params, CosetFunction.from_values(
+        params, [1] + [0] * (len(q_cosets(params, 1)) - 1)))
+    code.generator  # built before counting
+    field = params.field
+    wraps = []
+    wrap = type(field).wrap
+
+    def counted(self, v):
+        wraps.append(v)
+        return wrap(self, v)
+
+    monkeypatch.setattr(type(field), "wrap", counted)
+    for h in range(params.e + 1):
+        wraps.clear()
+        basis = dual_basis(code, h)
+        assert len(basis) == params.n - code.dim > 0
+        assert len(wraps) == len(basis) * params.n
+
+
+def test_dual_basis_of_the_zero_code_builds_no_generator(monkeypatch):
+    # the generator of the zero code is X^n - lambda, a product over every coset
+    import constagalois.codes as codes_module
+
+    def unbuilt(params, phi):
+        raise AssertionError("generator built")
+
+    params = derive_params(5, 2, 6, -1)
+    zero = build_code(params, CosetFunction.constant(params, 0))
+    monkeypatch.setattr(codes_module, "cf_poly", unbuilt)
+    field, n = params.field, params.n
+    identity = [tuple(field.one if j == i else field.zero for j in range(n))
+                for i in range(n)]
+    for h in range(params.e + 1):
+        assert dual_basis(zero, h) == identity
