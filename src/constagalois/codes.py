@@ -159,10 +159,16 @@ class ConstaCode:
     def min_weight(self, cap: Optional[int] = None) -> Optional[int]:
         return min_weight(self, cap)
 
+    def generator_int_rows(self) -> List[List[int]]:
+        """The dim shifted copies X^i * g of the generator, as length-n lists
+        of element ints; the zero code has none and builds no generator."""
+        n, gen = self.params.n, list(self.generator.ints) if self.dim else []
+        return [[0] * i + gen + [0] * (n - len(gen) - i) for i in range(self.dim)]
+
     def generator_rows(self) -> List[tuple]:
         """The dim shifted copies of the generator spanning the code."""
-        n = self.params.n
-        return [self.generator.shift(i).vector(n) for i in range(self.dim)]
+        wrap = self.params.field.wrap
+        return [tuple(map(wrap, row)) for row in self.generator_int_rows()]
 
     def to_json(self, cap: Optional[int] = None, with_weight: bool = False) -> dict:
         record = {
@@ -186,14 +192,22 @@ def build_code(params: CodeParams, phi: CosetFunction) -> ConstaCode:
     return ConstaCode(params, phi)
 
 
-def linear_combinations(field: Field, rows: Sequence[tuple], n: int) -> Iterator[tuple]:
-    """Every combination sum c_i * rows[i] (c_i over the field) as a
-    length-n tuple, one per coefficient vector; no rows give one zero word."""
+def _check_enum_size(q: int, k: int, cap: Optional[int]) -> None:
+    """Refuse an enumeration of q^k words past the cap (see _enum_cap)."""
+    if q ** k > _enum_cap(cap):
+        raise ValueError("enumeration too large")
+
+
+def linear_combinations(field: Field, rows: Sequence[Sequence[int]], n: int,
+                        cap: Optional[int] = None) -> Iterator[tuple]:
+    """Every combination sum c_i * rows[i] (c_i over the field) of rows of
+    element ints as a length-n tuple of elements, one per coefficient
+    vector; no rows give one zero word.  The cap is checked first."""
+    _check_enum_size(field.order, len(rows), cap)
     add_scaled, wrap = field.add_scaled, field.wrap
-    int_rows = [[x.v for x in row] for row in rows]
     for combo in itertools.product(list(field.ints()), repeat=len(rows)):
         word = [0] * n
-        for c, row in zip(combo, int_rows):
+        for c, row in zip(combo, rows):
             if c:
                 word = add_scaled(word, c, row)
         yield tuple(map(wrap, word))
@@ -202,9 +216,8 @@ def linear_combinations(field: Field, rows: Sequence[tuple], n: int) -> Iterator
 def enumerate_codewords(code: ConstaCode, cap: Optional[int] = None) -> List[tuple]:
     """All q^dim codewords as length-n coefficient tuples."""
     params = code.params
-    if params.q ** code.dim > _enum_cap(cap):
-        raise ValueError("enumeration too large")
-    return list(linear_combinations(params.field, code.generator_rows(), params.n))
+    return list(linear_combinations(params.field, code.generator_int_rows(),
+                                    params.n, cap))
 
 
 def min_weight(code: ConstaCode, cap: Optional[int] = None) -> Optional[int]:
@@ -217,8 +230,7 @@ def min_weight(code: ConstaCode, cap: Optional[int] = None) -> Optional[int]:
     """
     if code.dim == 0:
         return None
-    if code.params.q ** code.dim > _enum_cap(cap):
-        raise ValueError("enumeration too large")
+    _check_enum_size(code.params.q, code.dim, cap)
     return _packed_min_weight(code)
 
 
@@ -251,23 +263,24 @@ def _packed_min_weight(code: ConstaCode) -> int:
     coord_guard = coord_ones << (b * e - 1)
     coord_nonzero = coord_ones * ((1 << (b * e - 1)) - 1)
 
-    def pack(vec) -> int:
-        return sum(c << (b * (i * e + j)) for i, x in enumerate(vec)
-                   for j, c in enumerate(x.coeffs))
-
     field = params.field
-    g = code.generator.vector(n)
-    scaled_g = [pack([beta * c for c in g])
-                for beta in (field.element([0] * j + [1]) for j in range(e))]
-    row_shift = b * e  # row i is X^i * g: its packing moved up i coordinates
+    mul, decode = field.mul, field.decode
+
+    def pack(row) -> int:
+        return sum(c << (b * (i * e + j)) for i, x in enumerate(row)
+                   for j, c in enumerate(decode(x)))
+
+    betas = [field.encode([0] * j + [1]) for j in range(e)]  # X^j: a basis over GF(p)
+    packed = [[pack([mul(beta, x) for x in row]) for beta in betas]
+              for row in code.generator_int_rows()]  # packed[i][j] = X^j * row_i
     best = n
     for t in range(k):
-        steps = [x << (row_shift * i) for i in range(t + 1, k) for x in scaled_g]
+        steps = [x for row in packed[t + 1:] for x in row]
         low = len(steps)
         while p ** low > _GRAY_BLOCK:
             low -= 1
         block = [steps[p_split(p, s)[0]] for s in range(1, p ** low)]
-        word = scaled_g[0] << (row_shift * t)
+        word = packed[t][0]
         for outer in range(p ** (len(steps) - low)):
             if outer:
                 word += steps[low + p_split(p, outer)[0]]

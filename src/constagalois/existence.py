@@ -4,7 +4,7 @@ All verdicts are decided by closed-form arithmetic on (p, e, n', r, h);
 when a family is nonempty we also construct an explicit witness coset
 function (constant p^nu/2 in characteristic 2, otherwise alternating
 d and p^nu - d along even multiplier orbits with d = 0) and validate it
-against the duality predicates before returning it.
+against the duality predicate before returning it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import functools
 from typing import NamedTuple, Optional
 
 from .cosets import CodeParams, CosetFunction, s_orbits
-from .duality import _galois_h, selfdual_condition
+from .duality import _galois_h
 from .numtheory import p_split
 
 
@@ -44,17 +44,24 @@ class ExistenceVerdict(NamedTuple):
 # witness constructions
 # ---------------------------------------------------------------------------
 
-def _alternating_function(params: CodeParams, s: int) -> Optional[CosetFunction]:
-    """phi taking 0 on even positions and p^nu on odd positions of every
-    s-orbit; None when some s-orbit is odd."""
+def _witness(params: CodeParams, t: int) -> Optional[CosetFunction]:
+    """phi with t*phi = phibar, checked before it is returned: the constant
+    p^nu/2 in characteristic 2 with nu >= 1, else 0 on even and p^nu on odd
+    positions of every t-orbit, or None when some t-orbit is odd."""
     cap = params.mult_cap
-    values = [0] * len(params.cosets_on(1))
-    for orbit in s_orbits(params, s):
-        if len(orbit) % 2 != 0:
-            return None
-        for Q in orbit[1::2]:
-            values[Q.index] = cap
-    return CosetFunction.from_values(params, values)
+    if params.p == 2 and params.nu >= 1:
+        phi = CosetFunction.constant(params, cap // 2)
+    else:
+        values = [0] * len(params.cosets_on(1))
+        for orbit in s_orbits(params, t):
+            if len(orbit) % 2 != 0:
+                return None
+            for Q in orbit[1::2]:
+                values[Q.index] = cap
+        phi = CosetFunction.from_values(params, values)
+    if not phi.act_is_complement(t):
+        raise AssertionError("existence witness fails the duality predicate")
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +104,25 @@ def iso_selfdual_family(params: CodeParams):
     """(label, witness phi, witness s) of the isometrically self-dual
     family, or (None, None, None).
 
+    s is the first multiplier with a :func:`_witness`, s = 1 in (i).
     Outside (i), phi alternates 0 and p^nu along the orbits of the first
     multiplier s whose orbits are all even; phi alternates along the orbits
     of any witness too, so s is the smallest, as :func:`iso_witness_for`
     finds it.  Memoised on the params for the process, as interned params
     live: a repeated call returns the same tuple.
     """
-    p = params.p
-    if p == 2 and params.nu >= 1:
-        label, s = "(i)", 1
-        phi = CosetFunction.constant(params, params.mult_cap // 2)
+    if params.p == 2 and params.nu >= 1:
+        label = "(i)"
     else:
         duadic = duadic_exists(params)
         if not duadic:
             return None, None, None
         label = _ISO_LABELS[duadic.matched_condition]
-        for s in params.multipliers():
-            phi = _alternating_function(params, s)
-            if phi is not None:
-                break
-        else:
-            raise AssertionError("even-orbit multiplier promised but not found")
-    if not phi.act_is_complement(s):
-        raise AssertionError("existence witness fails the duality predicate")
-    return label, phi, s
+    for s in params.multipliers():  # s = 1 first: the constant of (i)
+        phi = _witness(params, s)
+        if phi is not None:
+            return label, phi, s
+    raise AssertionError("even-orbit multiplier promised but not found")
 
 
 def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
@@ -131,7 +133,6 @@ def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
         return ExistenceVerdict(False)
     if p == 2 and params.nu >= 1:
         label = "(i)"
-        phi = CosetFunction.constant(params, params.mult_cap // 2)
     else:
         even = params.nprime % 2 == 0 and params.r % 2 == 0
         if even and p % 4 == 1:
@@ -143,9 +144,9 @@ def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
             label = "(iv)"
         else:
             return ExistenceVerdict(False)
-        phi = _alternating_function(params, -(p ** h))
-    if phi is None or not selfdual_condition(params, phi, h)[0]:
-        raise AssertionError("existence witness fails the duality predicate")
+    phi = _witness(params, -(p ** h))
+    if phi is None:
+        raise AssertionError("-p^h has an odd orbit in a family that exists")
     return ExistenceVerdict(True, label, phi)
 
 

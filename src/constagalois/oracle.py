@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .codes import ConstaCode, _enum_cap, enumerate_codewords, linear_combinations
+from .codes import ConstaCode, enumerate_codewords, linear_combinations
 from .cosets import CodeParams
 from .gf import Field, FieldElement
 
@@ -88,14 +88,14 @@ class Matrix:
 
 
 def span(field: Field, rows: Sequence[tuple], cap: Optional[int] = None) -> Set[tuple]:
-    """All linear combinations of the given rows (cap as for codewords)."""
-    if field.order ** len(rows) > _enum_cap(cap):
-        raise ValueError("enumeration too large")
-    return set(linear_combinations(field, rows, len(rows[0]) if rows else 0))
+    """All linear combinations of the given rows (cap as for codewords),
+    read as a ``Matrix``: ragged rows or mixed fields raise ValueError."""
+    mat = Matrix(field, rows)
+    return set(linear_combinations(field, mat.ints, mat.cols, cap))
 
 
 def generator_matrix(code: ConstaCode) -> Matrix:
-    return Matrix(code.params.field, code.generator_rows())
+    return Matrix.wrap(code.params.field, code.generator_int_rows())
 
 
 def dual_basis_of_rows(mat: Matrix, n: int, h: int) -> List[tuple]:
@@ -117,16 +117,10 @@ def dual_basis_of_rows(mat: Matrix, n: int, h: int) -> List[tuple]:
 
 
 def dual_basis(code: ConstaCode, h: int) -> List[tuple]:
-    """Basis of the p^h-dual of a constacyclic code, by the rank method.
-
-    The rows are the generator_rows() of the code, built on the generator's
-    element ints; the zero code has none, and its generator (X^n - lambda,
-    the product of every coset polynomial) is not built.
-    """
-    n, dim = code.params.n, code.dim
-    gen = list(code.generator.ints) if dim else []
-    rows = [[0] * i + gen + [0] * (n - len(gen) - i) for i in range(dim)]
-    return dual_basis_of_rows(Matrix.wrap(code.params.field, rows), n, h)
+    """Basis of the p^h-dual of a constacyclic code, by the rank method on
+    the code's ``generator_int_rows()``."""
+    rows = code.generator_int_rows()
+    return dual_basis_of_rows(Matrix.wrap(code.params.field, rows), code.params.n, h)
 
 
 def brute_dual(code: ConstaCode, h: int, cap: Optional[int] = None) -> Set[tuple]:

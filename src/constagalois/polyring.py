@@ -149,12 +149,6 @@ class Poly:
         mul, inv = field.mul, field.inv(self.ints[-1])
         return Poly.wrap(field, [mul(c, inv) for c in self.ints])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by X^k."""
-        if self.is_zero():
-            return self
-        return Poly.wrap(self.field, (0,) * k + self.ints)
-
     def eval(self, x: FieldElement) -> FieldElement:
         """Horner evaluation; x may live in an extension of the coefficient field."""
         big = x.field
@@ -166,12 +160,6 @@ class Poly:
         for c in reversed(ints):
             acc = add(mul(acc, v), c)
         return big.wrap(acc)
-
-    def vector(self, n: int) -> tuple:
-        """Coefficients padded with zeros to length n (requires degree < n)."""
-        if self.degree >= n:
-            raise ValueError("degree too large for vector length")
-        return tuple(map(self.field.wrap, self.ints + (0,) * (n - len(self.ints))))
 
 
 def _divmod_ints(field: Field, num, den):
@@ -221,16 +209,14 @@ class QuotientElem:
             rep = rep % params.modulus_poly(self.s)
         self.rep = rep
 
-    @property
-    def unit(self) -> FieldElement:
-        return self.params.lam_power(self.s)
-
     @classmethod
     def from_vector(cls, params, s: int, vec: Sequence[FieldElement]) -> "QuotientElem":
         return cls(params, s, Poly(params.field, list(vec)))
 
     def vector(self) -> tuple:
-        return self.rep.vector(self.params.n)
+        """The n coefficients of the reduced representative."""
+        ints = self.rep.ints
+        return tuple(map(self.params.field.wrap, ints + (0,) * (self.params.n - len(ints))))
 
     def _check(self, other):
         if (not isinstance(other, QuotientElem) or other.params is not self.params
@@ -262,18 +248,11 @@ class QuotientElem:
         return QuotientElem(self.params, self.s, -self.rep)
 
     def __mul__(self, other):
-        """Product with wraparound: coefficient k of the result is
-        sum_{i+j=k} a_i b_j + lambda^s * sum_{i+j=n+k} a_i b_j."""
+        """The product, reduced mod X^n - lambda^s by the constructor."""
         if isinstance(other, FieldElement):
             return QuotientElem(self.params, self.s, self.rep * other)
         self._check(other)
-        n = self.params.n
-        field = self.params.field
-        mul, add, unit = field.mul, field.add, self.unit.v
-        out = field.poly_mul(self.rep.ints, other.rep.ints)
-        for k in range(n, len(out)):
-            out[k - n] = add(out[k - n], mul(unit, out[k]))
-        return QuotientElem(self.params, self.s, Poly.wrap(field, out[:n]))
+        return QuotientElem(self.params, self.s, self.rep * other.rep)
 
     def weight(self) -> int:
         return sum(1 for c in self.rep.ints if c)

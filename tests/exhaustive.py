@@ -10,8 +10,10 @@ on coefficient tuples, for the checks of the int kernels.  The cross-checks
 that only tests call live here too, not in the library: membership by both
 of its characterizations, a code recovered from its generator, the 2-adic
 closed form of acceptance criterion 7, the parser of the JSON
-polynomial form, and the oracle's span equality by three ranks and its
-dual basis on wrapped elements.
+polynomial form, the oracle's span equality by three ranks and its
+dual basis on wrapped elements, the generator rows as shifted and
+padded polynomials, and the quotient-ring product by its explicit
+wraparound sum.
 """
 
 import itertools
@@ -362,6 +364,35 @@ def code_contains(code, elem):
     by_annihilation = not (elem * check_elem)
     assert by_division == by_annihilation, "membership routes disagree"
     return by_division
+
+
+def reference_generator_rows(code):
+    """The dim shifted copies of the generator as element tuples: the
+    generator times X^i as a polynomial, its coefficients padded with zeros
+    to length n.  The zero code has none."""
+    field, n = code.params.field, code.params.n
+    rows = []
+    for i in range(code.dim):
+        coeffs = (code.generator * Poly.x_power(field, i)).coeffs
+        assert len(coeffs) <= n, "degree too large for vector length"
+        rows.append(coeffs + (field.zero,) * (n - len(coeffs)))
+    return rows
+
+
+def reference_quotient_mul(a, b):
+    """a * b in F_q[X]/(X^n - lambda^s) by the explicit wraparound sum on
+    elements: coefficient k is sum_{i+j=k} a_i b_j
+    + lambda^s * sum_{i+j=n+k} a_i b_j."""
+    params, n = a.params, a.params.n
+    unit = params.lam_power(a.s)
+    out = [params.field.zero] * n
+    for i, x in enumerate(a.vector()):
+        for j, y in enumerate(b.vector()):
+            if i + j < n:
+                out[i + j] += x * y
+            else:
+                out[i + j - n] += unit * x * y
+    return QuotientElem.from_vector(params, a.s, out)
 
 
 def nu2_power_pm1(k, d):

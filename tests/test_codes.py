@@ -9,7 +9,7 @@ from constagalois import (CosetFunction, Poly, QuotientElem, build_code,
                           galois_dual, make_field, q_cosets)
 from constagalois import codes
 from exhaustive import (brute_min_weight, code_contains, code_from_generator,
-                        grid_instances)
+                        criterion6_codes, grid_instances, reference_generator_rows)
 
 
 def gf4_params():
@@ -159,6 +159,29 @@ def test_annihilator():
     for row in ann.generator_rows():
         elem = QuotientElem.from_vector(params12, 1, row)
         assert not (elem * gen_elem)
+
+
+def test_generator_rows_match_shifted_padded_reference():
+    # criterion 6's grid holds the zero and the full code of every params
+    zero = full = 0
+    for params, code in criterion6_codes():
+        rows = code.generator_rows()
+        assert rows == reference_generator_rows(code)
+        assert code.generator_int_rows() == [[x.v for x in row] for row in rows]
+        zero += code.dim == 0
+        full += code.dim == params.n
+    assert min(zero, full) >= 20, (zero, full)
+
+
+def test_generator_rows_of_the_zero_code_build_no_generator(monkeypatch):
+    def unbuilt(params, phi):
+        raise AssertionError("generator built")
+
+    params = derive_params(5, 2, 6, -1)
+    zero = build_code(params, CosetFunction.constant(params, 0))
+    monkeypatch.setattr(codes, "cf_poly", unbuilt)
+    assert zero.generator_rows() == [] and zero.generator_int_rows() == []
+    assert zero.codewords() == [tuple(params.field.zero for _ in range(params.n))]
 
 
 def test_enumerate_codewords_gf4():

@@ -15,6 +15,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "constagalois")
 
@@ -125,6 +127,7 @@ SINGLE_SOURCE = {
     "h must lie in [0, e]": ["duality._galois_h"],
     "s must be coprime to n'r": ["cosets.CodeParams.images", "cosets.q_cosets",
                                  "oracle.naive_cosets"],
+    "enumeration too large": ["codes._check_enum_size"],
 }
 
 
@@ -136,3 +139,19 @@ def test_each_domain_rule_is_raised_from_one_place():
             for message, where in raised_messages(fh.read(), module).items():
                 raisers.setdefault(message, []).extend(where)
     assert {message: raisers.get(message) for message in SINGLE_SOURCE} == SINGLE_SOURCE
+
+
+def test_every_existence_witness_goes_through_one_check(monkeypatch):
+    # _witness is the one place that checks t*phi = phibar for a witness
+    from constagalois import CosetFunction, derive_params, galois_selfdual_exists
+    from constagalois.existence import iso_selfdual_family
+
+    cases = [derive_params(2, 1, 2, 1), derive_params(5, 1, 2, -1)]  # (i), (ii)
+    iso_selfdual_family.cache_clear()
+    assert all(galois_selfdual_exists(params, 0) for params in cases)
+    monkeypatch.setattr(CosetFunction, "act_is_complement", lambda phi, t: False)
+    for params in cases:
+        with pytest.raises(AssertionError, match="witness"):
+            galois_selfdual_exists(params, 0)
+        with pytest.raises(AssertionError, match="witness"):
+            iso_selfdual_family(params)

@@ -10,7 +10,7 @@ from constagalois.oracle import (Matrix, brute_dual, brute_equal_codes,
                                  generator_matrix, naive_cosets, span,
                                  spans_equal)
 from exhaustive import (PE_PAIRS, criterion6_codes, grid_instances, rank_spans_equal,
-                        reference_dual_basis)
+                        reference_dual_basis, reference_generator_rows)
 
 
 def test_matrix_rank_and_kernel():
@@ -70,7 +70,7 @@ def test_brute_dual_involution_through_h():
         for _ in range(4):
             vals = [rng.randint(0, cap) for _ in cosets]
             code = build_code(params, CosetFunction.from_values(params, vals))
-            rows = [code.generator.shift(i).vector(params.n) for i in range(code.dim)]
+            rows = reference_generator_rows(code)
             for h in range(params.e + 1):
                 first = dual_basis(code, h)
                 second = dual_basis_of_rows(Matrix(field, first), params.n,
@@ -107,6 +107,14 @@ def test_span_enumeration_cap():
     with pytest.raises(ValueError, match="too large"):
         span(field, rows, cap=100)
     assert span(field, []) == {()}  # the product over zero rows is one empty word
+
+
+def test_span_reads_its_rows_as_a_matrix():
+    field, other = make_field(3, 1), make_field(5, 1)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        span(field, [(field.one, field.one), (field.one,)])
+    with pytest.raises(ValueError, match="mixed fields"):
+        span(field, [(field.one, other.from_int(4))])
 
 
 def test_span_cap_defaults_to_the_enumeration_cap(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from constagalois import (CosetFunction, Poly, QuotientElem, cf_poly,
                           derive_params, make_field, poly_gcd, q_cosets)
 from constagalois.polyring import format_poly, poly_to_json
-from exhaustive import parse_poly, poly_xgcd
+from exhaustive import parse_poly, poly_xgcd, reference_quotient_mul
 
 
 def random_poly(field, max_deg, rng):
@@ -182,6 +182,21 @@ def test_quotient_mul_matches_generic_division():
         assert QuotientElem(params, 1, a * b) == qa * qb   # reduces degree >= n
         assert (qa - qb).rep == a - b and (-qa).rep == -a
         assert (qa * field.generator).rep == a * field.generator
+
+
+def test_quotient_mul_matches_wraparound_sum_on_every_class():
+    rng = random.Random(20)
+    for p, e, n, lam in [(3, 2, 4, "g^1"), (5, 2, 6, "g^3"), (2, 2, 3, "g^1"),
+                         (7, 1, 5, 3)]:
+        params = derive_params(p, e, n, lam)
+        elems = list(params.field.elements())
+        assert params.r > 2
+        for s in range(params.r):
+            for _ in range(12):
+                a, b = (QuotientElem.from_vector(params, s, [rng.choice(elems)
+                                                             for _ in range(n)])
+                        for _ in range(2))
+                assert a * b == reference_quotient_mul(a, b)
 
 
 def test_quotient_ring_axioms_exhaustive_r2():
