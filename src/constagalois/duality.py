@@ -22,7 +22,7 @@ from .codes import ConstaCode, build_code
 from .cosets import CodeParams, CosetFunction
 from .gf import FieldElement
 from .numtheory import p_split
-from .polyring import Poly, QuotientElem
+from .polyring import QuotientElem, fold
 
 
 def _galois_h(e: int, h: int) -> int:
@@ -87,26 +87,13 @@ class Isometry:
         return Isometry(self.params, self.s * other.s)
 
     def apply(self, elem: QuotientElem) -> QuotientElem:
-        """Monomial-wise image, reduced in the target ring."""
+        """The image sum a_i^(p^nu) X^(i*s'^-1), folded into the target ring."""
         if elem.params is not self.params:
             raise ValueError("element over different params")
-        params = self.params
-        n = params.n
-        field = params.field
-        mul, add, frob = field.mul, field.add, field.frob
-        target_s = self.s * elem.s
-        unit = params.lam_power(target_s)
-        nu = self.nu % params.e
-        out = [0] * n
-        for i, a in enumerate(elem.rep.ints):
-            if not a:
-                continue
-            t, j0 = divmod(i * self.sprime_inv, n)
-            coeff = frob(a, nu)
-            if t:
-                coeff = mul(coeff, field.pow(unit.v, t))
-            out[j0] = add(out[j0], coeff)
-        return QuotientElem(params, target_s, Poly.wrap(field, out))
+        params, inv, target_s = self.params, self.sprime_inv, self.s * elem.s
+        frob, nu = params.field.frob, self.nu % params.e
+        terms = ((i * inv, frob(a, nu)) for i, a in enumerate(elem.rep.ints))
+        return QuotientElem(params, target_s, fold(params, target_s, terms))
 
     def on_code(self, code: ConstaCode) -> ConstaCode:
         """M_s(C_phi) = C_(s*phi), a lambda^(s*residue)-constacyclic code."""

@@ -27,15 +27,10 @@ class Poly:
     __slots__ = ("field", "ints")
 
     def __init__(self, field: Field, coeffs: Iterable[FieldElement]):
-        ints = []
-        for c in coeffs:
-            if c.field is not field:
-                raise ValueError("mixed fields")
-            ints.append(c.v)
-        while ints and not ints[-1]:
-            ints.pop()
-        self.field = field
-        self.ints = tuple(ints)
+        coeffs = tuple(coeffs)
+        if any(c.field is not field for c in coeffs):
+            raise ValueError("mixed fields")
+        self.field, self.ints = field, Poly.wrap(field, [c.v for c in coeffs]).ints
 
     @classmethod
     def wrap(cls, field: Field, ints) -> "Poly":
@@ -193,6 +188,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly.wrap(field, x).monic()
 
 
+def fold(params, s: int, terms: Iterable) -> Poly:
+    """The sum of c*X^k over sparse (k, c) terms (c an element int), reduced
+    mod X^n - lambda^s by X^k = lambda^(s*(k // n)) * X^(k mod n): the one
+    reduction of R_{n,lambda^s}, O(len(terms) + n) whatever the k."""
+    n, field = params.n, params.field
+    mul, add, power = field.mul, field.add, field.pow
+    unit = params.lam_power(s).v
+    out = [0] * n
+    for k, c in terms:
+        if c:
+            t, j = divmod(k, n)
+            out[j] = add(out[j], mul(c, power(unit, t)) if t else c)
+    return Poly.wrap(field, out)
+
+
 class QuotientElem:
     """An element of F_q[X]/(X^n - lambda^s).
 
@@ -203,10 +213,12 @@ class QuotientElem:
     __slots__ = ("params", "s", "rep")
 
     def __init__(self, params, s: int, rep: Poly):
+        if rep.field is not params.field:
+            raise ValueError("mixed fields")
         self.params = params
         self.s = s % params.r
         if rep.degree >= params.n:
-            rep = rep % params.modulus_poly(self.s)
+            rep = fold(params, self.s, enumerate(rep.ints))
         self.rep = rep
 
     @classmethod

@@ -12,8 +12,8 @@ of its characterizations, a code recovered from its generator, the 2-adic
 closed form of acceptance criterion 7, the parser of the JSON
 polynomial form, the oracle's span equality by three ranks and its
 dual basis on wrapped elements, the generator rows as shifted and
-padded polynomials, and the quotient-ring product by its explicit
-wraparound sum.
+padded polynomials, the quotient-ring product by its explicit
+wraparound sum, and the isometry M_s placed monomial by monomial.
 """
 
 import itertools
@@ -393,6 +393,23 @@ def reference_quotient_mul(a, b):
             else:
                 out[i + j - n] += unit * x * y
     return QuotientElem.from_vector(params, a.s, out)
+
+
+def reference_isometry_apply(iso, elem):
+    """M_s(elem) monomial by monomial on elements, for elem in R_{n,lambda^t}:
+    with s = p^nu * s' and i * s'^-1 = k*n + j (s'^-1 mod n*r), a*X^i goes to
+    a^(p^nu) * (lambda^(s*t))^k * X^j in R_{n,lambda^(s*t)}."""
+    params, n = iso.params, iso.params.n
+    sprime, nu = iso.s, 0
+    while sprime % params.p == 0:
+        sprime, nu = sprime // params.p, nu + 1
+    inverse = pow(sprime, -1, n * params.r)
+    unit = params.lam_power(iso.s * elem.s)
+    out = [params.field.zero] * n
+    for i, a in enumerate(elem.vector()):
+        k, j = divmod(i * inverse, n)
+        out[j] += a.frobenius(nu) * unit ** k
+    return QuotientElem.from_vector(params, iso.s * elem.s, out)
 
 
 def nu2_power_pm1(k, d):

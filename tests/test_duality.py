@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import signal
 
 import pytest
 
@@ -10,7 +12,8 @@ from constagalois import (CosetFunction, Isometry, Poly, QuotientElem,
 from constagalois import oracle
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_exists
-from exhaustive import PE_PAIRS, brute_iso_witness, grid_instances
+from exhaustive import (PE_PAIRS, brute_iso_witness, grid_instances,
+                        reference_isometry_apply)
 
 
 def gf4_params():
@@ -178,6 +181,51 @@ def test_isometry_composition_is_product():
             assert iso1.compose(iso2) == direct
             for elem in sample:
                 assert iso1.apply(iso2.apply(elem)) == direct.apply(elem)
+
+
+@pytest.mark.parametrize("p, e, n, lam", [(3, 2, 4, "g^1"), (5, 2, 6, "g^3"),
+                                        (3, 2, 6, "g^2"), (2, 2, 6, "g^1"),
+                                        (5, 2, 10, "g^3")])
+def test_isometry_apply_matches_monomial_placement(p, e, n, lam):
+    # r > 2 on every case, p | n on the last three; every class t of the
+    # source ring, multipliers with p | s and with s < 0
+    params = derive_params(p, e, n, lam)
+    assert params.r > 2
+    rng = random.Random(p * n)
+    elems = list(params.field.elements())
+    multipliers = [s for s in (1, -1, p, -p, p * p + 2, -(2 * p + 1), 3 * p ** 3)
+                   if math.gcd(s, params.period) == 1]
+    assert min(multipliers) < 0 and any(s % p == 0 for s in multipliers)
+    for s in multipliers:
+        iso = Isometry(params, s)
+        for t in range(params.r):
+            for _ in range(4):
+                elem = QuotientElem.from_vector(params, t, [rng.choice(elems)
+                                                            for _ in range(n)])
+                assert iso.apply(elem) == reference_isometry_apply(iso, elem)
+
+
+def test_isometry_apply_stays_linear_in_n_when_r_is_large():
+    # GF(65537), lambda = 3: r = 65 536.  The fold takes about 1 ms of CPU;
+    # placing the image in a dense word of length n*r (6.5 million entries)
+    # and reducing that took 0.5 s and 148 MB (2-CPU x86-64 VM, Python 3.11)
+    params = derive_params(65537, 1, 100, 3)
+    rng = random.Random(3)
+    elem = QuotientElem(params, 1, Poly.from_ints(params.field,
+                                                  [rng.randrange(65537) for _ in range(100)]))
+    iso = Isometry(params, 3)
+
+    def over(signum, frame):
+        raise TimeoutError("Isometry.apply over GF(65537) ran past 0.05 s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, over)
+    signal.setitimer(signal.ITIMER_PROF, 0.05)
+    try:
+        image = iso.apply(elem)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    assert params.r == 65536 and image == reference_isometry_apply(iso, elem)
 
 
 def test_isometry_on_code_matches_pointwise_image():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from constagalois import (CosetFunction, Poly, QuotientElem, cf_poly,
-                          derive_params, make_field, poly_gcd, q_cosets)
+from constagalois import (CodeParams, CosetFunction, Isometry, Poly, QuotientElem,
+                          cf_poly, derive_params, make_field, poly_gcd, q_cosets)
 from constagalois.polyring import format_poly, poly_to_json
-from exhaustive import parse_poly, poly_xgcd, reference_quotient_mul
+from exhaustive import (parse_poly, poly_xgcd, reference_isometry_apply,
+                        reference_quotient_mul)
 
 
 def random_poly(field, max_deg, rng):
@@ -169,19 +170,56 @@ def test_quotient_generator_squares_to_zero():
 
 
 def test_quotient_mul_matches_generic_division():
+    # every class s, representatives of degree up to 3n - 1
     rng = random.Random(17)
-    params = derive_params(3, 2, 4, -1)
-    field = params.field
-    modulus = params.modulus_poly(1)
-    for _ in range(80):
-        a = random_poly(field, 3, rng)
-        b = random_poly(field, 3, rng)
-        qa = QuotientElem(params, 1, a)
-        qb = QuotientElem(params, 1, b)
-        assert (qa * qb).rep == (a * b) % modulus
-        assert QuotientElem(params, 1, a * b) == qa * qb   # reduces degree >= n
-        assert (qa - qb).rep == a - b and (-qa).rep == -a
-        assert (qa * field.generator).rep == a * field.generator
+    for params in (derive_params(3, 2, 4, -1), derive_params(5, 2, 6, "g^3")):
+        field, n = params.field, params.n
+        for s in range(params.r):
+            modulus = params.modulus_poly(s)
+            for _ in range(80):
+                a = random_poly(field, 3 * n - 1, rng)
+                b = random_poly(field, 3 * n - 1, rng)
+                qa = QuotientElem(params, s, a)
+                qb = QuotientElem(params, s, b)
+                assert qa.rep == a % modulus and qb.rep == b % modulus
+                assert (qa * qb).rep == (a * b) % modulus
+                assert QuotientElem(params, s, a * b) == qa * qb   # reduces degree >= n
+                assert (qa - qb).rep == (a - b) % modulus and (-qa).rep == (-a) % modulus
+                assert (qa * field.generator).rep == (a * field.generator) % modulus
+
+
+def test_quotient_ring_reduces_without_division(monkeypatch):
+    # the binomial fold is the one reduction of R_{n,lambda^s}: products,
+    # long vectors and isometries build no X^n - lambda^s and divide by nothing
+    rng = random.Random(21)
+    cases = []
+    for p, e, n, lam in [(3, 2, 4, "g^1"), (2, 2, 6, "g^1"), (7, 1, 5, 3)]:
+        params = derive_params(p, e, n, lam)
+        elems = list(params.field.elements())
+        for s in range(params.r):
+            long_vec = [rng.choice(elems) for _ in range(3 * n)]
+            words = [[rng.choice(elems) for _ in range(n)] for _ in range(2)]
+            cases.append((params, s, long_vec, words,
+                          Poly(params.field, long_vec) % params.modulus_poly(s)))
+
+    def refuse(*args):
+        raise AssertionError("R_{n,lambda^s} reduced by long division")
+
+    monkeypatch.setattr(Poly, "__divmod__", refuse)
+    monkeypatch.setattr(CodeParams, "modulus_poly", refuse)
+    for params, s, long_vec, words, expected in cases:
+        assert QuotientElem.from_vector(params, s, long_vec).rep == expected
+        a, b = (QuotientElem.from_vector(params, s, w) for w in words)
+        assert a * b == reference_quotient_mul(a, b)
+        for multiplier in (-1, params.p):
+            iso = Isometry(params, multiplier)
+            assert iso.apply(a) == reference_isometry_apply(iso, a)
+
+
+def test_quotient_rejects_a_representative_over_another_field():
+    params = derive_params(3, 1, 4, -1)
+    with pytest.raises(ValueError, match="mixed fields"):
+        QuotientElem(params, 1, Poly.from_ints(make_field(5, 1), [4, 3]))
 
 
 def test_quotient_mul_matches_wraparound_sum_on_every_class():
