@@ -23,8 +23,9 @@ from .codes import ConstaCode, _enum_cap, build_code, coset_poly, min_weight
 from .cosets import CodeParams, CosetFunction, derive_params, q_cosets, s_orbits
 from .duality import _galois_h, galois_dual, is_galois_selfdual, is_iso_galois_selfdual
 from .existence import (duadic_exists, euclidean_selfdual_exists,
-                        galois_selfdual_exists, hermitian_selfdual_exists,
-                        iso_selfdual_exists, iso_selfdual_family)
+                        galois_selfdual_exists, galois_selfdual_verdicts,
+                        hermitian_selfdual_exists, iso_selfdual_exists,
+                        iso_selfdual_family)
 from .gf import format_element, make_field
 from .numtheory import p_split
 from .oracle import brute_dual, brute_equal_codes, dual_basis, naive_cosets, spans_equal
@@ -88,7 +89,8 @@ def emit(records: list, fmt: str, columns: Optional[List[str]] = None,
     """The records as text, one line each, with no final newline.
 
     A record is a dict, or with ``columns`` a tuple in that column order
-    (search rows); a csv header leads unless ``header`` is false.
+    (search rows, whose cells csv writes as they are); a csv header leads
+    unless ``header`` is false.
     """
     if columns is not None and fmt != "csv":
         records = [dict(zip(columns, row)) for row in records]
@@ -99,10 +101,7 @@ def emit(records: list, fmt: str, columns: Optional[List[str]] = None,
             columns = list(records[0].keys()) if records else []
             rows = ([_csv_cell(r.get(c)) for c in columns] for r in records)
         else:
-            # a search row's cells are str, int or None (an empty cell), but
-            # for selfdual, the one bool, which csv would spell True or False
-            k = columns.index("selfdual")
-            rows = ((*row[:k], _CSV_BOOL[row[k]], *row[k + 1:]) for row in records)
+            rows = records
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if header:
@@ -129,9 +128,11 @@ def _csv_cell(value):
 
 
 def phi_text(phi: Optional[CosetFunction]) -> str:
+    """phi as rep:value pairs in rep order, the text ``parse_phi`` reads."""
     if phi is None:
         return ""
-    return ",".join(f"{k}:{v}" for k, v in phi.to_json().items())
+    cosets = phi.params.cosets_on(phi.residue)
+    return ",".join([f"{Q.rep}:{v}" for Q, v in zip(cosets, phi.values())])
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,9 @@ def cmd_exist(args) -> List[dict]:
 
 def cmd_search(args) -> Iterator[List[tuple]]:
     """Census rows in output order, (p, e, n, lambda text, h), each a tuple
-    in CSV_COLUMNS order, one list per (p, e, n) that has rows.
+    in CSV_COLUMNS order, one list per (p, e, n) that has rows.  Cells are
+    str, int or None (an empty cell), but for selfdual: a bool in json, and
+    true or false in csv and text, so csv writes every cell as it is.
 
     All input is checked here, so an error comes before the first row:
     every field, and the first instance's length and every h of each
@@ -249,6 +252,7 @@ def cmd_search(args) -> Iterator[List[tuple]]:
 
 def _search_rows(args, blocks, lengths) -> Iterator[List[tuple]]:
     max_cosets, max_mult = args.max_cosets, args.max_multiplicity
+    selfdual_cell = {True: True, False: False} if args.format == "json" else _CSV_BOOL
 
     def phi_cells(params, phi):
         """The phi, dim and d_min cells of a witness, computed once per phi."""
@@ -271,19 +275,19 @@ def _search_rows(args, blocks, lengths) -> Iterator[List[tuple]]:
                     continue
                 if max_mult is not None and params.mult_cap > max_mult:
                     continue
-                r, nprime, nu = params.r, params.nprime, params.nu
+                head = (p, e, n, lam_text, params.r, params.nprime, params.nu)
                 _, iso_phi, iso_witness = iso_selfdual_family(params)
-                iso_cells = None  # the iso witness's cells, once some h needs them
-                for h in hs:
-                    verdict = galois_selfdual_exists(params, h)
-                    if verdict.witness_phi is not None:
-                        cells = phi_cells(params, verdict.witness_phi)
-                    else:
-                        if iso_cells is None:
-                            iso_cells = phi_cells(params, iso_phi)
-                        cells = iso_cells
-                    rows.append((p, e, n, lam_text, r, nprime, nu, h, *cells,
-                                 verdict.exists, iso_witness))
+                # a verdict's witness -> the cells after h; h of one action share
+                # a witness, and every h without one (None) shows the iso witness
+                tails = {}
+                for h, verdict in zip(hs, galois_selfdual_verdicts(params, hs)):
+                    phi = verdict.witness_phi
+                    tail = tails.get(phi)
+                    if tail is None:
+                        cells = phi_cells(params, iso_phi if phi is None else phi)
+                        selfdual = selfdual_cell[verdict.exists]
+                        tail = tails[phi] = (*cells, selfdual, iso_witness)
+                    rows.append((*head, h, *tail))
             if rows:
                 yield rows
 

@@ -10,7 +10,7 @@ against the duality predicate before returning it.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from .cosets import CodeParams, CosetFunction, s_orbits
 from .duality import _galois_h
@@ -125,29 +125,56 @@ def iso_selfdual_family(params: CodeParams):
     raise AssertionError("even-orbit multiplier promised but not found")
 
 
+# every rejected h of every instance gets this one verdict
+_ABSENT = ExistenceVerdict(False)
+
+
+def galois_selfdual_verdicts(params: CodeParams,
+                             hs: Iterable[int]) -> List[ExistenceVerdict]:
+    """:func:`galois_selfdual_exists` for every h of ``hs``, in order.
+
+    Multiplication by q fixes every q-coset, so -p^h and -p^h' act alike
+    when they lie in one <q>-orbit mod n'r, as h = 0 and h = e always do.
+    The witness is built and checked once per such orbit, and the verdicts
+    of its h share that one phi.
+    """
+    p, e, r, period, q = params.p, params.e, params.r, params.period, params.q
+    even = params.nprime % 2 == 0 and r % 2 == 0
+    if p == 2 and params.nu >= 1:
+        labels = ("(i)", "(i)")  # the label for h even, for h odd; None: no codes
+    elif even and p % 4 == 1:
+        labels = ("(ii)", "(ii)")
+    elif even and p % 4 == 3:
+        iv = "(iv)" if nu(2, params.nprime * r) > nu(2, p + 1) else None
+        labels = ("(iii)" if e % 2 == 0 else iv, iv)
+    else:
+        labels = (None, None)
+    witnesses = {}  # the least member of an orbit of -p^h -> its witness
+    verdicts = []
+    for h in hs:
+        _galois_h(e, h)
+        label = labels[h % 2]
+        if label is None or (p ** h + 1) % r != 0:
+            verdicts.append(_ABSENT)
+            continue
+        t = -(p ** h)
+        start = least = t % period
+        k = start * q % period
+        while k != start:
+            least = min(least, k)
+            k = k * q % period
+        phi = witnesses.get(least)
+        if phi is None:
+            phi = witnesses[least] = _witness(params, t)
+            if phi is None:
+                raise AssertionError("-p^h has an odd orbit in a family that exists")
+        verdicts.append(ExistenceVerdict(True, label, phi))
+    return verdicts
+
+
 def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
     """Existence of p^h-self-dual lambda-constacyclic codes of length n."""
-    _galois_h(params.e, h)
-    p = params.p
-    if (p ** h + 1) % params.r != 0:
-        return ExistenceVerdict(False)
-    if p == 2 and params.nu >= 1:
-        label = "(i)"
-    else:
-        even = params.nprime % 2 == 0 and params.r % 2 == 0
-        if even and p % 4 == 1:
-            label = "(ii)"
-        elif even and p % 4 == 3 and params.e % 2 == 0 and h % 2 == 0:
-            label = "(iii)"
-        elif (even and p % 4 == 3 and (params.e % 2 == 1 or h % 2 == 1)
-              and nu(2, params.nprime * params.r) > nu(2, p + 1)):
-            label = "(iv)"
-        else:
-            return ExistenceVerdict(False)
-    phi = _witness(params, -(p ** h))
-    if phi is None:
-        raise AssertionError("-p^h has an odd orbit in a family that exists")
-    return ExistenceVerdict(True, label, phi)
+    return galois_selfdual_verdicts(params, (h,))[0]
 
 
 # galois_selfdual_exists labels -> labels of its h = 0 and h = e/2 cases.

@@ -13,7 +13,8 @@ closed form of acceptance criterion 7, the parser of the JSON
 polynomial form, the oracle's span equality by three ranks and its
 dual basis on wrapped elements, the generator rows as shifted and
 padded polynomials, the quotient-ring product by its explicit
-wraparound sum, and the isometry M_s placed monomial by monomial.
+wraparound sum, the isometry M_s placed monomial by monomial, and the
+Galois verdict decided one h at a time with a witness of its own.
 """
 
 import itertools
@@ -25,6 +26,8 @@ from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
                           galois_selfdual_exists, make_field, nu, parse_element,
                           q_cosets)
 from constagalois.codes import enumerate_codewords
+from constagalois.duality import _galois_h
+from constagalois.existence import _witness
 from constagalois.oracle import Matrix, naive_cosets
 
 
@@ -259,6 +262,32 @@ def orbits_even_by_case(params, h):
     return None
 
 
+def reference_galois_verdict(params, h):
+    """galois_selfdual_exists decided for one h on its own: the gate
+    r | p^h + 1, the label, and a witness built afresh for -p^h."""
+    _galois_h(params.e, h)
+    p = params.p
+    if (p ** h + 1) % params.r != 0:
+        return ExistenceVerdict(False)
+    if p == 2 and params.nu >= 1:
+        label = "(i)"
+    else:
+        even = params.nprime % 2 == 0 and params.r % 2 == 0
+        if even and p % 4 == 1:
+            label = "(ii)"
+        elif even and p % 4 == 3 and params.e % 2 == 0 and h % 2 == 0:
+            label = "(iii)"
+        elif (even and p % 4 == 3 and (params.e % 2 == 1 or h % 2 == 1)
+              and nu(2, params.nprime * params.r) > nu(2, p + 1)):
+            label = "(iv)"
+        else:
+            return ExistenceVerdict(False)
+    phi = _witness(params, -(p ** h))
+    if phi is None:
+        raise AssertionError("-p^h has an odd orbit in a family that exists")
+    return ExistenceVerdict(True, label, phi)
+
+
 def reference_euclidean_selfdual_exists(params):
     """The Euclidean (h = 0) theorem stated on its own terms (q mod 4 and
     lambda = +-1); the witness is the Galois one at h = 0."""
@@ -455,6 +484,14 @@ def grid_instances(pe_pairs, n_max, max_cosets=6, max_multiplicity=9):
 
 
 PE_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+# the full census grid: p <= 13, e <= 3, n <= 60 and every lambda order
+CENSUS_PE_PAIRS = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in (1, 2, 3)]
+
+
+def census_instances():
+    """Every instance of the full census grid, one lambda per order, unfiltered."""
+    return grid_instances(CENSUS_PE_PAIRS, 60, math.inf, math.inf)
 
 
 def criterion6_codes():

@@ -119,6 +119,11 @@ CASES = [
     # 101^4 - 1, not from trial division over every r < q
     ("search_gf101e4_order2", ["search", "--p-list", "101", "--e-list", "4",
                                "--n-max", "1", "--orders", "2", "--format", "csv"]),
+    # --max-cosets 0 drops every instance, so no row ever reaches a verdict:
+    # an h outside [0, e] is still refused up front, not answered with no rows
+    ("error_search_h_range_all_filtered", ["search", "--p-list", "2", "--e-list", "1",
+                                           "--n-max", "3", "--h-list", "5",
+                                           "--max-cosets", "0", "--format", "csv"]),
 ]
 
 

@@ -11,9 +11,9 @@ import time
 
 import pytest
 
-from constagalois import derive_params, make_field
+from constagalois import derive_params, existence, make_field
 from constagalois.cli import build_parser, cmd_search, main, parse_phi
-from exhaustive import parse_poly
+from exhaustive import census_instances, parse_poly, reference_galois_verdict
 
 
 def run_cli(capsys, *argv):
@@ -266,14 +266,14 @@ def test_search_lambda_orders_of_a_large_field_within_a_cpu_limit(capsys):
 
 def test_internal_error_mid_search_follows_the_rows_before_it(capsys, monkeypatch):
     import constagalois.cli as cli_module
-    exists = cli_module.galois_selfdual_exists
+    verdicts = cli_module.galois_selfdual_verdicts
 
-    def broken(params, h):
+    def broken(params, hs):
         if params.n == 3:
             raise AssertionError("witness fails")
-        return exists(params, h)
+        return verdicts(params, hs)
 
-    monkeypatch.setattr(cli_module, "galois_selfdual_exists", broken)
+    monkeypatch.setattr(cli_module, "galois_selfdual_verdicts", broken)
     code, out, err = run_cli(capsys, "search", "--p-list", "3", "--e-list", "1",
                              "--n-max", "4", "--format", "csv")
     assert (code, err) == (3, "internal error: witness fails\n")
@@ -490,3 +490,42 @@ def test_full_census_digest(capsys):
     assert code == 0, err
     assert out.count("\n") == 26400 + 1
     assert hashlib.md5(out.encode()).hexdigest() == "300a752ff46b747b89075f15367a9043"
+
+
+CENSUS_ARGV = ["search", "--p-list", "2,3,5,7,11,13", "--e-list", "1,2,3", "--n-max", "60"]
+
+
+@pytest.mark.parametrize("fmt, digest", [("json", "26fc365a79f4e132f4fb6637aced1f2b"),
+                                         ("text", "7bd3f0ec6f7e5d37ee9da1887ae54ab4")])
+def test_full_census_digest_in_the_other_formats(capsys, fmt, digest):
+    code, out, err = run_cli(capsys, *CENSUS_ARGV, "--format", fmt)
+    assert code == 0, err
+    assert out.count("\n") == 26400
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+def test_search_builds_one_galois_witness_per_action(capsys, monkeypatch):
+    # -p^h and -p^h' act alike on q-cosets when one <q>-orbit mod n'r holds
+    # both, so the census builds one witness per such orbit of its rows
+    actions = 0
+    for params in census_instances():
+        period, q = params.period, params.q
+        orbits = set()
+        for h in range(params.e + 1):
+            if reference_galois_verdict(params, h).exists:
+                t = -(params.p ** h)
+                orbits.add(frozenset(t * q ** j % period for j in range(params.d)))
+        actions += len(orbits)
+    assert actions == 839
+    built = []
+    witness = existence._witness
+
+    def counting(params, t):
+        if t < 0:  # the iso family's multipliers s are positive
+            built.append((params, t))
+        return witness(params, t)
+
+    monkeypatch.setattr(existence, "_witness", counting)
+    code, _, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
+    assert code == 0, err
+    assert len(built) == actions

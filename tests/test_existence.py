@@ -10,11 +10,12 @@ from constagalois import (CosetFunction, build_code, derive_params,
                           iso_selfdual_exists, make_field, nu, q_cosets,
                           s_orbits)
 from constagalois.duality import iso_witness_for
-from constagalois.existence import iso_selfdual_family
+from constagalois.existence import galois_selfdual_verdicts, iso_selfdual_family
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
-                        brute_iso_selfdual_exists, even_orbit_multiplier, grid_instances,
-                        nu2_power_pm1, orbits_even_by_case, orbits_even_by_valuations,
-                        reference_euclidean_selfdual_exists,
+                        brute_iso_selfdual_exists, census_instances,
+                        even_orbit_multiplier, grid_instances, nu2_power_pm1,
+                        orbits_even_by_case, orbits_even_by_valuations,
+                        reference_euclidean_selfdual_exists, reference_galois_verdict,
                         reference_hermitian_selfdual_exists)
 
 
@@ -186,6 +187,21 @@ def test_existence_matches_exhaustive_search_small():
                     == brute_galois_selfdual_exists(params, h)), (params, h)
         assert (iso_selfdual_exists(params).exists
                 == brute_iso_selfdual_exists(params)), params
+
+
+def test_per_params_verdicts_match_the_one_h_reference_on_the_census_grid():
+    rejected = set()
+    for params in census_instances():
+        hs = range(params.e + 1)
+        expected = [reference_galois_verdict(params, h) for h in hs]
+        verdicts = galois_selfdual_verdicts(params, hs)
+        # equal verdicts: exists, label, and the witness's values on the same params
+        assert verdicts == expected, params
+        assert [galois_selfdual_exists(params, h) for h in hs] == expected, params
+        rejected.update(id(v) for v in verdicts if not v.exists)
+        if verdicts[0].exists:  # -1 and -q act alike
+            assert verdicts[0].witness_phi is verdicts[-1].witness_phi, params
+    assert len(rejected) == 1
 
 
 def test_verdict_json_shape():
