@@ -84,29 +84,23 @@ def params_from_args(args) -> CodeParams:
 # output
 # ---------------------------------------------------------------------------
 
-def emit(records: list, fmt: str, columns: Optional[List[str]] = None,
-         header: bool = True) -> str:
+def emit(records: list, fmt: str) -> str:
     """The records as text, one line each, with no final newline.
 
-    A record is a dict, or with ``columns`` a tuple in that column order
-    (search rows, whose cells csv writes as they are); a csv header leads
-    unless ``header`` is false.
+    A record is a dict, or a str: a line already written in ``fmt``
+    (search rows, see :func:`row_split`).  Dicts in csv lead with a header
+    of their keys.
     """
-    if columns is not None and fmt != "csv":
-        records = [dict(zip(columns, row)) for row in records]
+    if records and isinstance(records[0], str):
+        return "\n".join(records)
     if fmt == "json":
         return "\n".join(json.dumps(r) for r in records)
     if fmt == "csv":
-        if columns is None:
-            columns = list(records[0].keys()) if records else []
-            rows = ([_csv_cell(r.get(c)) for c in columns] for r in records)
-        else:
-            rows = records
+        columns = list(records[0].keys()) if records else []
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if header:
-            writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(r.get(c)) for c in columns] for r in records)
         return buf.getvalue().rstrip("\n")
     if fmt == "text":
         return "\n".join("  ".join(f"{k}={_csv_cell(v)}" for k, v in r.items())
@@ -125,6 +119,54 @@ def _csv_cell(value):
     if isinstance(value, (dict, list)):
         return json.dumps(value)
     return value
+
+
+def _csv_value(value) -> str:
+    """A csv cell's text, quoted as csv quotes a cell with a comma, a quote
+    or a line break in it."""
+    text = str(_csv_cell(value))
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# format -> (opening, separator, closing, a column's label, a value's text)
+_ROW_STYLES = {
+    "csv": ("", ",", "", lambda column: "", _csv_value),
+    "json": ("{", ", ", "}", lambda column: json.dumps(column) + ": ", json.dumps),
+    "text": ("", "  ", "", lambda column: column + "=", lambda value: f"{_csv_cell(value)}"),
+}
+
+
+def row_split(fmt: str, columns: List[str], middle: str):
+    """How ``fmt`` writes a row of ``columns``, split around the int cell
+    of column ``middle``: the functions (cell, prefix, suffix).
+
+    ``cell(column, value)`` is one cell's text; ``prefix(cells)`` is the
+    row's text up to the middle value, from the cell texts before it, and
+    ``suffix(cells)`` the rest, from the cell texts after it.  A row is
+    ``prefix + str(value) + suffix``, each part written once however many
+    rows share it; the line reads as ``emit`` writes the row's dict in json
+    and text, and as csv writes its cells under a header of ``columns``.
+    """
+    if fmt not in _ROW_STYLES:
+        raise ValueError(f"unknown format {fmt!r}")
+    opening, sep, closing, label, value_text = _ROW_STYLES[fmt]
+    labels = {column: label(column) for column in columns}
+    before = sep + labels[middle]
+
+    def cell(column: str, value) -> str:
+        if type(value) is int:  # every format writes an int as its digits
+            return labels[column] + str(value)
+        return labels[column] + value_text(value)
+
+    def prefix(cells: List[str]) -> str:
+        return opening + sep.join(cells) + before
+
+    def suffix(cells: List[str]) -> str:
+        return sep + sep.join(cells) + closing
+
+    return cell, prefix, suffix
 
 
 def phi_text(phi: Optional[CosetFunction]) -> str:
@@ -215,11 +257,10 @@ def cmd_exist(args) -> List[dict]:
     return [record]
 
 
-def cmd_search(args) -> Iterator[List[tuple]]:
-    """Census rows in output order, (p, e, n, lambda text, h), each a tuple
-    in CSV_COLUMNS order, one list per (p, e, n) that has rows.  Cells are
-    str, int or None (an empty cell), but for selfdual: a bool in json, and
-    true or false in csv and text, so csv writes every cell as it is.
+def cmd_search(args) -> Iterator[List[str]]:
+    """Census rows in output order, (p, e, n, lambda text, h), each a line
+    in ``args.format`` with the cells of CSV_COLUMNS, one list per
+    (p, e, n) that has rows.
 
     All input is checked here, so an error comes before the first row:
     every field, and the first instance's length and every h of each
@@ -238,9 +279,9 @@ def cmd_search(args) -> Iterator[List[tuple]]:
             for f in field.group_factors:
                 orders = [r * f ** k for r in orders
                           for k in range(p_split(f, q - 1)[0] + 1)]
-            powers = (field.generator ** ((q - 1) // r) for r in orders
+            powers = ((field.generator ** ((q - 1) // r), r) for r in orders
                       if wanted is None or r in wanted)
-            lams = sorted({format_element(lam): lam for lam in powers}.items())
+            lams = sorted((format_element(lam), lam, r) for lam, r in powers)
             hs = range(e + 1) if h_set is None else sorted(h_set)
             if lams and lengths:
                 derive_params(p, e, args.n_min, lams[0][1])
@@ -250,44 +291,55 @@ def cmd_search(args) -> Iterator[List[tuple]]:
     return _search_rows(args, blocks, lengths)
 
 
-def _search_rows(args, blocks, lengths) -> Iterator[List[tuple]]:
+def _search_rows(args, blocks, lengths) -> Iterator[List[str]]:
+    """The lines of :func:`cmd_search`.  Each instance's head (p, e, n,
+    lambda, r, n', nu) is written once, each lambda's cell once, and the
+    tail after h (phi, dim, d_min, selfdual, iso_witness) once per distinct
+    witness of the instance; the instances with no witness share one tail."""
     max_cosets, max_mult = args.max_cosets, args.max_multiplicity
-    selfdual_cell = {True: True, False: False} if args.format == "json" else _CSV_BOOL
+    cell, prefix, suffix = row_split(args.format, CSV_COLUMNS, "h")
 
-    def phi_cells(params, phi):
-        """The phi, dim and d_min cells of a witness, computed once per phi."""
-        if phi is None:
-            return "", None, None
+    def tail(params, phi, selfdual, iso_witness):
         d_min = None
         if args.with_weights:
             try:
                 d_min = min_weight(build_code(params, phi), args.cap)
             except ValueError:
                 pass
-        return phi_text(phi), phi.weight(), d_min
+        return suffix([cell("phi", phi_text(phi)), cell("dim", phi.weight()),
+                       cell("d_min", d_min), cell("selfdual", selfdual),
+                       cell("iso_witness", iso_witness)])
 
+    no_witness = suffix([cell("phi", ""), cell("dim", None), cell("d_min", None),
+                         cell("selfdual", False), cell("iso_witness", None)])
     for p, e, lams, hs in blocks:
+        pe_cells = [cell("p", p), cell("e", e)]
+        # lambda = g^((q-1)/r) has order r
+        lam_cells = [(lam, [cell("lambda", text), cell("r", r)]) for text, lam, r in lams]
         for n in lengths:
+            nu, nprime = p_split(p, n)  # the params' nu and n', as for every lambda
+            pen_cells = [*pe_cells, cell("n", n)]
+            n_cells = [cell("nprime", nprime), cell("nu", nu)]
             rows = []
-            for lam_text, lam in lams:
+            for lam, lam_r_cells in lam_cells:
                 params = derive_params(p, e, n, lam)
                 if max_cosets is not None and len(q_cosets(params, 1)) > max_cosets:
                     continue
                 if max_mult is not None and params.mult_cap > max_mult:
                     continue
-                head = (p, e, n, lam_text, params.r, params.nprime, params.nu)
+                head = prefix([*pen_cells, *lam_r_cells, *n_cells])
                 _, iso_phi, iso_witness = iso_selfdual_family(params)
-                # a verdict's witness -> the cells after h; h of one action share
-                # a witness, and every h without one (None) shows the iso witness
+                # a verdict's witness -> the row's text after h; h of one action
+                # share a witness, and every h without one (None) shows the iso witness
                 tails = {}
                 for h, verdict in zip(hs, galois_selfdual_verdicts(params, hs)):
                     phi = verdict.witness_phi
-                    tail = tails.get(phi)
-                    if tail is None:
-                        cells = phi_cells(params, iso_phi if phi is None else phi)
-                        selfdual = selfdual_cell[verdict.exists]
-                        tail = tails[phi] = (*cells, selfdual, iso_witness)
-                    rows.append((*head, h, *tail))
+                    text = tails.get(phi)
+                    if text is None:
+                        shown = iso_phi if phi is None else phi
+                        text = tails[phi] = (no_witness if shown is None else
+                                             tail(params, shown, verdict.exists, iso_witness))
+                    rows.append(f"{head}{h}{text}")
             if rows:
                 yield rows
 
@@ -464,13 +516,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _print_search(blocks: Iterator[List[tuple]], fmt: str) -> None:
+def _print_search(blocks: Iterator[List[str]], fmt: str) -> None:
     """Print search rows one (p, e, n) block at a time; a csv header leads,
     also when there are no rows."""
     if fmt == "csv":
-        print(emit([], fmt, CSV_COLUMNS))
-    for rows in blocks:
-        print(emit(rows, fmt, CSV_COLUMNS, header=False))
+        print(emit([",".join(CSV_COLUMNS)], fmt))
+    for lines in blocks:
+        print(emit(lines, fmt))
 
 
 if __name__ == "__main__":

@@ -58,7 +58,8 @@ class CodeParams:
     of each class mod r), like every result computed from the params
     elsewhere (coset polynomials, minimum weights, the isometric family),
     is memoised by the function that computes it, keyed on the interned
-    params that :func:`derive_params` returns.
+    params that :func:`derive_params` returns.  lambda is held as its
+    int ``lam_v``; :attr:`lam` wraps it on demand.
     """
 
     def __init__(self, p: int, e: int, n: int, lam: FieldElement):
@@ -66,7 +67,7 @@ class CodeParams:
         self.e = e
         self.q = p ** e
         self.n = n
-        self.lam = lam
+        self.lam_v = lam.v
         self.field = lam.field
         self.r = mult_order(lam)
         nu, nprime = p_split(p, n)
@@ -81,6 +82,10 @@ class CodeParams:
                 acc = (acc * self.q) % self.period
                 d += 1
         self.d = d
+
+    @property
+    def lam(self) -> FieldElement:
+        return self.field.wrap(self.lam_v)
 
     @cached_property
     def lam_prime(self) -> FieldElement:
@@ -102,7 +107,7 @@ class CodeParams:
         n'r with xi^(nj) = lambda, found by stepping (xi^n)^j one product
         at a time (j = 0, theta = 1, when n'r = 1)."""
         big = self.big_field
-        lam = self.field.embedding_into(big).map_int(self.lam.v)
+        lam = self.field.embedding_into(big).map_int(self.lam_v)
         m_step = (big.order - 1) // self.period
         mul, step = big.mul, big.pow(big.generator.v, m_step * self.n)
         acc = 1
@@ -218,10 +223,13 @@ def _theta_class(params: CodeParams, c: int) -> List[FieldElement]:
     return powers
 
 
-# Interned CodeParams, keyed on (p, e, n, lambda) for the life of the
-# process; lambda lives in the interned GF(p^e), so equal keys mean equal
-# parameters.  ``_interned_params.cache_info()`` reads hits and misses.
-_interned_params = cache(CodeParams)
+@cache
+def _interned_params(field: Field, n: int, lam_v: int) -> CodeParams:
+    """Interned CodeParams, keyed on (GF(p^e), n, lambda's int) for the
+    life of the process: fields are interned and hash by identity, so the
+    lookup hashes and compares no FieldElement.  ``cache_info()`` reads
+    hits and misses."""
+    return CodeParams(field.p, field.m, n, field.wrap(lam_v))
 
 
 def derive_params(p: int, e: int, n: int, lam) -> CodeParams:
@@ -238,11 +246,11 @@ def derive_params(p: int, e: int, n: int, lam) -> CodeParams:
         lam = field.from_int(lam)
     elif lam.field is not field:
         raise ValueError("lambda must live in the canonical GF(p^e)")
-    if not lam:
+    if not lam.v:
         raise ValueError("lambda must be a unit")
     if n < 1:
         raise ValueError("length must be positive")
-    return _interned_params(p, e, n, lam)
+    return _interned_params(field, n, lam.v)
 
 
 def q_cosets(params: CodeParams, s: int = 1) -> List[QCoset]:

@@ -13,11 +13,15 @@ closed form of acceptance criterion 7, the parser of the JSON
 polynomial form, the oracle's span equality by three ranks and its
 dual basis on wrapped elements, the generator rows as shifted and
 padded polynomials, the quotient-ring product by its explicit
-wraparound sum, the isometry M_s placed monomial by monomial, and the
-Galois verdict decided one h at a time with a witness of its own.
+wraparound sum, the isometry M_s placed monomial by monomial, the
+Galois verdict decided one h at a time with a witness of its own, and
+search's output written row by row through csv.writer and json.dumps.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
 import random
 
@@ -25,9 +29,11 @@ from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
                           build_code, coset_poly, derive_params,
                           galois_selfdual_exists, make_field, nu, parse_element,
                           q_cosets)
-from constagalois.codes import enumerate_codewords
+from constagalois.cli import build_parser
+from constagalois.codes import _enum_cap, enumerate_codewords, min_weight
 from constagalois.duality import _galois_h
-from constagalois.existence import _witness
+from constagalois.existence import _witness, iso_selfdual_family
+from constagalois.gf import format_element
 from constagalois.oracle import Matrix, naive_cosets
 
 
@@ -286,6 +292,72 @@ def reference_galois_verdict(params, h):
     if phi is None:
         raise AssertionError("-p^h has an odd orbit in a family that exists")
     return ExistenceVerdict(True, label, phi)
+
+
+SEARCH_COLUMNS = ["p", "e", "n", "lambda", "r", "nprime", "nu", "h",
+                  "phi", "dim", "d_min", "selfdual", "iso_witness"]
+
+
+def _text_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def reference_search_output(argv):
+    """search's stdout for ``argv`` built row by row: each row a tuple of
+    SEARCH_COLUMNS cells, csv written by csv.writer under its header, json
+    as a dict through json.dumps, text as a k=v join.  lambda = g^((q-1)/r)
+    for every r | q - 1 found by trial division (only the wanted r with
+    --orders), and the Galois verdict one h at a time."""
+    args = build_parser().parse_args(argv)
+    cap = _enum_cap(None) if args.cap is None else args.cap
+    rows = []
+    for p in sorted(args.p_list):
+        for e in sorted(args.e_list):
+            q = p ** e
+            field = make_field(p, e)
+            orders = sorted(args.orders) if args.orders else range(1, q)
+            lams = sorted((format_element(field.generator ** ((q - 1) // r)), r)
+                          for r in orders if (q - 1) % r == 0)
+            hs = sorted(args.h_list) if args.h_list else range(e + 1)
+            for n in range(args.n_min, args.n_max + 1):
+                for lam_text, r in lams:
+                    params = derive_params(p, e, n, lam_text)
+                    if args.max_cosets is not None and len(q_cosets(params, 1)) > args.max_cosets:
+                        continue
+                    if (args.max_multiplicity is not None
+                            and p ** params.nu > args.max_multiplicity):
+                        continue
+                    _, iso_phi, iso_witness = iso_selfdual_family(params)
+                    for h in hs:
+                        verdict = reference_galois_verdict(params, h)
+                        phi = iso_phi if verdict.witness_phi is None else verdict.witness_phi
+                        phi_cell, dim, d_min = "", None, None
+                        if phi is not None:
+                            phi_cell = ",".join(f"{k}:{v}" for k, v in phi.to_json().items())
+                            dim = phi.weight()
+                            if args.with_weights:
+                                try:
+                                    d_min = min_weight(build_code(params, phi), cap)
+                                except ValueError:
+                                    pass
+                        rows.append((p, e, n, lam_text, r, params.nprime, params.nu, h,
+                                     phi_cell, dim, d_min, verdict.exists, iso_witness))
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(SEARCH_COLUMNS)
+        writer.writerows([_text_cell(c) for c in row] for row in rows)
+        return buf.getvalue()
+    if args.format == "json":
+        lines = [json.dumps(dict(zip(SEARCH_COLUMNS, row))) for row in rows]
+    else:
+        lines = ["  ".join(f"{k}={_text_cell(v)}" for k, v in zip(SEARCH_COLUMNS, row))
+                 for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def reference_euclidean_selfdual_exists(params):

@@ -11,9 +11,10 @@ import time
 
 import pytest
 
-from constagalois import derive_params, existence, make_field
+from constagalois import cli, derive_params, existence, make_field
 from constagalois.cli import build_parser, cmd_search, main, parse_phi
-from exhaustive import census_instances, parse_poly, reference_galois_verdict
+from exhaustive import (census_instances, parse_poly, reference_galois_verdict,
+                        reference_search_output)
 
 
 def run_cli(capsys, *argv):
@@ -215,11 +216,16 @@ def test_search_errors_come_before_any_output(capsys, flag, value, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def _cells(line):
+    """A json search line's cells in column order."""
+    return tuple(json.loads(line).values())
+
+
 def test_search_is_lazy():
     args = build_parser().parse_args(["search", "--p-list", "2", "--e-list", "1",
                                       "--n-max", "1000000"])
     start = time.process_time()
-    first = next(iter(cmd_search(args)))[0]
+    first = _cells(next(iter(cmd_search(args)))[0])
     assert time.process_time() - start < 0.5
     assert first[:3] == (2, 1, 1)
 
@@ -236,7 +242,7 @@ def test_search_lambda_orders_are_the_divisors_of_q_minus_1(orders):
         argv += ["--orders", orders]
     seen = {}
     for block in cmd_search(build_parser().parse_args(argv)):
-        for row in block:
+        for row in map(_cells, block):
             seen.setdefault(row[:2], []).append(row[4])  # (p, e) -> r
     wanted = set(map(int, orders.split(","))) if orders else None
     for p, e in CENSUS_PE:
@@ -529,3 +535,76 @@ def test_search_builds_one_galois_witness_per_action(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
     assert code == 0, err
     assert len(built) == actions
+
+
+# a lambda printed [c0,...] (a quoted csv cell), weights with a number and an
+# empty d_min, every filter, and instances with no witness, with only an iso
+# witness and with Galois witnesses
+SEARCH_GRID = [
+    ["search", "--p-list", "101", "--e-list", "4", "--n-max", "4", "--orders", "2"],
+    ["search", "--p-list", "2,3", "--e-list", "1,2", "--n-max", "8",
+     "--with-weights", "--cap", "60"],
+    ["search", "--p-list", "3,5,7", "--e-list", "1,2,3", "--n-min", "2", "--n-max", "12",
+     "--h-list", "0,1", "--max-cosets", "6", "--max-multiplicity", "3"],
+    ["search", "--p-list", "2,3,5,7,11,13", "--e-list", "1,2", "--n-max", "20"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_search_lines_match_the_row_by_row_writers(capsys, fmt):
+    for argv in SEARCH_GRID:
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == reference_search_output(argv + ["--format", fmt])
+
+
+def test_search_grid_covers_every_kind_of_row(capsys):
+    rows = []
+    for argv in SEARCH_GRID:
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        rows += csv.DictReader(io.StringIO(out))
+        if "--orders" in argv:
+            assert ',"[100,0,0,0]",' in out
+    d_mins = {row["d_min"] for row in rows if row["phi"]}
+    assert "" in d_mins and any(d.isdigit() for d in d_mins)
+    witnesses = {}  # instance -> the (phi shown, selfdual) of its rows
+    for row in rows:
+        key = (row["p"], row["e"], row["n"], row["lambda"])
+        witnesses.setdefault(key, set()).add((bool(row["phi"]), row["selfdual"]))
+    kinds = {"galois" if (True, "true") in seen else "iso" if (True, "false") in seen
+             else "none" for seen in witnesses.values()}
+    assert kinds == {"none", "iso", "galois"}
+    assert {(False, "false")} in witnesses.values()
+    assert {(True, "false")} in witnesses.values()
+
+
+def test_search_writes_each_head_and_tail_once(capsys, monkeypatch):
+    # one head per instance, one tail per distinct witness of an instance,
+    # one tail shared by the instances with no witness: never one per row
+    heads, tails = [], []
+    split = cli.row_split
+
+    def counted(write, calls):
+        def counting_write(cells):
+            calls.append(cells)
+            return write(cells)
+        return counting_write
+
+    def counting(*args):
+        cell, prefix, suffix = split(*args)
+        return cell, counted(prefix, heads), counted(suffix, tails)
+
+    monkeypatch.setattr(cli, "row_split", counting)
+    code, out, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
+    assert code == 0, err
+    instances = {}
+    rows = list(csv.DictReader(io.StringIO(out)))
+    for row in rows:
+        key = (row["p"], row["e"], row["n"], row["lambda"])
+        if row["phi"]:
+            instances.setdefault(key, set()).add((row["phi"], row["selfdual"]))
+        else:
+            instances.setdefault(key, set())
+    assert len(heads) == len(instances) == 8040
+    assert len(tails) == 1 + sum(map(len, instances.values()))
+    assert len(heads) + len(tails) < len(rows) // 2

@@ -8,7 +8,7 @@ from constagalois import (CodeParams, CosetFunction, derive_params, embed,
 from constagalois.codes import coset_poly
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_family
-from constagalois.cosets import _coset_class, _theta_class
+from constagalois.cosets import _coset_class, _interned_params, _theta_class
 from exhaustive import (PE_PAIRS, factor_walk_order, grid_instances, reference_act,
                         reference_image_rep, reference_s_orbits, reference_theta_dlog)
 
@@ -345,9 +345,14 @@ def test_coset_of_rejects_other_class():
 
 
 def test_derive_params_interns_every_spelling_of_lambda():
+    minus_one = make_field(3, 2).from_int(-1)
     one_spelling = derive_params(3, 2, 4, -1)
+    hits = _interned_params.cache_info().hits
     assert one_spelling is derive_params(3, 2, 4, "g^4")
-    assert one_spelling is derive_params(3, 2, 4, make_field(3, 2).from_int(-1))
+    assert one_spelling is derive_params(3, 2, 4, minus_one)
+    assert _interned_params.cache_info().hits == hits + 2
+    # the params hold lambda as its int and wrap it on demand
+    assert one_spelling.lam_v == minus_one.v and one_spelling.lam == minus_one
 
 
 def test_coset_poly_and_iso_family_memos_hit_on_repeat():
