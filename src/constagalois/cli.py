@@ -11,9 +11,7 @@ time, after checking all of its input.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -84,58 +82,67 @@ def params_from_args(args) -> CodeParams:
 # output
 # ---------------------------------------------------------------------------
 
-def emit(records: list, fmt: str) -> str:
-    """The records as text, one line each, with no final newline.
-
-    A record is a dict, or a str: a line already written in ``fmt``
-    (search rows, see :func:`row_split`).  Dicts in csv lead with a header
-    of their keys.
-    """
-    if records and isinstance(records[0], str):
-        return "\n".join(records)
-    if fmt == "json":
-        return "\n".join(json.dumps(r) for r in records)
-    if fmt == "csv":
-        columns = list(records[0].keys()) if records else []
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_csv_cell(r.get(c)) for c in columns] for r in records)
-        return buf.getvalue().rstrip("\n")
-    if fmt == "text":
-        return "\n".join("  ".join(f"{k}={_csv_cell(v)}" for k, v in r.items())
-                         for r in records)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-_CSV_BOOL = {True: "true", False: "false"}
-
-
-def _csv_cell(value):
+def _text(value) -> str:
+    """A value's csv or text: None is empty, a bool, dict or list its JSON."""
+    if isinstance(value, str):  # most cells, and every column name
+        return value
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return _CSV_BOOL[value]
-    if isinstance(value, (dict, list)):
-        return json.dumps(value)
-    return value
+    if isinstance(value, bool):  # as JSON spells it, without a json.dumps per cell
+        return "true" if value else "false"
+    return json.dumps(value) if isinstance(value, (dict, list)) else str(value)
 
 
 def _csv_value(value) -> str:
     """A csv cell's text, quoted as csv quotes a cell with a comma, a quote
     or a line break in it."""
-    text = str(_csv_cell(value))
+    text = _text(value)
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-# format -> (opening, separator, closing, a column's label, a value's text)
+# format -> (opening, separator, closing, a column's label, a value's text);
+# csv labels no cell: its rows sit under a header of the column names
 _ROW_STYLES = {
-    "csv": ("", ",", "", lambda column: "", _csv_value),
+    "csv": ("", ",", "", None, _csv_value),
     "json": ("{", ", ", "}", lambda column: json.dumps(column) + ": ", json.dumps),
-    "text": ("", "  ", "", lambda column: column + "=", lambda value: f"{_csv_cell(value)}"),
+    "text": ("", "  ", "", lambda column: column + "=", _text),
 }
+
+
+def _style(fmt: str):
+    """The style of ``fmt`` that every line of every command is written in."""
+    style = _ROW_STYLES.get(fmt)
+    if style is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    return style
+
+
+def _header(fmt: str, columns: List[str]) -> List[str]:
+    """The lines that lead rows of ``columns``: csv's header of the column
+    names, none in json and text, whose cells carry their own label."""
+    _, sep, _, label, value_text = _style(fmt)
+    return [] if label else [sep.join(map(value_text, columns))]
+
+
+def emit(records: list, fmt: str) -> str:
+    """The records as text, one line each, with no final newline.
+
+    A record is a dict, or a str: a line already written in ``fmt``
+    (search rows, see :func:`row_split`).  Dicts in csv lead with a header
+    of the first record's keys, each row a record's values under them.
+    """
+    opening, sep, closing, label, value_text = _style(fmt)
+    if not records or isinstance(records[0], str):
+        return "\n".join(records)
+    columns = list(records[0])
+    lines = _header(fmt, columns)
+    for r in records:
+        cells = ([label(k) + value_text(v) for k, v in r.items()] if label
+                 else [value_text(r.get(c)) for c in columns])
+        lines.append(opening + sep.join(cells) + closing)
+    return "\n".join(lines)
 
 
 def row_split(fmt: str, columns: List[str], middle: str):
@@ -146,13 +153,10 @@ def row_split(fmt: str, columns: List[str], middle: str):
     row's text up to the middle value, from the cell texts before it, and
     ``suffix(cells)`` the rest, from the cell texts after it.  A row is
     ``prefix + str(value) + suffix``, each part written once however many
-    rows share it; the line reads as ``emit`` writes the row's dict in json
-    and text, and as csv writes its cells under a header of ``columns``.
+    rows share it; the line reads as ``emit`` writes the row's dict.
     """
-    if fmt not in _ROW_STYLES:
-        raise ValueError(f"unknown format {fmt!r}")
-    opening, sep, closing, label, value_text = _ROW_STYLES[fmt]
-    labels = {column: label(column) for column in columns}
+    opening, sep, closing, label, value_text = _style(fmt)
+    labels = {column: label(column) if label else "" for column in columns}
     before = sep + labels[middle]
 
     def cell(column: str, value) -> str:
@@ -260,7 +264,8 @@ def cmd_exist(args) -> List[dict]:
 def cmd_search(args) -> Iterator[List[str]]:
     """Census rows in output order, (p, e, n, lambda text, h), each a line
     in ``args.format`` with the cells of CSV_COLUMNS, one list per
-    (p, e, n) that has rows.
+    (p, e, n) that has rows; in csv the header leads, a list of its own,
+    also when no row follows.
 
     All input is checked here, so an error comes before the first row:
     every field, and the first instance's length and every h of each
@@ -292,12 +297,15 @@ def cmd_search(args) -> Iterator[List[str]]:
 
 
 def _search_rows(args, blocks, lengths) -> Iterator[List[str]]:
-    """The lines of :func:`cmd_search`.  Each instance's head (p, e, n,
-    lambda, r, n', nu) is written once, each lambda's cell once, and the
-    tail after h (phi, dim, d_min, selfdual, iso_witness) once per distinct
-    witness of the instance; the instances with no witness share one tail."""
+    """The lines of :func:`cmd_search`, csv's header first.  Each
+    instance's head (p, e, n, lambda, r, n', nu) is written once, each
+    lambda's cell once, and the tail after h (phi, dim, d_min, selfdual,
+    iso_witness) once per distinct witness of the instance; the instances
+    with no witness share one tail."""
     max_cosets, max_mult = args.max_cosets, args.max_multiplicity
     cell, prefix, suffix = row_split(args.format, CSV_COLUMNS, "h")
+    if header := _header(args.format, CSV_COLUMNS):
+        yield header
 
     def tail(params, phi, selfdual, iso_witness):
         d_min = None
@@ -489,10 +497,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         records = args.func(args)
-        if args.command == "search":
-            _print_search(records, args.format)
-        else:
-            out = emit(records, args.format)
+        # search streams its lines a block at a time; the rest give one list
+        for block in records if args.command == "search" else [records]:
+            out = emit(block, args.format)
             if out:
                 print(out)
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
@@ -514,15 +521,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "verify" and not all(r["ok"] for r in records):
         return 1
     return 0
-
-
-def _print_search(blocks: Iterator[List[str]], fmt: str) -> None:
-    """Print search rows one (p, e, n) block at a time; a csv header leads,
-    also when there are no rows."""
-    if fmt == "csv":
-        print(emit([",".join(CSV_COLUMNS)], fmt))
-    for lines in blocks:
-        print(emit(lines, fmt))
 
 
 if __name__ == "__main__":

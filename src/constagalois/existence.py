@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, List, NamedTuple, Optional
 
-from .cosets import CodeParams, CosetFunction, s_orbits
+from .cosets import CodeParams, CosetFunction, _coset_class, s_orbits
 from .duality import _galois_h
 from .numtheory import p_split
 
@@ -135,10 +135,12 @@ def galois_selfdual_verdicts(params: CodeParams,
 
     Multiplication by q fixes every q-coset, so -p^h and -p^h' act alike
     when they lie in one <q>-orbit mod n'r, as h = 0 and h = e always do.
-    The witness is built and checked once per such orbit, and the verdicts
-    of its h share that one phi.
+    Once r | p^h + 1, t = -p^h is 1 mod r and coprime to n'r, so its orbit
+    is the q-coset that holds t in the unit class's coset table.  The
+    witness is built and checked once per such coset, and the verdicts of
+    its h share that one phi.
     """
-    p, e, r, period, q = params.p, params.e, params.r, params.period, params.q
+    p, e, r, period = params.p, params.e, params.r, params.period
     even = params.nprime % 2 == 0 and r % 2 == 0
     if p == 2 and params.nu >= 1:
         labels = ("(i)", "(i)")  # the label for h even, for h odd; None: no codes
@@ -149,7 +151,7 @@ def galois_selfdual_verdicts(params: CodeParams,
         labels = ("(iii)" if e % 2 == 0 else iv, iv)
     else:
         labels = (None, None)
-    witnesses = {}  # the least member of an orbit of -p^h -> its witness
+    witnesses = {}  # the q-coset of -p^h -> its witness
     verdicts = []
     for h in hs:
         _galois_h(e, h)
@@ -158,14 +160,11 @@ def galois_selfdual_verdicts(params: CodeParams,
             verdicts.append(_ABSENT)
             continue
         t = -(p ** h)
-        start = least = t % period
-        k = start * q % period
-        while k != start:
-            least = min(least, k)
-            k = k * q % period
-        phi = witnesses.get(least)
+        # t's entry in the unit class's table; images(1, t)[0] is {0} when r = 1
+        orbit = _coset_class(params, 1 % r)[1][t % period // r]
+        phi = witnesses.get(orbit)
         if phi is None:
-            phi = witnesses[least] = _witness(params, t)
+            phi = witnesses[orbit] = _witness(params, t)
             if phi is None:
                 raise AssertionError("-p^h has an odd orbit in a family that exists")
         verdicts.append(ExistenceVerdict(True, label, phi))

@@ -15,7 +15,8 @@ dual basis on wrapped elements, the generator rows as shifted and
 padded polynomials, the quotient-ring product by its explicit
 wraparound sum, the isometry M_s placed monomial by monomial, the
 Galois verdict decided one h at a time with a witness of its own, and
-search's output written row by row through csv.writer and json.dumps.
+the CLI's dict records and search rows written through csv.writer,
+json.dumps and a k=v join.
 """
 
 import csv
@@ -303,13 +304,40 @@ def _text_cell(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, (dict, list)):
+        return json.dumps(value)
     return value
 
 
+def reference_lines(records, fmt, columns=None):
+    """Dict records as the CLI writes them, by the standard library, each
+    line ended by a newline: csv by csv.writer under a header of
+    ``columns`` (the first record's keys by default), a row's cells its
+    values there, json as json.dumps of each record, text as a k=v join of
+    each record's items.  None is an empty cell outside json, a bool
+    true or false, a dict or list its JSON.
+
+    csv.writer quotes a cell holding a lone carriage return only from
+    Python 3.13, and writes a row of one empty cell as a quoted empty
+    cell; no CLI record holds either."""
+    if fmt == "csv":
+        columns = list(records[0]) if columns is None else columns
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_text_cell(r.get(c)) for c in columns] for r in records)
+        return buf.getvalue()
+    if fmt == "json":
+        lines = [json.dumps(r) for r in records]
+    else:
+        lines = ["  ".join(f"{k}={_text_cell(v)}" for k, v in r.items()) for r in records]
+    return "".join(line + "\n" for line in lines)
+
+
 def reference_search_output(argv):
-    """search's stdout for ``argv`` built row by row: each row a tuple of
-    SEARCH_COLUMNS cells, csv written by csv.writer under its header, json
-    as a dict through json.dumps, text as a k=v join.  lambda = g^((q-1)/r)
+    """search's stdout for ``argv`` built row by row: each row a dict of
+    SEARCH_COLUMNS cells, written by :func:`reference_lines` (csv under its
+    header, also with no rows).  lambda = g^((q-1)/r)
     for every r | q - 1 found by trial division (only the wanted r with
     --orders), and the Galois verdict one h at a time."""
     args = build_parser().parse_args(argv)
@@ -344,20 +372,10 @@ def reference_search_output(argv):
                                     d_min = min_weight(build_code(params, phi), cap)
                                 except ValueError:
                                     pass
-                        rows.append((p, e, n, lam_text, r, params.nprime, params.nu, h,
-                                     phi_cell, dim, d_min, verdict.exists, iso_witness))
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SEARCH_COLUMNS)
-        writer.writerows([_text_cell(c) for c in row] for row in rows)
-        return buf.getvalue()
-    if args.format == "json":
-        lines = [json.dumps(dict(zip(SEARCH_COLUMNS, row))) for row in rows]
-    else:
-        lines = ["  ".join(f"{k}={_text_cell(v)}" for k, v in zip(SEARCH_COLUMNS, row))
-                 for row in rows]
-    return "".join(line + "\n" for line in lines)
+                        rows.append(dict(zip(SEARCH_COLUMNS, (
+                            p, e, n, lam_text, r, params.nprime, params.nu, h,
+                            phi_cell, dim, d_min, verdict.exists, iso_witness))))
+    return reference_lines(rows, args.format, SEARCH_COLUMNS)
 
 
 def reference_euclidean_selfdual_exists(params):

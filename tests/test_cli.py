@@ -14,7 +14,7 @@ import pytest
 from constagalois import cli, derive_params, existence, make_field
 from constagalois.cli import build_parser, cmd_search, main, parse_phi
 from exhaustive import (census_instances, parse_poly, reference_galois_verdict,
-                        reference_search_output)
+                        reference_lines, reference_search_output)
 
 
 def run_cli(capsys, *argv):
@@ -556,6 +556,36 @@ def test_search_lines_match_the_row_by_row_writers(capsys, fmt):
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == reference_search_output(argv + ["--format", fmt])
+
+
+# commas, quotes and line breaks in cells, nested dicts and lists, None,
+# both bools, ints, and a later record that lacks keys and adds one
+EMIT_RECORDS = [
+    {"p": 3, "lambda": "[1,2]", "note": 'say "hi"', "lines": "a\nb",
+     "params": {"p": 3, "q": [1, 2], "lambda": "g^2"}, "cosets": [[1, 3], [5]],
+     "ok": True, "selfdual": False, "witness": None},
+    {"p": 5, "lambda": "g^2", "params": {}, "cosets": [], "ok": False,
+     "witness": None, "extra": 7},
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_emit_writes_dict_records_as_the_stdlib_writers(fmt):
+    assert cli.emit(EMIT_RECORDS, fmt) == reference_lines(EMIT_RECORDS, fmt)[:-1]
+    assert cli.emit(EMIT_RECORDS[:1], fmt) == reference_lines(EMIT_RECORDS[:1], fmt)[:-1]
+    assert cli.emit([], fmt) == ""
+
+
+def test_emit_quotes_a_lone_carriage_return_in_csv():
+    # csv.writer quotes it from Python 3.13 on; the CLI never writes one
+    assert cli.emit([{"a": "x\ry", "b": 1}], "csv") == 'a,b\n"x\ry",1'
+
+
+def test_unknown_format_is_refused():
+    for call in (lambda: cli.emit([{"a": 1}], "xml"),
+                 lambda: cli.row_split("xml", ["a", "h"], "h")):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            call()
 
 
 def test_search_grid_covers_every_kind_of_row(capsys):

@@ -98,7 +98,8 @@ def test_package_import_loads_no_heavy_module():
 
 def raised_messages(source: str, module: str):
     """{message: [qualified name of each function raising it]} for every
-    ``raise Error("literal")`` in the module's source."""
+    ``raise Error("literal")`` in the module's source; an f-string's
+    message is its literal text before the first placeholder, stripped."""
     found = {}
 
     def visit(node, scope):
@@ -106,9 +107,14 @@ def raised_messages(source: str, module: str):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
+            message = None
             if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
-                    and child.exc.args and isinstance(child.exc.args[0], ast.Constant)):
-                found.setdefault(child.exc.args[0].value, []).append(".".join(scope))
+                    and child.exc.args):
+                message = child.exc.args[0]
+                if isinstance(message, ast.JoinedStr) and message.values:
+                    message = message.values[0]
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                found.setdefault(message.value.strip(), []).append(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(source), [module])
@@ -117,17 +123,19 @@ def raised_messages(source: str, module: str):
 
 def test_guard_sees_each_raise_of_a_message():
     source = ("def f(h):\n    raise ValueError('bad h')\n"
-              "class C:\n    def g(self):\n        if 1:\n            raise ValueError('bad h')\n")
-    assert raised_messages(source, "m") == {"bad h": ["m.f", "m.C.g"]}
+              "class C:\n    def g(self):\n        if 1:\n            raise ValueError('bad h')\n"
+              "def k(h):\n    raise ValueError(f'bad h {h!r}')\n")
+    assert raised_messages(source, "m") == {"bad h": ["m.f", "m.C.g", "m.k"]}
 
 
-# one home per domain rule; the oracle keeps its own coset check, as its
-# independent reference
+# one home per domain rule, and one for the CLI's formats; the oracle keeps
+# its own coset check, as its independent reference
 SINGLE_SOURCE = {
     "h must lie in [0, e]": ["duality._galois_h"],
     "s must be coprime to n'r": ["cosets.CodeParams.images", "cosets.q_cosets",
                                  "oracle.naive_cosets"],
     "enumeration too large": ["codes._check_enum_size"],
+    "unknown format": ["cli._style"],
 }
 
 
