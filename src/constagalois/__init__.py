@@ -28,7 +28,6 @@ from .duality import (
     galois_dual,
     is_galois_selfdual,
     is_iso_galois_selfdual,
-    selfdual_condition,
     iso_witness_for,
 )
 from .existence import (
@@ -51,8 +50,7 @@ __all__ = [
     "ConstaCode", "coset_poly", "cf_poly", "build_code", "enumerate_codewords",
     "min_weight",
     "Isometry", "SelfDualCertificate", "galois_inner", "galois_dual",
-    "is_galois_selfdual", "is_iso_galois_selfdual", "selfdual_condition",
-    "iso_witness_for",
+    "is_galois_selfdual", "is_iso_galois_selfdual", "iso_witness_for",
     "ExistenceVerdict", "nu", "duadic_exists",
     "iso_selfdual_exists", "galois_selfdual_exists",
     "euclidean_selfdual_exists", "hermitian_selfdual_exists",

@@ -37,8 +37,8 @@ CSV_COLUMNS = ["p", "e", "n", "lambda", "r", "nprime", "nu", "h",
 # input grammar
 # ---------------------------------------------------------------------------
 
-def parse_phi(params: CodeParams, text: str, residue: int = 1) -> CosetFunction:
-    """Parse "rep:value,rep:value,..." into a coset function."""
+def parse_phi(params: CodeParams, text: str) -> CosetFunction:
+    """Parse "rep:value,rep:value,..." into a coset function on 1 + rZ."""
     assignment = {}
     for chunk in text.split(","):
         rep, _, value = chunk.partition(":")
@@ -48,7 +48,7 @@ def parse_phi(params: CodeParams, text: str, residue: int = 1) -> CosetFunction:
         if key in assignment:
             raise ValueError(f"phi rep {key} given twice")
         assignment[key] = int(value)
-    return CosetFunction(params, assignment, residue)
+    return CosetFunction(params, assignment)
 
 
 def parse_int_set(text: str) -> Set[int]:
@@ -105,8 +105,8 @@ def _csv_value(value) -> str:
 # format -> (opening, separator, closing, a column's label, a value's text);
 # csv labels no cell: its rows sit under a header of the column names
 _ROW_STYLES = {
-    "csv": ("", ",", "", None, _csv_value),
     "json": ("{", ", ", "}", lambda column: json.dumps(column) + ": ", json.dumps),
+    "csv": ("", ",", "", None, _csv_value),
     "text": ("", "  ", "", lambda column: column + "=", _text),
 }
 
@@ -401,7 +401,7 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
         description="constacyclic codes over GF(p^e) under Galois inner products")
     known = _add_flags(parser, config, (
         ("--config", dict(help="flat key=value file with default flags")),
-        ("--format", dict(choices=["json", "csv", "text"], default="json")),
+        ("--format", dict(choices=list(_ROW_STYLES), default="json")),
         ("--cap", dict(type=int, default=None,
                        help="codeword enumeration cap (default 2^20, or "
                             "CONSTAGALOIS_ENUM_CAP)"))))
@@ -411,7 +411,7 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help)
         known.update(_add_flags(sub, config, (_PARAMS_FLAGS if params else ()) + flags))
         # duplicated on each subcommand (SUPPRESS keeps the global defaults)
-        sub.add_argument("--format", choices=["json", "csv", "text"],
+        sub.add_argument("--format", choices=list(_ROW_STYLES),
                          default=argparse.SUPPRESS)
         sub.add_argument("--cap", type=int, default=argparse.SUPPRESS)
         sub.add_argument("--config", default=argparse.SUPPRESS)

@@ -52,8 +52,8 @@ class CodeParams:
     calculus and all existence predicates are pure integer work, and many
     callers never need actual polynomial roots.  ``mult_cap`` is p^nu, the
     largest multiplicity of a coset; :meth:`images` and :meth:`multipliers`
-    are the multiplier action on cosets and the multipliers s = 1 mod r
-    that preserve the unit class.  Beyond the lazy field and theta, an
+    are the multiplier action on cosets and one multiplier s = 1 mod r
+    per action on the unit class.  Beyond the lazy field and theta, an
     instance holds no memo: per-class data (the q-cosets and theta powers
     of each class mod r), like every result computed from the params
     elsewhere (coset polynomials, minimum weights, the isometric family),
@@ -159,12 +159,18 @@ class CodeParams:
         """The q-coset s*Q for s coprime to n'r."""
         return self.images(Q.residue, s)[Q.index]
 
+    def coset_of(self, k: int) -> QCoset:
+        """The q-coset that holds k, read off the table of k's class mod r."""
+        return _coset_class(self, k % self.r)[1][k % self.period // self.r]
+
     def multipliers(self) -> Iterator[int]:
-        """Every s = 1 mod r in [1, n'r] coprime to n'r, ascending: the
-        multipliers that preserve the unit class, one per residue mod n'r.
-        Not one per action: s and s*q act alike on q-cosets."""
+        """The least s in [1, n'r] of each action of the multipliers that
+        preserve the unit class, ascending: s and s*q act alike on q-cosets,
+        so these are the reps of the unit q-cosets of 1 + rZ (n'r for the
+        one coset {0} when n'r = 1)."""
         period = self.period
-        return (s for s in range(1, period + 1, self.r) if math.gcd(s, period) == 1)
+        return (Q.rep or period for Q in self.cosets_on(1)
+                if math.gcd(Q.rep, period) == 1)
 
     # -- misc ----------------------------------------------------------------------
 
@@ -186,7 +192,8 @@ def _coset_class(params: CodeParams, c: int) -> Tuple[List[QCoset], List[QCoset]
     """(q-cosets by rep, coset table) of the class c mod r, 0 <= c < r.
 
     Entry k // r of the table is the q-coset containing k, for every
-    k = c mod r in [0, n'r); :meth:`CodeParams.images` reads it.
+    k = c mod r in [0, n'r); :meth:`CodeParams.images` and
+    :meth:`CodeParams.coset_of` read it.
     Memoised on (params, c) for the process, as interned params live."""
     period, r, q = params.period, params.r, params.q
     table: List[Optional[QCoset]] = [None] * params.nprime

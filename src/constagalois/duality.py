@@ -16,7 +16,7 @@ s * phi = phibar for some s = 1 mod r coprime to n'r.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 from .codes import ConstaCode, build_code
 from .cosets import CodeParams, CosetFunction
@@ -120,24 +120,6 @@ def galois_dual(code: ConstaCode, h: int) -> ConstaCode:
     return dual
 
 
-def selfdual_condition(params: CodeParams, phi: CosetFunction,
-                       h: int) -> Tuple[bool, Optional[str]]:
-    """Coset-level p^h-self-duality test.
-
-    Returns (verdict, failed_clause) where failed_clause is "order" when
-    r does not divide residue*(p^h + 1) (so the dual lands in a different
-    ring), "coset_function" when the multiplier condition
-    (-p^h) * phi = phibar fails (:meth:`CosetFunction.act_is_complement`),
-    and None on success.
-    """
-    h_eff = _galois_h(params.e, h)
-    if (phi.residue * (params.p ** h_eff + 1)) % params.r != 0:
-        return False, "order"
-    if not phi.act_is_complement(-(params.p ** h_eff)):
-        return False, "coset_function"
-    return True, None
-
-
 class SelfDualCertificate(NamedTuple):
     """An immutable verdict; ``_replace`` gives a copy with fields changed."""
 
@@ -154,16 +136,25 @@ class SelfDualCertificate(NamedTuple):
 
 
 def is_galois_selfdual(code: ConstaCode, h: int) -> SelfDualCertificate:
-    """Is C equal to its own p^h-dual?  Certificate records the failure."""
-    ok, clause = selfdual_condition(code.params, code.phi, h)
-    return SelfDualCertificate(ok, h, clause)
+    """Is C equal to its own p^h-dual?  The certificate's failed clause
+    is "order" when r does not divide residue*(p^h + 1) (so the dual lands
+    in a different ring), "coset_function" when (-p^h) * phi = phibar
+    fails (:meth:`CosetFunction.act_is_complement`), and None on success.
+    """
+    params, phi = code.params, code.phi
+    t = params.p ** _galois_h(params.e, h)
+    if phi.residue * (t + 1) % params.r != 0:
+        return SelfDualCertificate(False, h, "order")
+    if not phi.act_is_complement(-t):
+        return SelfDualCertificate(False, h, "coset_function")
+    return SelfDualCertificate(True, h, None)
 
 
 def iso_witness_for(params: CodeParams, phi: CosetFunction) -> Optional[int]:
     """Smallest s = 1 mod r, coprime to n'r, with s*phi = phibar; else None.
 
-    Candidates are the class-preserving multipliers of one period (the
-    action depends only on s mod n'r), each tested by
+    Candidates are the least s of each class-preserving action, ascending
+    (:meth:`CodeParams.multipliers`), each tested once by
     :meth:`CosetFunction.act_is_complement`.
     """
     return next((s for s in params.multipliers() if phi.act_is_complement(s)),

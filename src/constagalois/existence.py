@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, List, NamedTuple, Optional
 
-from .cosets import CodeParams, CosetFunction, _coset_class, s_orbits
+from .cosets import CodeParams, CosetFunction, s_orbits
 from .duality import _galois_h
 from .numtheory import p_split
 
@@ -136,11 +136,11 @@ def galois_selfdual_verdicts(params: CodeParams,
     Multiplication by q fixes every q-coset, so -p^h and -p^h' act alike
     when they lie in one <q>-orbit mod n'r, as h = 0 and h = e always do.
     Once r | p^h + 1, t = -p^h is 1 mod r and coprime to n'r, so its orbit
-    is the q-coset that holds t in the unit class's coset table.  The
+    is the q-coset that holds t, :meth:`CodeParams.coset_of`.  The
     witness is built and checked once per such coset, and the verdicts of
     its h share that one phi.
     """
-    p, e, r, period = params.p, params.e, params.r, params.period
+    p, e, r = params.p, params.e, params.r
     even = params.nprime % 2 == 0 and r % 2 == 0
     if p == 2 and params.nu >= 1:
         labels = ("(i)", "(i)")  # the label for h even, for h odd; None: no codes
@@ -160,8 +160,7 @@ def galois_selfdual_verdicts(params: CodeParams,
             verdicts.append(_ABSENT)
             continue
         t = -(p ** h)
-        # t's entry in the unit class's table; images(1, t)[0] is {0} when r = 1
-        orbit = _coset_class(params, 1 % r)[1][t % period // r]
+        orbit = params.coset_of(t)
         phi = witnesses.get(orbit)
         if phi is None:
             phi = witnesses[orbit] = _witness(params, t)

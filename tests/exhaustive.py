@@ -14,9 +14,9 @@ polynomial form, the oracle's span equality by three ranks and its
 dual basis on wrapped elements, the generator rows as shifted and
 padded polynomials, the quotient-ring product by its explicit
 wraparound sum, the isometry M_s placed monomial by monomial, the
-Galois verdict decided one h at a time with a witness of its own, and
-the CLI's dict records and search rows written through csv.writer,
-json.dumps and a k=v join.
+Galois verdict decided one h at a time with a witness of its own, the
+multipliers walked one residue at a time, and the CLI's dict records and
+search rows written through csv.writer, json.dumps and a k=v join.
 """
 
 import csv
@@ -96,12 +96,8 @@ def brute_iso_selfdual_exists(params):
     """Does any phi pair with some multiplier s = 1 mod r, gcd(s, n'r) = 1?"""
     cosets = naive_cosets(params, 1)
     cap = params.p ** params.nu
-    perms = []
-    for k in range(params.nprime):
-        s = 1 + params.r * k
-        if math.gcd(s, params.period) != 1:
-            continue
-        perms.append(coset_index_permutation(cosets, s, params.period))
+    perms = [coset_index_permutation(cosets, s, params.period)
+             for s in reference_multipliers(params)]
     for vals in itertools.product(range(cap + 1), repeat=len(cosets)):
         for perm in perms:
             if all(vals[perm[i]] == cap - vals[i] for i in range(len(cosets))):
@@ -139,28 +135,42 @@ def reference_act(phi, s):
             for c in naive_cosets(params, 1)}
 
 
+def reference_multipliers(params):
+    """Every s = 1 mod r in [1, n'r] coprime to n'r, ascending: one per
+    residue mod n'r, so each action on q-cosets comes d times or more."""
+    period = params.period
+    return [s for s in range(1, period + 1, params.r) if math.gcd(s, period) == 1]
+
+
+def reference_iso_witness_for(phi):
+    """The least s of :func:`reference_multipliers` with s*phi = phibar
+    (by ``act_is_complement``), walking every residue; else None."""
+    return next((s for s in reference_multipliers(phi.params)
+                 if phi.act_is_complement(s)), None)
+
+
+def reference_iso_family_multiplier(params):
+    """The least s of :func:`reference_multipliers` with a self-dual
+    witness (``existence._witness``), walking every residue; else None."""
+    return next((s for s in reference_multipliers(params)
+                 if _witness(params, s) is not None), None)
+
+
 def brute_iso_witness(phi):
     """Smallest s = 1 mod r, coprime to n'r, whose reference action sends
     phi to its complement; None when there is none."""
-    params = phi.params
-    cap = params.p ** params.nu
+    cap = phi.params.p ** phi.params.nu
     comp = {k: cap - v for k, v in phi.assignment.items()}
-    for k in range(params.nprime):
-        s = 1 + params.r * k
-        if math.gcd(s, params.period) == 1 and reference_act(phi, s) == comp:
-            return s
-    return None
+    return next((s for s in reference_multipliers(phi.params)
+                 if reference_act(phi, s) == comp), None)
 
 
 def even_orbit_multiplier(params):
     """Smallest s = 1 mod r, coprime to n'r, whose reference orbits on the
     unit class are all even; None when there is none."""
-    for k in range(params.nprime):
-        s = 1 + params.r * k
-        if (math.gcd(s, params.period) == 1
-                and all(len(orbit) % 2 == 0 for orbit in reference_s_orbits(params, s))):
-            return s
-    return None
+    return next((s for s in reference_multipliers(params)
+                 if all(len(orbit) % 2 == 0 for orbit in reference_s_orbits(params, s))),
+                None)
 
 
 def factor_walk_order(x):

@@ -121,6 +121,10 @@ CASES = [
                                "--n-max", "1", "--orders", "2", "--format", "csv"]),
     # --max-cosets 0 drops every instance, so no row ever reaches a verdict:
     # an h outside [0, e] is still refused up front, not answered with no rows
+    # n'r = 64 and d = 8: 32 multipliers s = 1 mod 2 in four q-cosets, so
+    # the smallest witness is the least member of the first passing coset
+    ("check_p3_n32_multiplier_actions", ["check", "--p", "3", "--e", "2", "--n", "32",
+                                         "--lambda", "-1", "--phi", PHI3, "--h", "1"]),
     ("error_search_h_range_all_filtered", ["search", "--p-list", "2", "--e-list", "1",
                                            "--n-max", "3", "--h-list", "5",
                                            "--max-cosets", "0", "--format", "csv"]),

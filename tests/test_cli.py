@@ -588,6 +588,23 @@ def test_unknown_format_is_refused():
             call()
 
 
+def test_format_choices_are_the_row_styles(capsys, tmp_path):
+    # --format takes the keys of cli._ROW_STYLES, in the order json, csv,
+    # text that help and error text have always named them in
+    assert list(cli._ROW_STYLES) == ["json", "csv", "text"]
+    params = ["--p", "3", "--e", "1", "--n", "2", "--lambda", "1"]
+    for argv in (["--format", "xml", "params"], ["params", "--format", "xml"]):
+        code, _, err = run_cli(capsys, *argv, *params)
+        assert code == 2
+        assert "invalid choice: 'xml' (choose from 'json', 'csv', 'text')" in err
+    assert "[--format {json,csv,text}]" in build_parser().format_help()
+    config = tmp_path / "bad.cfg"
+    config.write_text("format=xml\n")
+    code, _, err = run_cli(capsys, "--config", str(config), "params", *params)
+    assert (code, err) == (2, "usage error: config --format takes one of "
+                              "['json', 'csv', 'text'], not 'xml'\n")
+
+
 def test_search_grid_covers_every_kind_of_row(capsys):
     rows = []
     for argv in SEARCH_GRID:

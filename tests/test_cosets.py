@@ -10,7 +10,8 @@ from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_family
 from constagalois.cosets import _coset_class, _interned_params, _theta_class
 from exhaustive import (PE_PAIRS, factor_walk_order, grid_instances, reference_act,
-                        reference_image_rep, reference_s_orbits, reference_theta_dlog)
+                        reference_image_rep, reference_multipliers, reference_s_orbits,
+                        reference_theta_dlog)
 
 
 def test_params_repeated_root_gf4():
@@ -279,9 +280,18 @@ def test_coset_table_matches_member_minimum_on_census_grid():
     for params in _census_grid():
         period, cap = params.period, params.p ** params.nu
         assert params.mult_cap == cap
-        units = [1 + params.r * k for k in range(params.nprime)
-                 if math.gcd(1 + params.r * k, period) == 1]
-        assert list(params.multipliers()) == units, params
+        units = reference_multipliers(params)
+        # one multiplier per action, ascending: each unit s = 1 mod r lies in
+        # the q-coset of exactly one, the least member of that coset in
+        # [1, n'r] (n'r itself for the one coset {0} when n'r = 1)
+        least, covered = list(params.multipliers()), []
+        assert least == sorted(set(least)), params
+        for m in least:
+            coset = {(m * pow(params.q, j, period) - 1) % period + 1
+                     for j in range(params.d)}
+            assert min(coset) == m, (params, m)
+            covered += coset
+        assert sorted(covered) == units, params
         negs = [-(params.p ** h) for h in range(params.e + 1)]
         cosets = q_cosets(params, 1)
         assert [Q.index for Q in cosets] == list(range(len(cosets)))

@@ -11,9 +11,11 @@ from constagalois import (CosetFunction, Isometry, Poly, QuotientElem,
                           is_iso_galois_selfdual, make_field, q_cosets)
 from constagalois import oracle
 from constagalois.duality import iso_witness_for
-from constagalois.existence import iso_selfdual_exists
+from constagalois.existence import iso_selfdual_exists, iso_selfdual_family
 from exhaustive import (PE_PAIRS, brute_iso_witness, grid_instances,
-                        reference_isometry_apply)
+                        reference_iso_family_multiplier, reference_iso_witness_for,
+                        reference_isometry_apply, reference_multipliers)
+from test_cosets import _census_grid
 
 
 def gf4_params():
@@ -430,3 +432,66 @@ def test_iso_witness_for_matches_brute_smallest_multiplier():
             found += s is not None
             missing += s is None
     assert found > 50 and missing > 50
+
+
+def _seeded_phi(params, residue, rng):
+    """A phi on the class residue mod r that alternates v and p^nu - v along
+    the orbits of a drawn multiplier, so that multiplier is a witness; a
+    drawn phi when some orbit is odd and p^nu is odd."""
+    cap, cosets = params.mult_cap, params.cosets_on(residue)
+    images = params.images(residue, rng.choice(reference_multipliers(params)))
+    values = [None] * len(cosets)
+    for Q in cosets:
+        if values[Q.index] is not None:
+            continue
+        orbit = [Q]
+        while images[orbit[-1].index] is not Q:
+            orbit.append(images[orbit[-1].index])
+        if len(orbit) % 2 and cap % 2:
+            values = [rng.randint(0, cap) for _ in cosets]
+            break
+        v = rng.randint(0, cap) if len(orbit) % 2 == 0 else cap // 2
+        for i, P in enumerate(orbit):
+            values[P.index] = cap - v if i % 2 else v
+    return CosetFunction.from_values(params, values, residue)
+
+
+def test_one_multiplier_per_action_finds_the_per_residue_witness():
+    # iso_witness_for and iso_selfdual_family test the least s of each
+    # q-coset of multipliers; the references walk every residue s = 1 mod r.
+    # Every class mod r is seeded when r <= 12, else the classes 0, 1 and
+    # one drawn class, which keeps the coset tables built to a bounded size
+    rng = random.Random(25)
+    found = missing = 0
+    for params in _census_grid():
+        _, psi, s = iso_selfdual_family(params)
+        assert s == reference_iso_family_multiplier(params), params
+        phis = [] if psi is None else [psi, psi.complement()]
+        r = params.r
+        classes = range(r) if r <= 12 else sorted({0, 1, rng.randrange(r)})
+        phis += [_seeded_phi(params, c, rng) for c in classes]
+        for phi in phis:
+            witness = iso_witness_for(params, phi)
+            assert witness == reference_iso_witness_for(phi), (params, phi)
+            found += witness is not None
+            missing += witness is None
+    assert found > 1000 and missing > 1000
+
+
+def test_iso_witness_tests_each_action_once(monkeypatch):
+    # (3, 1, 6560, -1): n'r = 13120 and d = ord(3) = 16, so the 5 120
+    # multipliers s = 1 mod 2 coprime to n'r form 320 actions; phi = 0 has
+    # no witness, so every action is tested, each once
+    params = derive_params(3, 1, 6560, -1)
+    phi = CosetFunction.constant(params, 0)
+    period, q = params.period, params.q
+    actions = {frozenset(s * pow(q, j, period) % period for j in range(params.d))
+               for s in reference_multipliers(params)}
+    assert (len(reference_multipliers(params)), len(actions)) == (5120, 320)
+    tested = []
+    act_is_complement = CosetFunction.act_is_complement
+    monkeypatch.setattr(CosetFunction, "act_is_complement",
+                        lambda phi, t: tested.append(t) or act_is_complement(phi, t))
+    assert iso_witness_for(params, phi) is None
+    assert len(tested) == 320
+    assert {orbit for orbit in actions for t in tested if t in orbit} == actions

@@ -1,7 +1,7 @@
 """The library's imports and domain errors: every name imported is used,
 importing the package and its CLI loads no heavy standard module, only
-cosets.py reads a coset function's rep-keyed view, and each domain-rule
-message is raised from one place.
+cosets.py reads a coset function's rep-keyed view or names the coset
+table's memo, and each domain-rule message is raised from one place.
 
 Each ``src/constagalois/*.py`` except the package's ``__init__.py``
 (whose imports are its re-exports) is parsed with ``ast``; an imported
@@ -76,6 +76,37 @@ def test_only_cosets_reads_a_coset_function_by_rep():
             continue
         with open(path, encoding="utf-8") as fh:
             lines = attribute_reads(fh.read(), "assignment")
+        if lines:
+            offenders[os.path.basename(path)] = lines
+    assert offenders == {}
+
+
+def name_lines(source: str, name: str):
+    """Line numbers where the module names ``name``: as a variable, as an
+    attribute, or in an import."""
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id == name)
+                  or (isinstance(node, ast.Attribute) and node.attr == name)
+                  or (isinstance(node, (ast.Import, ast.ImportFrom))
+                      and any(alias.name == name for alias in node.names)))
+
+
+def test_guard_sees_each_naming():
+    source = ("from .cosets import _coset_class\nx = cosets._coset_class\n"
+              "y = _coset_class(1)\nz = coset_class\n")
+    assert name_lines(source, "_coset_class") == [1, 2, 3]
+
+
+def test_only_cosets_reads_the_coset_table():
+    # the q-coset table of a class is read through CodeParams (cosets_on,
+    # images, coset_of); no other module knows the memo or its layout
+    offenders = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "cosets.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            lines = name_lines(fh.read(), "_coset_class")
         if lines:
             offenders[os.path.basename(path)] = lines
     assert offenders == {}
