@@ -490,8 +490,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.config:
             args = _make_parser(load_config(args.config)).parse_args(argv)
-        if args.cap is None:
-            args.cap = _enum_cap(None)
+        args.cap = _enum_cap(args.cap)
     except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -27,32 +27,41 @@ DEFAULT_ENUM_CAP = 1 << 20
 
 
 def _enum_cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("CONSTAGALOIS_ENUM_CAP")
-    if not env:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"CONSTAGALOIS_ENUM_CAP must be an integer, got {env!r}") from None
+    """The cap given, else CONSTAGALOIS_ENUM_CAP, else the default; a
+    negative cap from either is refused."""
+    if cap is None:
+        env = os.environ.get("CONSTAGALOIS_ENUM_CAP")
+        if not env:
+            return DEFAULT_ENUM_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"CONSTAGALOIS_ENUM_CAP must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise ValueError(f"negative enumeration cap {cap}")
+    return cap
 
 
 @functools.cache
 def coset_poly(params: CodeParams, coset: QCoset) -> Poly:
     """prod_{i in coset} (X - theta^i), collapsed into F_q[X].
 
-    The product is computed over the splitting field GF(q^d); because the
-    coset is closed under k -> q*k its coefficients are fixed by the
-    Galois group over F_q, so sectioning them into F_q must succeed.
-    The result is monic and irreducible of degree |coset|.  Memoised on
-    (params, coset): a repeated call returns the same Poly.
+    The coset is the orbit of its rep under k -> q*k, so its roots are
+    theta^rep and its images under the q-power Frobenius x -> x^q, one
+    map per further root.  The product is computed over the splitting
+    field GF(q^d); its coefficients are fixed by the Galois group over
+    F_q, so sectioning them into F_q must succeed.  The result is monic
+    and irreducible of degree |coset|.  Memoised on (params, coset): a
+    repeated call returns the same Poly.
     """
     big = params.big_field
-    neg = big.neg
+    neg, frob, e = big.neg, big.frob, params.e
+    roots = [params.theta_pow(coset.rep).v]
+    for _ in range(len(coset) - 1):
+        roots.append(frob(roots[-1], e))
     # a balanced product tree keeps the operands of each product of
     # similar length
-    factors = [Poly.wrap(big, (neg(params.theta_pow(i).v), 1)) for i in coset.members]
+    factors = [Poly.wrap(big, (neg(root), 1)) for root in roots]
     while len(factors) > 1:
         factors = [factors[i] * factors[i + 1] if i + 1 < len(factors) else factors[i]
                    for i in range(0, len(factors), 2)]

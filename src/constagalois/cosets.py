@@ -54,12 +54,12 @@ class CodeParams:
     largest multiplicity of a coset; :meth:`images` and :meth:`multipliers`
     are the multiplier action on cosets and one multiplier s = 1 mod r
     per action on the unit class.  Beyond the lazy field and theta, an
-    instance holds no memo: per-class data (the q-cosets and theta powers
-    of each class mod r), like every result computed from the params
-    elsewhere (coset polynomials, minimum weights, the isometric family),
-    is memoised by the function that computes it, keyed on the interned
-    params that :func:`derive_params` returns.  lambda is held as its
-    int ``lam_v``; :attr:`lam` wraps it on demand.
+    instance holds no memo: per-class data (the q-cosets of each class
+    mod r), like every result computed from the params elsewhere (coset
+    polynomials, minimum weights, the isometric family), is memoised by
+    the function that computes it, keyed on the interned params that
+    :func:`derive_params` returns; theta powers have no memo.  lambda is
+    held as its int ``lam_v``; :attr:`lam` wraps it on demand.
     """
 
     def __init__(self, p: int, e: int, n: int, lam: FieldElement):
@@ -122,10 +122,8 @@ class CodeParams:
         return self.big_field.generator ** self.theta_dlog
 
     def theta_pow(self, k: int) -> FieldElement:
-        """theta^k.  The first call in a class mod r walks the whole class,
-        theta^(c + r j) = theta^c (theta^r)^j: one product per power."""
-        k %= self.period
-        return _theta_class(self, k % self.r)[k // self.r]
+        """theta^(k mod n'r)."""
+        return self.theta ** (k % self.period)
 
     def lam_power(self, s: int) -> FieldElement:
         return self.lam ** (s % self.r)
@@ -213,21 +211,6 @@ def _coset_class(params: CodeParams, c: int) -> Tuple[List[QCoset], List[QCoset]
             table[k // r] = Q
         cosets.append(Q)
     return cosets, table
-
-
-@cache
-def _theta_class(params: CodeParams, c: int) -> List[FieldElement]:
-    """theta^(c + r j) for j < n', 0 <= c < r: one product per power.
-
-    Memoised on (params, c) for the process, as interned params live."""
-    big = params.big_field
-    mul, theta = big.mul, params.theta.v
-    acc, step = big.pow(theta, c), big.pow(theta, params.r)
-    powers = []
-    for _ in range(params.nprime):
-        powers.append(big.wrap(acc))
-        acc = mul(acc, step)
-    return powers
 
 
 @cache

@@ -15,8 +15,9 @@ dual basis on wrapped elements, the generator rows as shifted and
 padded polynomials, the quotient-ring product by its explicit
 wraparound sum, the isometry M_s placed monomial by monomial, the
 Galois verdict decided one h at a time with a witness of its own, the
-multipliers walked one residue at a time, and the CLI's dict records and
-search rows written through csv.writer, json.dumps and a k=v join.
+multipliers walked one residue at a time, a coset polynomial as the
+product over its members, and the CLI's dict records and search rows
+written through csv.writer, json.dumps and a k=v join.
 """
 
 import csv
@@ -229,6 +230,18 @@ def reference_theta_dlog(params):
     raise AssertionError("no primitive n'r-th root theta with theta^n = lambda")
 
 
+def reference_coset_poly(params, coset):
+    """prod_{i in coset} (X - theta^i), one factor per member with theta^i
+    = params.theta ** i, multiplied out in GF(q^d) and sectioned into
+    GF(q) coefficient by coefficient."""
+    big = params.big_field
+    product = Poly(big, [big.one])
+    for i in coset.members:
+        product = product * Poly(big, [-(params.theta ** i), big.one])
+    section = params.field.embedding_into(big).section
+    return Poly(params.field, [section(c) for c in product.coeffs])
+
+
 def brute_min_weight(code):
     """Minimum Hamming weight over every listed codeword; None for the zero code."""
     weights = [sum(1 for c in word if c) for word in enumerate_codewords(code)]
@@ -351,7 +364,7 @@ def reference_search_output(argv):
     for every r | q - 1 found by trial division (only the wanted r with
     --orders), and the Galois verdict one h at a time."""
     args = build_parser().parse_args(argv)
-    cap = _enum_cap(None) if args.cap is None else args.cap
+    cap = _enum_cap(args.cap)
     rows = []
     for p in sorted(args.p_list):
         for e in sorted(args.e_list):

@@ -128,6 +128,17 @@ CASES = [
     ("error_search_h_range_all_filtered", ["search", "--p-list", "2", "--e-list", "1",
                                            "--n-max", "3", "--h-list", "5",
                                            "--max-cosets", "0", "--format", "csv"]),
+    # packed splitting fields GF(7^6) and GF(2^12) with e > 1 and d > 1: a
+    # coset's roots step by the q-power Frobenius, a power e != 1 of x -> x^p
+    ("factor_gf7e6_packed_frobenius", ["factor", "--p", "7", "--e", "2", "--n", "19",
+                                       "--lambda", "-1"]),
+    ("factor_gf2e12_packed_frobenius_csv", ["factor", "--p", "2", "--e", "3",
+                                            "--n", "45", "--lambda", "1",
+                                            "--format", "csv"]),
+    # a negative cap is a usage error before the header or any row
+    ("error_search_negative_cap", ["search", "--p-list", "3", "--e-list", "1",
+                                   "--n-max", "4", "--with-weights", "--cap", "-5",
+                                   "--format", "csv"]),
 ]
 
 

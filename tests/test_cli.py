@@ -399,6 +399,31 @@ def test_bad_enum_cap_env_var_is_usage_error(capsys, monkeypatch):
     assert "CONSTAGALOIS_ENUM_CAP" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("code", "--p", "3", "--e", "1", "--n", "4", "--lambda", "-1",
+     "--phi", "1:1,5:0", "--cap", "-1"),
+    ("search", "--p-list", "3", "--e-list", "1", "--n-max", "4",
+     "--with-weights", "--cap", "-5", "--format", "csv"),
+    ("--cap", "-1", "params", "--p", "3", "--e", "1", "--n", "4", "--lambda", "-1"),
+])
+def test_negative_cap_flag_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: negative enumeration cap") and err.count("\n") == 1
+
+
+def test_negative_enum_cap_env_var_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CONSTAGALOIS_ENUM_CAP", "-3")
+    code, out, err = run_cli(capsys, "search", "--p-list", "3", "--e-list", "1",
+                             "--n-max", "4", "--with-weights")
+    assert code == 2 and out == ""
+    assert err == "usage error: negative enumeration cap -3\n"
+    monkeypatch.setenv("CONSTAGALOIS_ENUM_CAP", "0")
+    (record,) = run_json(capsys, "code", "--p", "3", "--e", "1", "--n", "4",
+                         "--lambda", "-1", "--phi", "1:1,5:0")
+    assert record["min_weight"] is None  # a cap of 0 refuses every nonzero code
+
+
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p=3\ne=2\nn=4\nlambda=-1\nformat=csv\n")

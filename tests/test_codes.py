@@ -8,8 +8,10 @@ from constagalois import (CosetFunction, Poly, QuotientElem, build_code,
                           cf_poly, coset_poly, derive_params, embed,
                           galois_dual, make_field, q_cosets)
 from constagalois import codes
+from constagalois.cosets import CodeParams
 from exhaustive import (brute_min_weight, code_contains, code_from_generator,
-                        criterion6_codes, grid_instances, reference_generator_rows)
+                        criterion6_codes, grid_instances, reference_coset_poly,
+                        reference_generator_rows)
 
 
 def gf4_params():
@@ -50,6 +52,35 @@ def test_coset_polys_irreducible_length26():
         assert poly.ints[-1] == 1 and poly.degree == len(Q)
         if poly.degree == 2:  # irreducible iff rootless for quadratics
             assert all(poly.eval(x) for x in params.field.elements())
+
+
+def test_coset_poly_matches_per_member_product():
+    # every coset of every class mod r: criterion 6's grid, the packed
+    # splitting fields GF(7^6) and GF(2^12) (e > 1 and d > 1, so a root
+    # steps by a Frobenius power e != 1), and a d = 1 instance
+    instances = {params for params, _ in criterion6_codes()}
+    instances |= {derive_params(7, 2, 19, -1), derive_params(2, 3, 45, 1),
+                  derive_params(3, 4, 12, "g^20")}
+    assert {params.d for params in instances} >= {1, 3, 4}
+    for params in instances:
+        for c in range(params.r):
+            for Q in params.cosets_on(c):
+                assert coset_poly(params, Q) == reference_coset_poly(params, Q), (params, Q)
+
+
+def test_coset_poly_takes_one_theta_power(monkeypatch):
+    # the coset of 1 of (2, 1, 65535, 1) has 16 members; theta^1 is read
+    # once, and the other roots are its Frobenius images
+    params = derive_params(2, 1, 65535, 1)
+    Q = params.coset_of(1)
+    assert len(Q) == 16
+    calls = []
+    theta_pow = CodeParams.theta_pow
+    monkeypatch.setattr(CodeParams, "theta_pow",
+                        lambda self, k: calls.append(k) or theta_pow(self, k))
+    # past the memo, so the count is this call's
+    assert coset_poly.__wrapped__(params, Q) == reference_coset_poly(params, Q)
+    assert calls == [1]
 
 
 def test_cf_poly_empty_and_full():
@@ -321,6 +352,21 @@ def test_to_json_weight_raises_on_bad_env_cap_but_nulls_overflow(monkeypatch):
     monkeypatch.setenv("CONSTAGALOIS_ENUM_CAP", "80")
     assert code.to_json(with_weight=True)["min_weight"] is None
     assert code.to_json(cap=81, with_weight=True)["min_weight"] == 3
+
+
+def test_negative_cap_is_refused_and_zero_is_a_cap(monkeypatch):
+    params = derive_params(3, 2, 4, -1)
+    code = build_code(params, CosetFunction.from_values(params, [0, 0, 1, 1]))
+    with pytest.raises(ValueError, match="negative enumeration cap"):
+        codes.min_weight(code, -1)
+    with pytest.raises(ValueError, match="negative enumeration cap"):
+        code.to_json(cap=-1, with_weight=True)
+    monkeypatch.setenv("CONSTAGALOIS_ENUM_CAP", "-1")
+    with pytest.raises(ValueError, match="negative enumeration cap"):
+        codes.min_weight(code)
+    with pytest.raises(ValueError, match="enumeration too large"):
+        codes.min_weight(code, 0)
+    assert code.to_json(cap=0, with_weight=True)["min_weight"] is None
 
 
 def test_min_weight_memo_respects_smaller_cap():

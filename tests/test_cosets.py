@@ -8,7 +8,7 @@ from constagalois import (CodeParams, CosetFunction, derive_params, embed,
 from constagalois.codes import coset_poly
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_family
-from constagalois.cosets import _coset_class, _interned_params, _theta_class
+from constagalois.cosets import _coset_class, _interned_params
 from exhaustive import (PE_PAIRS, factor_walk_order, grid_instances, reference_act,
                         reference_image_rep, reference_multipliers, reference_s_orbits,
                         reference_theta_dlog)
@@ -380,14 +380,10 @@ def test_coset_poly_and_iso_family_memos_hit_on_repeat():
     hits = _coset_class.cache_info().hits
     assert params.cosets_on(1) is cosets
     assert _coset_class.cache_info().hits == hits + 1
-    theta = params.theta_pow(1)
-    hits = _theta_class.cache_info().hits
-    assert params.theta_pow(1) is theta
-    assert _theta_class.cache_info().hits == hits + 1
 
 
 def test_params_hold_no_memo_dict():
-    # per-class cosets and theta powers live in the module's memos
+    # per-class cosets live in the module's memo; theta powers have none
     params = derive_params(5, 2, 26, -1)
     params.cosets_on(1)
     params.theta_pow(1)

@@ -1,7 +1,8 @@
-"""The library's imports and domain errors: every name imported is used,
-importing the package and its CLI loads no heavy standard module, only
-cosets.py reads a coset function's rep-keyed view or names the coset
-table's memo, and each domain-rule message is raised from one place.
+"""The library's imports, memos and domain errors: every name imported is
+used, importing the package and its CLI loads no heavy standard module,
+only cosets.py reads a coset function's rep-keyed view or names the coset
+table's memo, the module-level memos are the eight listed, and each
+domain-rule message is raised from one place.
 
 Each ``src/constagalois/*.py`` except the package's ``__init__.py``
 (whose imports are its re-exports) is parsed with ``ast``; an imported
@@ -112,6 +113,53 @@ def test_only_cosets_reads_the_coset_table():
     assert offenders == {}
 
 
+def memo_names(source: str, module: str):
+    """The module-level memos of a module: its functions decorated with
+    ``cache``, ``functools.cache`` or ``functools.lru_cache(...)``, and its
+    names assigned such a call."""
+
+    def is_memo(node):
+        while isinstance(node, ast.Call):
+            node = node.func
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        return name in ("cache", "lru_cache")
+
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and any(map(is_memo, node.decorator_list)):
+            found.append(f"{module}.{node.name}")
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                and is_memo(node.value):
+            found += [f"{module}.{target.id}" for target in node.targets
+                      if isinstance(target, ast.Name)]
+    return found
+
+
+def test_guard_sees_each_memo_spelling():
+    source = ("import functools\nfrom functools import cache\n"
+              "@cache\ndef a(x): pass\n@functools.cache\ndef b(x): pass\n"
+              "@functools.lru_cache(maxsize=None)\ndef c(): pass\n"
+              "d = functools.cache(dict)\n"
+              "def f():\n    @functools.cache\n    def inner(t): pass\n"
+              "@property\ndef g(self): pass\n")
+    assert memo_names(source, "m") == ["m.a", "m.b", "m.c", "m.d"]
+
+
+# the library's module-level memos, which live for the process; a memo
+# owned by an object (packed.py's per-ring Frobenius rows) is not one
+MEMOS = ["cli.build_parser", "codes.coset_poly", "codes._packed_min_weight",
+         "cosets._coset_class", "cosets._interned_params",
+         "existence.iso_selfdual_family", "gf.make_field", "gf._interned_embedding"]
+
+
+def test_library_memos_are_the_listed_eight():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            found += memo_names(fh.read(), os.path.basename(path)[:-3])
+    assert sorted(found) == sorted(MEMOS)
+
+
 # dataclasses pulls in inspect, and inspect ast, dis and tokenize; none of
 # them is needed to run the library or its CLI
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
@@ -166,6 +214,7 @@ SINGLE_SOURCE = {
     "s must be coprime to n'r": ["cosets.CodeParams.images", "cosets.q_cosets",
                                  "oracle.naive_cosets"],
     "enumeration too large": ["codes._check_enum_size"],
+    "negative enumeration cap": ["codes._enum_cap"],
     "unknown format": ["cli._style"],
 }
 
