@@ -307,15 +307,16 @@ def _search_rows(args, blocks, lengths) -> Iterator[List[str]]:
     if header := _header(args.format, CSV_COLUMNS):
         yield header
 
-    def tail(params, phi, selfdual, iso_witness):
-        d_min = None
-        if args.with_weights:
+    def tail(params, phi, selfdual, iso_witness, weights):
+        # a witness code equals its dual up to a weight-preserving map, so its
+        # dim is n/2; weights maps the instance's shown witnesses to d_min
+        if args.with_weights and phi not in weights:
             try:
-                d_min = min_weight(build_code(params, phi), args.cap)
+                weights[phi] = min_weight(build_code(params, phi), args.cap)
             except ValueError:
-                pass
-        return suffix([cell("phi", phi_text(phi)), cell("dim", phi.weight()),
-                       cell("d_min", d_min), cell("selfdual", selfdual),
+                weights[phi] = None
+        return suffix([cell("phi", phi_text(phi)), cell("dim", params.n // 2),
+                       cell("d_min", weights.get(phi)), cell("selfdual", selfdual),
                        cell("iso_witness", iso_witness)])
 
     no_witness = suffix([cell("phi", ""), cell("dim", None), cell("d_min", None),
@@ -339,14 +340,15 @@ def _search_rows(args, blocks, lengths) -> Iterator[List[str]]:
                 _, iso_phi, iso_witness = iso_selfdual_family(params)
                 # a verdict's witness -> the row's text after h; h of one action
                 # share a witness, and every h without one (None) shows the iso witness
-                tails = {}
+                tails, weights = {}, {}
                 for h, verdict in zip(hs, galois_selfdual_verdicts(params, hs)):
                     phi = verdict.witness_phi
                     text = tails.get(phi)
                     if text is None:
                         shown = iso_phi if phi is None else phi
                         text = tails[phi] = (no_witness if shown is None else
-                                             tail(params, shown, verdict.exists, iso_witness))
+                                             tail(params, shown, verdict.exists, iso_witness,
+                                                  weights))
                     rows.append(f"{head}{h}{text}")
             if rows:
                 yield rows

@@ -21,9 +21,9 @@ from .polyring import Poly, poly_to_json
 
 DEFAULT_ENUM_CAP = 1 << 20
 
-# coset_poly and _packed_min_weight are functools caches keyed on interned
-# params and on cosets and codes of them; like those params they live for
-# the process, and ``cache_info()`` reads their hits and misses.
+# coset_poly is a functools cache keyed on interned params and cosets of
+# them; like those params it lives for the process, and ``cache_info()``
+# reads its hits and misses.  Minimum weights are not memoised.
 
 
 def _enum_cap(cap: Optional[int]) -> int:
@@ -233,9 +233,7 @@ def min_weight(code: ConstaCode, cap: Optional[int] = None) -> Optional[int]:
     """Exact minimum Hamming weight by exhaustion; None for the zero code.
 
     Raises ValueError when q^dim exceeds the cap, as enumerate_codewords
-    does.  The cap is checked before the kernel, memoised per code
-    (params and coset function), so a smaller cap still refuses a
-    memoised code.
+    does; the cap is checked before the kernel runs.
     """
     if code.dim == 0:
         return None
@@ -248,7 +246,6 @@ def min_weight(code: ConstaCode, cap: Optional[int] = None) -> Optional[int]:
 _GRAY_BLOCK = 1024
 
 
-@functools.cache
 def _packed_min_weight(code: ConstaCode) -> int:
     """Minimum weight over the messages whose first nonzero entry is 1.
 

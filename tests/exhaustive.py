@@ -16,8 +16,10 @@ padded polynomials, the quotient-ring product by its explicit
 wraparound sum, the isometry M_s placed monomial by monomial, the
 Galois verdict decided one h at a time with a witness of its own, the
 multipliers walked one residue at a time, a coset polynomial as the
-product over its members, and the CLI's dict records and search rows
-written through csv.writer, json.dumps and a k=v join.
+product over its members, the CLI's dict records and search rows
+written through csv.writer, json.dumps and a k=v join, and the
+existence verdicts decided on the codes of dimension n/2 themselves,
+listed as divisors of X^n - lambda with no q-coset in sight.
 """
 
 import csv
@@ -33,7 +35,7 @@ from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
                           q_cosets)
 from constagalois.cli import build_parser
 from constagalois.codes import _enum_cap, enumerate_codewords, min_weight
-from constagalois.duality import _galois_h
+from constagalois.duality import Isometry, _galois_h
 from constagalois.existence import _witness, iso_selfdual_family
 from constagalois.gf import format_element
 from constagalois.oracle import Matrix, naive_cosets
@@ -554,6 +556,85 @@ def reference_isometry_apply(iso, elem):
     return QuotientElem.from_vector(params, iso.s * elem.s, out)
 
 
+def half_dimension_codes(params):
+    """(ReferenceField, codes): every code of dimension n/2 in R_{n,lambda},
+    found without q-cosets, as its n/2 rows X^i*g of coefficient tuples.
+
+    X^n - lambda is factored by trial division (``ReferenceField.poly_divmod``)
+    by the monic polynomials of degree d = 1, 2, ... while 2d is at most the
+    degree left: each divisor found at degree d has no factor of lower
+    degree left, so it is irreducible, and what is left at the end is 1 or
+    irreducible.  By unique factorization, the monic divisors g of degree
+    n/2 are the products of the sub-multisets of factors of that degree, one
+    code each.  Odd n gives none: no code has dimension n/2.
+    """
+    ref, n = ReferenceField(params.field), params.n
+    if n % 2:
+        return ref, []
+    rem = [ref.neg(params.lam.coeffs)] + [ref.zero] * (n - 1) + [ref.one]
+    scalars = list(itertools.product(range(params.p), repeat=params.e))
+    counts = {}  # irreducible factor -> multiplicity
+    d = 1
+    while 2 * d < len(rem):
+        for low in itertools.product(scalars, repeat=d):
+            g = (*low, ref.one)
+            quot, r = ref.poly_divmod(rem, g)
+            while not r:
+                counts[g] = counts.get(g, 0) + 1
+                rem = quot
+                quot, r = ref.poly_divmod(rem, g)
+        d += 1
+    if len(rem) > 1:
+        counts[tuple(rem)] = 1
+    k, codes = n // 2, []
+    for powers in itertools.product(*(range(c + 1) for c in counts.values())):
+        if sum(j * (len(f) - 1) for f, j in zip(counts, powers)) == k:
+            g = [ref.one]
+            for f, j in zip(counts, powers):
+                g = ref.poly_mul(g, ref.poly_pow(list(f), j))
+            codes.append([[ref.zero] * i + g + [ref.zero] * (k - 1 - i) for i in range(k)])
+    return ref, codes
+
+
+def reference_pairing(ref, a, b, h):
+    """sum_j a_j * b_j^(p^h) on coefficient tuples."""
+    acc = ref.zero
+    for x, y in zip(a, b):
+        acc = ref.add(acc, ref.mul(x, ref.frobenius(y, h)))
+    return acc
+
+
+def code_level_galois_selfdual(ref, codes, h):
+    """Is some code of ``half_dimension_codes`` p^h-self-dual?  Its rows
+    pair to zero, so C lies in C^(perp h), which has dimension n - n/2."""
+    return any(not any(any(reference_pairing(ref, a, b, h)) for a in rows for b in rows)
+               for rows in codes)
+
+
+def code_level_iso_selfdual(params, ref, codes, h):
+    """Is C^(perp h) = M_t(C) for some code of ``half_dimension_codes`` and
+    some isometry M_t into the ring of C^(perp h), lambda^(-p^(e-h))?  The
+    isometries are t = p^k * s', k < e, s' in [1, n*r] prime to p*n*r;
+    M_t is placed by ``reference_isometry_apply``, and the two spans are
+    compared by their ``ReferenceField.rref``."""
+    field, n, p, e, r = params.field, params.n, params.p, params.e, params.r
+    isometries = [Isometry(params, p ** k * s) for k in range(e)
+                  for s in range(1, n * r + 1) if math.gcd(s, p * n * r) == 1
+                  and (p ** k * s + p ** (e - h)) % r == 0]
+    for rows in codes:
+        # x is in C^(perp h) iff sum_j c_j^(p^(e-h)) x_j = 0 for every row c
+        twisted = [[ref.frobenius(x, e - h) for x in row] for row in rows]
+        dual = ref.rref(reference_kernel(ref, twisted, n))[0]
+        elems = [QuotientElem.from_vector(params, 1, [field.element(x) for x in row])
+                 for row in rows]
+        for iso in isometries:
+            images = [[x.coeffs for x in reference_isometry_apply(iso, elem).vector()]
+                      for elem in elems]
+            if ref.rref(images)[0] == dual:
+                return True
+    return False
+
+
 def nu2_power_pm1(k, d):
     """(nu_2(k^d - 1), nu_2(k^d + 1)) for odd |k| >= 3, without powering.
 
@@ -646,16 +727,23 @@ def reference_dual_basis(code, h):
     field, n = code.params.field, code.params.n
     ref = ReferenceField(field)
     rows = [[x.coeffs for x in row] for row in code.generator_rows()]
+    back = (field.m - h) % field.m
+    return [tuple(field.element(c).frobenius(back) for c in vec)
+            for vec in reference_kernel(ref, rows, n)]
+
+
+def reference_kernel(ref, rows, n):
+    """A basis of {x : sum_j c_j * x_j = 0 for every row c} on coefficient
+    tuples, one vector per free column of ``ref.rref(rows)``."""
     red, pivots = ref.rref(rows)
     kernel = []
-    for fc in (c for c in range(n) if c not in pivots):
+    for free in (c for c in range(n) if c not in pivots):
         vec = [ref.zero] * n
-        vec[fc] = ref.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = ref.neg(red[r][fc])
-        kernel.append([field.element(c) for c in vec])
-    back = (field.m - h) % field.m
-    return [tuple(x.frobenius(back) for x in vec) for vec in kernel]
+        vec[free] = ref.one
+        for row, c in zip(red, pivots):
+            vec[c] = ref.neg(row[free])
+        kernel.append(vec)
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,11 @@ CASES = [
     ("error_search_negative_cap", ["search", "--p-list", "3", "--e-list", "1",
                                    "--n-max", "4", "--with-weights", "--cap", "-5",
                                    "--format", "csv"]),
+    # characteristic 2 with weights: at (2, 2, 6, g^1) the Galois witness of
+    # h = 1 is the iso witness shown at h = 0 and h = 2, so one code is
+    # shown on three rows of one instance
+    ("search_weights_char2_csv", ["search", "--p-list", "2", "--e-list", "1,2,3",
+                                  "--n-max", "12", "--with-weights", "--format", "csv"]),
 ]
 
 

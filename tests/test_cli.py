@@ -124,6 +124,37 @@ def test_cmd_search_census_row(capsys):
         assert row["iso_witness"] is not None
 
 
+def test_search_weighs_each_shown_witness_once_per_instance(capsys, monkeypatch):
+    # at (2, 2, 6, g^1) the code 1:1 is the Galois witness of h = 1 and the
+    # iso witness shown at h = 0 and h = 2: one kernel run serves all three
+    from constagalois import codes, cosets
+    kernel, weight = codes._packed_min_weight, cosets.CosetFunction.weight
+    weighed, dims = [], []
+
+    def counted_kernel(code):
+        weighed.append(code.phi)  # a coset function is keyed on its params too
+        return kernel(code)
+
+    def counted_weight(phi):
+        dims.append(phi)
+        return weight(phi)
+
+    monkeypatch.setattr(codes, "_packed_min_weight", counted_kernel)
+    monkeypatch.setattr(cosets.CosetFunction, "weight", counted_weight)
+    code, out, err = run_cli(capsys, "search", "--p-list", "2", "--e-list", "1,2,3",
+                             "--n-max", "12", "--with-weights", "--format", "csv")
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    shown = {(row["p"], row["e"], row["n"], row["lambda"], row["phi"])
+             for row in rows if row["phi"]}
+    assert len(weighed) == len(set(weighed)) == len(shown)
+    assert [row["h"] for row in rows if row["phi"] == "1:1"
+            and (row["e"], row["n"], row["lambda"]) == ("2", "6", "g^1")] == ["0", "1", "2"]
+    # dim is written as n/2: the only weights taken are the built codes' own
+    assert dims == weighed
+    assert all(int(row["dim"]) * 2 == int(row["n"]) for row in rows if row["phi"])
+
+
 def test_search_csv_column_order(capsys):
     code, out, err = run_cli(capsys, "--format", "csv", "search",
                              "--p-list", "3", "--e-list", "1",

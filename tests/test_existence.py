@@ -13,8 +13,9 @@ from constagalois.duality import iso_witness_for
 from constagalois.existence import galois_selfdual_verdicts, iso_selfdual_family
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
                         brute_iso_selfdual_exists, census_instances,
-                        even_orbit_multiplier, grid_instances, nu2_power_pm1,
-                        orbits_even_by_case, orbits_even_by_valuations,
+                        code_level_galois_selfdual, code_level_iso_selfdual,
+                        even_orbit_multiplier, grid_instances, half_dimension_codes,
+                        nu2_power_pm1, orbits_even_by_case, orbits_even_by_valuations,
                         reference_euclidean_selfdual_exists, reference_galois_verdict,
                         reference_hermitian_selfdual_exists)
 
@@ -190,7 +191,7 @@ def test_existence_matches_exhaustive_search_small():
 
 
 def test_per_params_verdicts_match_the_one_h_reference_on_the_census_grid():
-    rejected = set()
+    rejected, witnesses = set(), 0
     for params in census_instances():
         hs = range(params.e + 1)
         expected = [reference_galois_verdict(params, h) for h in hs]
@@ -201,7 +202,37 @@ def test_per_params_verdicts_match_the_one_h_reference_on_the_census_grid():
         rejected.update(id(v) for v in verdicts if not v.exists)
         if verdicts[0].exists:  # -1 and -q act alike
             assert verdicts[0].witness_phi is verdicts[-1].witness_phi, params
+        # C = C^(perp h), or C^(perp h) = M_s(C) with M_s weight-preserving:
+        # either way dim C = n - dim C, as census rows write it
+        _, iso_phi, _ = iso_selfdual_family(params)
+        for phi in [v.witness_phi for v in verdicts if v.exists] + [iso_phi]:
+            if phi is not None:
+                assert 2 * phi.weight() == params.n, (params, phi)
+                witnesses += 1
     assert len(rejected) == 1
+    assert witnesses == 3124, witnesses
+
+
+def test_verdicts_match_the_code_level_oracle_for_every_lambda():
+    # the oracle lists the codes of dimension n/2 and never sees a q-coset;
+    # every lambda in GF(q)*, not one per order, on q^(n/2) <= 4096, n <= 16
+    counts = [0] * 6  # (even n, odd n) x (verdicts, Galois, isometric positives)
+    for p, e in PE_PAIRS:
+        field = make_field(p, e)
+        for n in range(1, 17):
+            if field.order ** n > 4096 ** 2:
+                continue
+            for lam in filter(None, field.elements()):
+                params = derive_params(p, e, n, lam)
+                ref, codes = half_dimension_codes(params)
+                for h in range(e + 1):
+                    galois = code_level_galois_selfdual(ref, codes, h)
+                    iso = code_level_iso_selfdual(params, ref, codes, h)
+                    assert galois_selfdual_exists(params, h).exists == galois, (params, h)
+                    assert iso_selfdual_exists(params, h).exists == iso, (params, h)
+                    for i, x in enumerate((1, galois, iso)):
+                        counts[3 * (n % 2) + i] += x
+    assert counts == [354, 85, 167, 454, 0, 0], counts
 
 
 def test_verdict_json_shape():

@@ -20,6 +20,7 @@ ELEMENT_API = "public FieldElement arithmetic"
 KERNEL_ROW = "public field API that perfbench/kernels.py times"
 
 UNREACHED = {
+    "codes.ConstaCode.__hash__": DUNDER,
     "codes.ConstaCode.__repr__": DUNDER,
     "cosets.CodeParams.__repr__": DUNDER,
     "cosets.CodeParams.image": "README's library tour: one coset's image s*Q",
