@@ -100,30 +100,40 @@ class CodeParams:
         return make_field(self.p, self.e * self.d)
 
     @cached_property
-    def theta_dlog(self) -> int:
-        """Discrete log of theta base the canonical generator of GF(q^d).
+    def _theta(self) -> Tuple[int, int]:
+        """(discrete log base the canonical generator of GF(q^d), int) of
+        theta.
 
         theta = xi^j for xi = g^((q^d - 1)/n'r) and the least j coprime to
         n'r with xi^(nj) = lambda, found by stepping (xi^n)^j one product
-        at a time (j = 0, theta = 1, when n'r = 1)."""
-        big = self.big_field
+        at a time (j = 0, theta = 1, when n'r = 1).  xi is the one power
+        with an exponent of the size of q^d; xi^n and xi^j, with xi of
+        order n'r, are powers below n'r."""
+        big, period = self.big_field, self.period
         lam = self.field.embedding_into(big).map_int(self.lam_v)
-        m_step = (big.order - 1) // self.period
-        mul, step = big.mul, big.pow(big.generator.v, m_step * self.n)
+        m_step = (big.order - 1) // period
+        xi = big.pow(big.generator.v, m_step)
+        mul, step = big.mul, big.pow(xi, self.n % period)
         acc = 1
-        for j in range(self.period):
-            if acc == lam and math.gcd(j, self.period) == 1:
-                return j * m_step
+        for j in range(period):
+            if acc == lam and math.gcd(j, period) == 1:
+                return j * m_step, big.pow(xi, j)
             acc = mul(acc, step)
         raise AssertionError("no primitive n'r-th root theta with theta^n = lambda")
 
-    @cached_property
+    @property
+    def theta_dlog(self) -> int:
+        """Discrete log of theta base the canonical generator of GF(q^d)."""
+        return self._theta[0]
+
+    @property
     def theta(self) -> FieldElement:
-        return self.big_field.generator ** self.theta_dlog
+        return self.big_field.wrap(self._theta[1])
 
     def theta_pow(self, k: int) -> FieldElement:
         """theta^(k mod n'r)."""
-        return self.theta ** (k % self.period)
+        big = self.big_field
+        return big.wrap(big.pow(self._theta[1], k % self.period))
 
     def lam_power(self, s: int) -> FieldElement:
         return self.lam ** (s % self.r)

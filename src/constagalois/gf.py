@@ -53,7 +53,8 @@ def _is_irreducible(f, p):
     f is irreducible iff X^(p^m) = X mod f and X^(p^(m/r)) - X is coprime
     to f for every prime r dividing m (Rabin, SIAM J. Comput. 9, 1980).
     For p < 32 a root in GF(p), found by evaluation, rejects most reducible
-    candidates before any power is taken.
+    candidates before any power is taken.  X^p is one power; every later
+    X^(p^k) is the Frobenius map of the one before.
     """
     m = len(f) - 1
     if m == 1:
@@ -66,9 +67,9 @@ def _is_irreducible(f, p):
         return False
     ring = PackedRing(p, f)
     x = ring.encode((0, 1))
-    frob_powers = [x]  # X^(p^k)
-    for _ in range(m):
-        frob_powers.append(ring.power(frob_powers[-1], p))
+    frob_powers = [x, ring.power(x, p)]  # X^(p^k)
+    for _ in range(m - 1):
+        frob_powers.append(ring.frob(frob_powers[-1], 1))
     if frob_powers[m] != x:
         return False
     for r in _prime_factors(m):
@@ -217,11 +218,27 @@ class Field:
 
     def _first_primitive(self, ring: PackedRing) -> int:
         """The canonical generator: first primitive element in coefficient
-        order, as a packed int of ``ring``."""
-        n1 = self.order - 1
-        cofactors = [n1 // f for f in self.group_factors]
+        order, as a packed int of ``ring``.
+
+        x is primitive iff x^((q-1)/l) != 1 for every prime l | q - 1.  The
+        primes share their exponents (Shoup, Math. Comp. 58, 1992): from
+        z = x^((q-1)/rad), rad the product of the primes, the primes split
+        into halves A and B, A is tested on z^(prod B), B on z^(prod A),
+        and so on down to single primes."""
+        power, primes = ring.power, self.group_factors
+
+        def orders_full(z, primes):
+            """Whether z^(prod(primes)/l) != 1 for every l in primes."""
+            if len(primes) < 2:  # q - 1 = 1 leaves no prime to test
+                return not primes or z != 1
+            half = len(primes) // 2
+            a, b = primes[:half], primes[half:]
+            return (orders_full(power(z, math.prod(b)), a)
+                    and orders_full(power(z, math.prod(a)), b))
+
+        cofactor = (self.order - 1) // math.prod(primes)
         for x in self.ints():
-            if x and all(ring.power(x, k) != 1 for k in cofactors):
+            if x and orders_full(power(x, cofactor), primes):
                 return x
         raise AssertionError("no primitive element: the modulus is reducible")
 
@@ -322,11 +339,16 @@ class Field:
         """Discrete log of x base the canonical generator (q <= 2^16 only)."""
         if not x:
             raise ValueError("zero has no discrete log")
+        return self._logs()[x.v]
+
+    def _logs(self) -> dict:
+        """The discrete log of every nonzero int, tabled on first use
+        (q <= 2^16 only)."""
         if self._dlog_table is None:
             if self.order > _DLOG_MAX:
                 raise ValueError("dlog table too large for this field")
             self._dlog_table = _power_tables(self.order, self.mul, self.generator.v)[1]
-        return self._dlog_table[x.v]
+        return self._dlog_table
 
     def embedding_into(self, sup: "Field") -> "Embedding":
         return _interned_embedding(self, sup)
@@ -489,15 +511,20 @@ def section(y: FieldElement, sub: Field) -> FieldElement:
 # text encoding: "0", "1", "g^k", or "[c0,c1,...]"
 # ---------------------------------------------------------------------------
 
-def format_element(x: FieldElement) -> str:
-    if not x.v:
+def format_element_int(field: Field, v: int) -> str:
+    """The text of the element of ``field`` whose int is v: "g^k" where the
+    field's logs are tabled (q <= 2^16), else its coefficients."""
+    if not v:
         return "0"
-    if x.v == 1:
+    if v == 1:
         return "1"
-    try:
-        return f"g^{x.field.dlog(x)}"
-    except ValueError:
-        return "[" + ",".join(str(c) for c in x.coeffs) + "]"
+    if field.order <= _DLOG_MAX:
+        return f"g^{field._logs()[v]}"
+    return "[" + ",".join(map(str, field.decode(v))) + "]"
+
+
+def format_element(x: FieldElement) -> str:
+    return format_element_int(x.field, x.v)
 
 
 def parse_element(text: str, field: Field) -> FieldElement:

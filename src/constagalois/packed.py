@@ -17,14 +17,23 @@ import functools
 class PackedRing:
     """Arithmetic in GF(p)[X]/(f) for a monic f of degree m, on packed ints.
 
-    Coefficient i of a residue sits in bits [W*i, W*i + W).  W leaves room
-    for the sum of ACC products of residues with the top bit of every slot
-    still clear, which the guard-bit sum and ``mod_p`` rely on.  f need not
-    be irreducible: ``gf._is_irreducible`` runs its candidates through here.
-    For m = 1 the packed int is the residue itself.
+    Coefficient i of a residue sits in bits [W*i, W*i + W); W (the
+    attribute ``W``) is the least width with ACC * m * (p - 1)^2 <
+    2^(W - 1).  The slot invariant: every slot that ``reduce`` reduces mod
+    p is below 2^(W - 1).  A product of two residues puts at most m
+    products (p - 1)^2 in a slot, and ``poly_mul`` sums at most TERM_LIMIT
+    = ACC - 1 of them per coefficient.  ``reduce`` leaves the m low slots
+    of its input unreduced until the end, when they also hold the Barrett
+    correction's m - 1 products, so a low slot holds at most
+    ((ACC - 1) * m + m - 1) * (p - 1)^2 < ACC * m * (p - 1)^2.  The
+    guard-bit sums need residues below p and the top bit of every slot
+    clear.  f need not be irreducible: ``gf._is_irreducible`` runs its
+    candidates through here.  For m = 1 the packed int is the residue
+    itself.
     """
 
     ACC = 32
+    TERM_LIMIT = ACC - 1
 
     def __init__(self, p: int, f):
         m = len(f) - 1
@@ -42,7 +51,7 @@ class PackedRing:
         qmask = sum(((1 << (2 * W - shift)) - 1) << (2 * W * j) for j in range(m))
 
         def mod_p(x):
-            """x with each of its 2m - 1 slots (below 2^(W-1)) reduced mod p."""
+            """x with each of its slots (below 2^(W-1)) reduced mod p."""
             quot = ((((x & even) * M) >> shift) & qmask
                     | (((((x >> W) & even) * M) >> shift) & qmask) << W)
             return x - p * quot
@@ -64,13 +73,21 @@ class PackedRing:
         low = (1 << low_bits) - 1
 
         def reduce(u):
-            """The residue of an unreduced product or sum of products."""
-            u = mod_p(u)
+            """The residue of an unreduced product or sum of products.
+
+            Each step reduces mod p (``mod_p`` inlined) only the slots it
+            reads: the m - 1 high slots before the Barrett quotient, the
+            quotient after its shift, and the m low slots once, at the end."""
             hi = u >> low_bits
-            if not hi:  # always so for m = 1
-                return u
-            quot = mod_p(hi * MU) >> q_shift          # u div f
-            return mod_p((u & low) + ((quot * NEG_F) & low))
+            if hi:  # never so for m = 1
+                hi -= p * (((((hi & even) * M) >> shift) & qmask)
+                           | (((((hi >> W) & even) * M) >> shift) & qmask) << W)
+                quot = (hi * MU) >> q_shift               # u div f
+                quot -= p * (((((quot & even) * M) >> shift) & qmask)
+                             | (((((quot >> W) & even) * M) >> shift) & qmask) << W)
+                u = (u & low) + ((quot * NEG_F) & low)
+            return u - p * (((((u & even) * M) >> shift) & qmask)
+                            | (((((u >> W) & even) * M) >> shift) & qmask) << W)
 
         P = p * ones
         wrap = ((1 << (W - 1)) - p) * ones
@@ -92,14 +109,21 @@ class PackedRing:
             return reduce(a * b)
 
         def power(a, k):
-            out = 1
-            while True:
+            """a^k for k >= 0: square-and-multiply from the lowest set bit
+            of k, so no product is by 1."""
+            if not k:
+                return 1
+            while not k & 1:
+                a = reduce(a * a)
+                k >>= 1
+            out = a
+            k >>= 1
+            while k:
+                a = reduce(a * a)
                 if k & 1:
                     out = reduce(out * a)
                 k >>= 1
-                if not k:
-                    return out
-                a = reduce(a * a)
+            return out
 
         def linear_map(a, rows):
             """sum_i c_i rows[i] for the coefficients c_i of a."""
@@ -118,8 +142,8 @@ class PackedRing:
             """The images of X^i under x -> x^(p^t)."""
             if t == 1:
                 x_p = power(1 << W, p)
-                rows = [1]
-                for _ in range(m - 1):
+                rows = [1, x_p]
+                for _ in range(m - 2):
                     rows.append(reduce(rows[-1] * x_p))
                 return rows
             return [linear_map(r, rows_for(1)) for r in rows_for(t - 1)]
@@ -130,7 +154,7 @@ class PackedRing:
 
         chunk = W * (2 * m - 1)
         chunk_mask = (1 << chunk) - 1
-        acc_max = self.ACC
+        acc_max = self.TERM_LIMIT
 
         def poly_mul(a, b):
             """Product of two coefficient lists: one Kronecker product of the
@@ -163,5 +187,5 @@ class PackedRing:
 
         self.add, self.sub, self.neg, self.mul, self.power = add, sub, neg, mul, power
         self.frob, self.poly_mul, self.add_scaled = frob, poly_mul, add_scaled
-        self.encode = pack
+        self.encode, self.W = pack, W
         self.decode = lambda v: tuple([(v >> slot) & mask for slot in slots])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import starmap, zip_longest
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement, format_element
+from .gf import Field, FieldElement, format_element, format_element_int
 
 
 _new = object.__new__
@@ -294,4 +294,5 @@ def format_poly(poly: Poly) -> str:
 
 def poly_to_json(poly: Poly) -> list:
     """JSON form: array of element strings ascending by degree."""
-    return [format_element(c) for c in poly.coeffs]
+    field = poly.field
+    return [format_element_int(field, c) for c in poly.ints]

@@ -16,7 +16,9 @@ padded polynomials, the quotient-ring product by its explicit
 wraparound sum, the isometry M_s placed monomial by monomial, the
 Galois verdict decided one h at a time with a witness of its own, the
 multipliers walked one residue at a time, a coset polynomial as the
-product over its members, the CLI's dict records and search rows
+product over its members, theta as a power of the generator, the
+canonical generator by one power per prime of q - 1, Rabin's
+irreducibility test by m powers by p, the CLI's dict records and search rows
 written through csv.writer, json.dumps and a k=v join, and the
 existence verdicts decided on the codes of dimension n/2 themselves,
 listed as divisors of X^n - lambda with no q-coset in sight.
@@ -32,12 +34,14 @@ import random
 from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
                           build_code, coset_poly, derive_params,
                           galois_selfdual_exists, make_field, nu, parse_element,
-                          q_cosets)
+                          poly_gcd, q_cosets)
 from constagalois.cli import build_parser
 from constagalois.codes import _enum_cap, enumerate_codewords, min_weight
 from constagalois.duality import Isometry, _galois_h
 from constagalois.existence import _witness, iso_selfdual_family
 from constagalois.gf import format_element
+from constagalois.numtheory import _prime_factors
+from constagalois.packed import PackedRing
 from constagalois.oracle import Matrix, naive_cosets
 
 
@@ -66,6 +70,50 @@ def brute_monic_irreducibles(p, m):
             for b in monics[deg_b]:
                 products.add(poly_mul(a, b))
     return [f for f in monics[m] if f not in products]
+
+
+def reference_is_irreducible(f, p):
+    """Rabin's test for a monic f of degree m >= 1 over GF(p) with each
+    X^(p^k) the power by p of the one before (m powers), and no root
+    shortcut: X^(p^m) = X mod f and X^(p^(m/r)) - X coprime to f for
+    every prime r | m."""
+    m = len(f) - 1
+    ring = PackedRing(p, f)
+    x = ring.encode((0, 1)) if m > 1 else -f[0] % p  # X mod f
+    frob_powers = [x]
+    for _ in range(m):
+        frob_powers.append(ring.power(frob_powers[-1], p))
+    if frob_powers[m] != x:
+        return False
+    gf_p = make_field(p, 1)
+    modulus = Poly.from_ints(gf_p, f)
+    for r in _prime_factors(m):
+        diff = Poly.from_ints(gf_p, ring.decode(ring.sub(frob_powers[m // r], x)))
+        if poly_gcd(diff, modulus).degree != 0:
+            return False
+    return True
+
+
+def gauss_irreducible_count(p, m):
+    """The number of monic irreducibles of degree m over GF(p), by Gauss's
+    formula (1/m) sum_{d | m} mu(d) p^(m/d)."""
+    def mobius(d):
+        primes = _prime_factors(d)
+        return 0 if math.prod(primes) != d else (-1) ** len(primes)
+    return sum(mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+def reference_first_primitive(field):
+    """The int of the first element in coefficient order with
+    x^((q-1)/l) != 1 for every prime l | q - 1: one power per prime, in
+    the packed ring of the field's modulus."""
+    power = PackedRing(field.p, field.modulus).power
+    n1 = field.order - 1
+    cofactors = [n1 // f for f in _prime_factors(n1)]
+    for x in field.ints():
+        if x and all(power(x, k) != 1 for k in cofactors):
+            return x
+    raise AssertionError("no primitive element")
 
 
 def coset_index_permutation(cosets, s, period):
@@ -230,6 +278,11 @@ def reference_theta_dlog(params):
                 and (j * m_step * params.n - lam_dlog) % big_order == 0):
             return j * m_step
     raise AssertionError("no primitive n'r-th root theta with theta^n = lambda")
+
+
+def reference_theta(params):
+    """theta as the canonical generator of GF(q^d) to the power theta_dlog."""
+    return params.big_field.generator ** params.theta_dlog
 
 
 def reference_coset_poly(params, coset):

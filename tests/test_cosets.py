@@ -9,9 +9,9 @@ from constagalois.codes import coset_poly
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_family
 from constagalois.cosets import _coset_class, _interned_params
-from exhaustive import (PE_PAIRS, factor_walk_order, grid_instances, reference_act,
-                        reference_image_rep, reference_multipliers, reference_s_orbits,
-                        reference_theta_dlog)
+from exhaustive import (PE_PAIRS, criterion6_codes, factor_walk_order, grid_instances,
+                        reference_act, reference_image_rep, reference_multipliers,
+                        reference_s_orbits, reference_theta, reference_theta_dlog)
 
 
 def test_params_repeated_root_gf4():
@@ -63,8 +63,16 @@ def test_theta_dlog_matches_reference_on_construct_grid():
                     if e * params.d > 24:
                         continue
                     assert params.theta_dlog == reference_theta_dlog(params), params
+                    assert params.theta == reference_theta(params), params
                     count += 1
     assert count == 1270
+
+
+def test_theta_is_the_generator_power_on_criterion6_grid():
+    instances = {params for params, _ in criterion6_codes()}
+    assert len(instances) > 1
+    for params in instances:
+        assert params.theta == reference_theta(params), params
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])

@@ -9,10 +9,11 @@ import pytest
 
 from constagalois import (embed, format_element, frobenius, make_field,
                           mult_order, parse_element, section)
-from constagalois.gf import Field
+from constagalois.gf import Field, _is_irreducible
 from constagalois.numtheory import (_PSI_13, _isprime, _prime_factors,
                                     _strong_lucas_probable_prime)
-from exhaustive import brute_monic_irreducibles, factor_walk_order
+from exhaustive import (brute_monic_irreducibles, factor_walk_order,
+                        gauss_irreducible_count, reference_is_irreducible)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -44,6 +45,21 @@ def test_gf25_modulus_is_lex_smallest_irreducible():
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (5, 2)])
 def test_modulus_minimality_general(p, m):
     assert make_field(p, m).modulus == min(brute_monic_irreducibles(p, m))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducibility_matches_rabin_by_powers(p):
+    # every monic polynomial of degree 1 to 4: the Frobenius steps of
+    # _is_irreducible against m powers by p, and the count of
+    # irreducibles against Gauss's formula
+    for m in range(1, 5):
+        count = 0
+        for low in itertools.product(range(p), repeat=m):
+            f = low + (1,)
+            want = reference_is_irreducible(f, p)
+            assert _is_irreducible(f, p) == want, f
+            count += want
+        assert count == gauss_irreducible_count(p, m), (p, m)
 
 
 def test_additive_identity():

@@ -19,7 +19,7 @@ from constagalois.gf import _DLOG_MAX, _TABLE_MAX, Field
 from constagalois.numtheory import _isprime
 from constagalois.oracle import Matrix
 from constagalois.packed import PackedRing
-from exhaustive import ReferenceField
+from exhaustive import ReferenceField, reference_first_primitive
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -164,6 +164,18 @@ def test_canonical_fields_match_the_recorded_table():
         assert list(field.generator.coeffs) == generator, (p, m)
 
 
+def test_generator_search_matches_the_all_cofactor_walk():
+    # the split exponents of _first_primitive against one power per prime
+    # of q - 1, on every recorded field: GF(2) (q - 1 = 1, no prime) and
+    # GF(2^13), GF(2^17), GF(2^19) (q - 1 prime) among them
+    with open(os.path.join(HERE, "golden", "fields.json")) as fh:
+        table = json.load(fh)
+    assert {(2, 1), (2, 13), (2, 17), (2, 19)} <= {(p, m) for p, m, _, _ in table}
+    for p, m, _, _ in table:
+        field = make_field(p, m)
+        assert field.generator.v == reference_first_primitive(field), (p, m)
+
+
 # -- polynomials and matrices --------------------------------------------------
 
 POLY_FIELDS = [(2, 2), (3, 2), (5, 2), (2, 8), (5, 6)]
@@ -208,6 +220,66 @@ def test_long_products_on_the_packed_kernel():
     a = Poly(field, [field.element(rng.randrange(5) for _ in range(6)) for _ in range(45)])
     b = Poly(field, [field.element(rng.randrange(5) for _ in range(6)) for _ in range(40)])
     assert as_tuples(a * b) == ref.poly_mul(as_tuples(a), as_tuples(b))
+
+
+def slot_sum_bound(p, m, limit):
+    """The most a low slot holds before ``reduce``'s last pass: a sum of
+    ``limit`` products of residues plus the Barrett correction."""
+    return (limit * m + m - 1) * (p - 1) ** 2
+
+
+def test_slot_bound_holds_below_the_top_bit():
+    limit = PackedRing.TERM_LIMIT
+    assert limit == PackedRing.ACC - 1
+    for p in range(2, 64):
+        if _isprime(p):
+            for m in range(1, 41):
+                W = PackedRing(p, [1] * (m + 1)).W
+                assert slot_sum_bound(p, m, limit) < 1 << (W - 1), (p, m)
+    # one more term (the limit ACC) would pass the top bit of a slot of
+    # GF(7^14), a construct field
+    W = PackedRing(7, make_field(7, 14).modulus).W
+    assert slot_sum_bound(7, 14, PackedRing.ACC) >= 1 << (W - 1)
+
+
+# the rings with under 2.5 % headroom, 2^(W-1) / (ACC m (p-1)^2)
+TIGHT_RINGS = [(7, 7), (7, 14), (11, 5), (13, 7)]
+
+
+def schoolbook_mod(p, f, a, b):
+    """a * b mod (f, p) on plain ints, a and b coefficient lists."""
+    m = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, m - 1, -1):
+        c = prod[k] % p
+        for j in range(m + 1):
+            prod[k - m + j] -= c * f[j]
+    return tuple(c % p for c in prod[:m])
+
+
+@pytest.mark.parametrize("p,m", TIGHT_RINGS)
+def test_products_at_the_term_limit_fill_every_slot(p, m):
+    # every coefficient p - 1, as many terms per coefficient as poly_mul
+    # takes in one product, and one more, which it splits; f = 1 + X + ...
+    # + X^m makes the Barrett correction as large as it gets
+    acc, limit = PackedRing.ACC, PackedRing.TERM_LIMIT
+    W = PackedRing(p, [1] * (m + 1)).W
+    assert 1 << (W - 1) < 1.025 * acc * m * (p - 1) ** 2
+    full = [p - 1] * m
+    for f in ([1] * (m + 1), make_field(p, m).modulus):
+        ring = PackedRing(p, f)
+        square = schoolbook_mod(p, f, full, full)
+        assert ring.decode(ring.mul(ring.encode(full), ring.encode(full))) == square
+        for terms in (limit, limit + 1):
+            a = [ring.encode(full)] * terms
+            got = ring.poly_mul(a, a)
+            assert len(got) == 2 * terms - 1
+            for k, c in enumerate(got):
+                count = min(k + 1, 2 * terms - 1 - k)
+                assert ring.decode(c) == tuple(count * x % p for x in square), (f, terms, k)
 
 
 @pytest.mark.parametrize("p,m", POLY_FIELDS)
