@@ -2,9 +2,10 @@
 
 A coset function phi determines the code with check polynomial
 f_phi = prod_Q coset_poly(Q)^phi(Q) and generator polynomial f_phibar;
-the two multiply back to X^n - lambda^residue.  Codewords are the
-multiples of the generator, and at desk scale we can enumerate all of
-them for membership spot checks and exact minimum weights.
+the two multiply back to X^n - lambda^residue, so a code computes one
+as a product of coset polynomials and the other by one exact division.
+Codewords are the generator's multiples; at desk scale we enumerate
+them all for membership spot checks and exact minimum weights.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .cosets import CodeParams, CosetFunction, QCoset
 from .gf import Field, FieldElement
 from .numtheory import p_split
-from .polyring import Poly, poly_to_json
+from .polyring import Poly, _divmod_ints, poly_to_json
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -102,8 +103,12 @@ class ConstaCode:
     check = f_phi, generator = f_phibar, dim = deg f_phi; the generator
     and check polynomials are materialized lazily since much of the
     classification theory never needs them.  A code built from phi
-    computes them as products of coset polynomials (``cf_poly``).  A
-    Galois dual holds its source code C and t in ``_dual_of`` (set by
+    computes one of them as a product of coset polynomials (``cf_poly``):
+    the side whose support, the cosets Q with a nonzero value, has the
+    smaller total size, the generator on a tie.  The other is the exact
+    quotient of X^n - lambda^residue by that product.  A zero or full phi
+    makes the product 1, so no coset polynomial is built.  A Galois dual
+    holds its source code C and t in ``_dual_of`` (set by
     ``duality.galois_dual``) and reads them off C's own polynomials: its
     generator is the monic reciprocal of C's check, and its check that of
     C's generator, each with every coefficient raised to p^t.
@@ -130,11 +135,28 @@ class ConstaCode:
         """The constant lambda^residue the ring is taken modulo."""
         return self.params.lam_power(self.residue)
 
+    def _from_cosets(self) -> None:
+        """Set both polynomials: the cheaper side a product, the other a quotient."""
+        params, phi, field = self.params, self.phi, self.params.field
+        cap = params.mult_cap
+        # phi and phibar share the cosets with 0 < phi(Q) < cap: the check's
+        # support is the smaller when fewer members have phi = cap than 0
+        by_check = sum(len(Q) * ((v == cap) - (v == 0)) for Q, v in
+                       zip(params.cosets_on(phi.residue), phi.values())) < 0
+        product = cf_poly(params, phi if by_check else phi.complement())
+        unit = field.pow(params.lam_v, phi.residue)  # as modulus_poly(residue), on ints
+        quot, rem = _divmod_ints(field, [field.neg(unit)] + [0] * (params.n - 1) + [1],
+                                 product.ints)
+        if rem:
+            raise AssertionError("coset product does not divide X^n - lambda^s")
+        quot = Poly.wrap(field, quot)
+        self._check, self._generator = (product, quot) if by_check else (quot, product)
+
     @property
     def check(self) -> Poly:
         if self._check is None:
             if self._dual_of is None:
-                self._check = cf_poly(self.params, self.phi)
+                self._from_cosets()
             else:
                 source, t = self._dual_of
                 self._check = _reciprocal_frob(source.generator, t)
@@ -144,7 +166,7 @@ class ConstaCode:
     def generator(self) -> Poly:
         if self._generator is None:
             if self._dual_of is None:
-                self._generator = cf_poly(self.params, self.phi.complement())
+                self._from_cosets()
             else:
                 source, t = self._dual_of
                 self._generator = _reciprocal_frob(source.check, t)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from typing import Iterable, Iterator, Optional
 
 from .numtheory import _isprime, _prime_factors
@@ -372,6 +373,8 @@ def make_field(p: int, m: int, /) -> Field:
 
     if m == 1:
         return Field(p, 1, (0, 1))
+    if p > sys.maxsize:  # the modulus walk and Field.ints() take range(p) as a tuple
+        raise ValueError(f"GF(p^{m}) with m >= 2 needs p <= sys.maxsize = {sys.maxsize}")
     # c0 = 0 would make X a factor
     for low in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         if _is_irreducible(low + (1,), p):

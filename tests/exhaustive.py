@@ -16,7 +16,8 @@ padded polynomials, the quotient-ring product by its explicit
 wraparound sum, the isometry M_s placed monomial by monomial, the
 Galois verdict decided one h at a time with a witness of its own, the
 multipliers walked one residue at a time, a coset polynomial as the
-product over its members, theta as a power of the generator, the
+product over its members, a code's check and generator both as products
+of coset polynomials, theta as a power of the generator, the
 canonical generator by one power per prime of q - 1, Rabin's
 irreducibility test by m powers by p, the CLI's dict records and search rows
 written through csv.writer, json.dumps and a k=v join, and the
@@ -36,7 +37,7 @@ from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
                           galois_selfdual_exists, make_field, nu, parse_element,
                           poly_gcd, q_cosets)
 from constagalois.cli import build_parser
-from constagalois.codes import _enum_cap, enumerate_codewords, min_weight
+from constagalois.codes import _enum_cap, cf_poly, enumerate_codewords, min_weight
 from constagalois.duality import Isometry, _galois_h
 from constagalois.existence import _witness, iso_selfdual_family
 from constagalois.gf import format_element
@@ -295,6 +296,13 @@ def reference_coset_poly(params, coset):
         product = product * Poly(big, [-(params.theta ** i), big.one])
     section = params.field.embedding_into(big).section
     return Poly(params.field, [section(c) for c in product.coeffs])
+
+
+def reference_code_polys(code):
+    """(check, generator) of a code built from phi, both as products of
+    coset polynomials: cf_poly(phi) and cf_poly(phibar)."""
+    return (cf_poly(code.params, code.phi),
+            cf_poly(code.params, code.phi.complement()))
 
 
 def brute_min_weight(code):

@@ -144,6 +144,13 @@ CASES = [
     # shown on three rows of one instance
     ("search_weights_char2_csv", ["search", "--p-list", "2", "--e-list", "1,2,3",
                                   "--n-max", "12", "--with-weights", "--format", "csv"]),
+    # p above sys.maxsize: GF(p^2), as the base field and as the splitting
+    # field, is refused with a domain error (the modulus walk takes range(p)
+    # as a tuple)
+    ("error_prime_above_maxsize_e2", ["params", "--p", "62864142619960717084721153",
+                                      "--e", "2", "--n", "1", "--lambda", "1"]),
+    ("error_prime_above_maxsize_splitting", ["params", "--p", "62864142619960717084721153",
+                                             "--e", "1", "--n", "3", "--lambda", "1"]),
 ]
 
 

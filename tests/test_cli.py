@@ -195,6 +195,16 @@ def test_domain_error_exit_code(capsys):
     assert "lambda must be a unit" in err
 
 
+@pytest.mark.parametrize("e,n", [(2, 1), (1, 3)])
+def test_extension_field_of_a_prime_above_maxsize_is_a_domain_error(capsys, e, n):
+    # GF(p^2) is the base field for e = 2 and the splitting field for n = 3
+    code, out, err = run_cli(capsys, "params", "--p", "62864142619960717084721153",
+                             "--e", str(e), "--n", str(n), "--lambda", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "sys.maxsize" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["cosets", "--p", "5"]) == 2
     capsys.readouterr()

@@ -10,8 +10,8 @@ from constagalois import (CosetFunction, Poly, QuotientElem, build_code,
 from constagalois import codes
 from constagalois.cosets import CodeParams
 from exhaustive import (brute_min_weight, code_contains, code_from_generator,
-                        criterion6_codes, grid_instances, reference_coset_poly,
-                        reference_generator_rows)
+                        criterion6_codes, grid_instances, reference_code_polys,
+                        reference_coset_poly, reference_generator_rows)
 
 
 def gf4_params():
@@ -103,6 +103,99 @@ def test_cf_poly_length12_matches_big_field_product():
     lifted = Poly(big, [embed(c, big) for c in got.coeffs])
     assert lifted == expect
     assert got.degree == 6
+
+
+def assert_polys_match_reference(code):
+    """check and generator equal the two products, read in either order."""
+    check, generator = reference_code_polys(code)
+    fresh = build_code(code.params, code.phi)
+    assert (code.check, code.generator) == (check, generator), code
+    assert (fresh.generator, fresh.check) == (generator, check), code
+
+
+def test_code_polys_match_both_products_on_criterion6_grid():
+    count = 0
+    for params, code in criterion6_codes():
+        assert_polys_match_reference(code)
+        count += 1
+    assert count == 1777
+
+
+def construct_grid_with_repeated_roots():
+    """Every (p, e, n, ord lambda) with p <= 7, e <= 2, n <= 40, p | n and
+    a splitting field of degree e*d <= 24."""
+    for p in (2, 3, 5, 7):
+        for e in (1, 2):
+            q = p ** e
+            g = make_field(p, e).generator
+            for n in range(p, 41, p):
+                for r in [k for k in range(1, q) if (q - 1) % k == 0]:
+                    params = derive_params(p, e, n, g ** ((q - 1) // r))
+                    if e * params.d <= 24:
+                        yield params
+
+
+def test_code_polys_match_both_products_with_repeated_roots():
+    # nu >= 1: multiplicities up to p^nu, so a coset can lie in both
+    # supports; in characteristic 2 the constant p^nu/2 is such a tie.  The
+    # class r - 1 takes the quotient of X^n - lambda^(r-1)
+    rng = random.Random(31)
+    count = 0
+    for params in construct_grid_with_repeated_roots():
+        cap = params.mult_cap
+        for residue in {1 % params.r, params.r - 1}:
+            size = len(params.cosets_on(residue))
+            values = [[0] * size, [cap] * size,
+                      [rng.randint(0, cap) for _ in range(size)],
+                      [rng.choice((0, 1, cap)) for _ in range(size)]]
+            if params.p == 2:
+                values.append([cap // 2] * size)
+            for vals in values:
+                assert_polys_match_reference(
+                    build_code(params, CosetFunction.from_values(params, vals, residue)))
+                count += 1
+    assert count == 1872
+
+
+def test_zero_and_full_codes_build_no_coset_poly_or_field():
+    field = make_field(7, 2)
+    params = CodeParams(7, 2, 35, field.generator ** 8)  # not interned
+    one = Poly.wrap(params.field, [1])
+    zero = build_code(params, CosetFunction.constant(params, 0))
+    full = build_code(params, CosetFunction.constant(params, params.mult_cap))
+    fields, polys = make_field.cache_info().misses, coset_poly.cache_info()
+    assert zero.generator == params.modulus_poly(1) == full.check
+    assert zero.check == one == full.generator
+    assert make_field.cache_info().misses == fields
+    assert coset_poly.cache_info() == polys
+    assert "big_field" not in vars(params)
+
+
+@pytest.mark.parametrize("values,built", [
+    ([3, 0, 0, 0], [1]),            # the check's support is the smaller
+    ([3, 3, 3, 0], [13]),           # the generator's is
+    ([3, 3, 0, 0], [9, 13]),        # a tie: the generator
+    ([1, 2, 1, 2], [1, 5, 9, 13]),  # a tie, both supports full
+    ([0, 0, 0, 0], []), ([3, 3, 3, 3], []),
+])
+def test_only_the_cheaper_side_is_a_product(monkeypatch, values, built):
+    # four singleton cosets 1, 5, 9, 13 with multiplicities up to 3
+    params = derive_params(3, 4, 12, "g^20")
+    reps = []
+    monkeypatch.setattr(codes, "coset_poly",
+                        lambda params, Q: reps.append(Q.rep) or coset_poly(params, Q))
+    code = build_code(params, CosetFunction.from_values(params, values))
+    assert code.generator * code.check == params.modulus_poly(1)
+    assert reps == built
+
+
+def test_a_product_that_does_not_divide_is_an_internal_error(monkeypatch):
+    params = derive_params(3, 4, 12, "g^20")
+    code = build_code(params, CosetFunction.from_values(params, [1, 0, 0, 0]))
+    monkeypatch.setattr(codes, "cf_poly",
+                        lambda params, phi: Poly.from_ints(params.field, [1, 1]))
+    with pytest.raises(AssertionError, match="does not divide"):
+        code.generator
 
 
 def test_build_code_zero_and_example():

@@ -128,6 +128,20 @@ def test_random_pairs_of_large_fields(p, m):
             assert ref.pow(field.generator.coeffs, field.dlog(x)) == x.coeffs
 
 
+@pytest.mark.parametrize("p,m", [pm for pm in LARGE if pm[0] ** pm[1] > _TABLE_MAX])
+def test_packed_powers_at_zero_and_the_group_order(p, m):
+    # Field.pow reduces k mod q - 1, so x^(q-1) reaches the ring as x^0
+    field = make_field(p, m)
+    ring = PackedRing(p, field.modulus)
+    rng = random.Random(f"powers {p}^{m}")
+    for _ in range(20):
+        a = field.encode([rng.randrange(p) for _ in range(m)])
+        assert ring.power(a, 0) == 1
+        if a:
+            assert field.pow(a, field.order - 1) == 1
+            assert field.pow(a, field.order) == a
+
+
 def test_kernel_choice_follows_field_size():
     assert make_field(2, 10).order <= _TABLE_MAX < make_field(2, 11).order
     assert make_field(2, 10)._dlog_table is not None   # the table kernel's own log
