@@ -144,9 +144,7 @@ class ConstaCode:
         by_check = sum(len(Q) * ((v == cap) - (v == 0)) for Q, v in
                        zip(params.cosets_on(phi.residue), phi.values())) < 0
         product = cf_poly(params, phi if by_check else phi.complement())
-        unit = field.pow(params.lam_v, phi.residue)  # as modulus_poly(residue), on ints
-        quot, rem = _divmod_ints(field, [field.neg(unit)] + [0] * (params.n - 1) + [1],
-                                 product.ints)
+        quot, rem = _divmod_ints(field, params.modulus_poly(phi.residue).ints, product.ints)
         if rem:
             raise AssertionError("coset product does not divide X^n - lambda^s")
         quot = Poly.wrap(field, quot)

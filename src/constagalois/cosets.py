@@ -141,8 +141,8 @@ class CodeParams:
     def modulus_poly(self, s: int = 1) -> Poly:
         """X^n - lambda^s in F_q[X]."""
         field = self.field
-        return (Poly.x_power(field, self.n)
-                - Poly.constant(field, self.lam_power(s)))
+        unit = field.pow(self.lam_v, s % self.r)
+        return Poly.wrap(field, [field.neg(unit)] + [0] * (self.n - 1) + [1])
 
     # -- coset structure ---------------------------------------------------------
 

@@ -48,23 +48,34 @@ _TABLE_MAX = 1 << 10
 _DLOG_MAX = 1 << 16
 
 
+def _horner(coeffs, x, add, mul):
+    """sum_k coeffs[k] * x^k (ascending coefficients) by Horner's rule, on
+    the ring whose sum and product are ``add`` and ``mul``."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
 def _is_irreducible(f, p):
     """Rabin's irreducibility test for a monic f of degree m over GF(p).
 
     f is irreducible iff X^(p^m) = X mod f and X^(p^(m/r)) - X is coprime
     to f for every prime r dividing m (Rabin, SIAM J. Comput. 9, 1980).
-    For p < 32 a root in GF(p), found by evaluation, rejects most reducible
-    candidates before any power is taken.  X^p is one power; every later
-    X^(p^k) is the Frobenius map of the one before.
+    For p < 32 a root in GF(p), found by evaluating f at 1, ..., p - 1
+    over the integers mod p, rejects most reducible candidates before any
+    power is taken.  X^p is one power; every later X^(p^k) is the
+    Frobenius map of the one before.  Coprimality is decided in the packed
+    ring GF(p)[X]/(f): once X^(p^m) = X mod f, f divides X^(p^m) - X, so
+    it is squarefree with factors of degrees d | m and the ring is a
+    product of fields GF(p^d); a residue is then coprime to f iff it is a
+    unit, iff its (p^m - 1)-th power is 1.
     """
     m = len(f) - 1
     if m == 1:
         return True
-    from .polyring import Poly, poly_gcd  # the one polynomial implementation
-
-    gf_p = make_field(p, 1)
-    modulus = Poly.from_ints(gf_p, f)
-    if p < 32 and any(not modulus.eval(gf_p.wrap(a)) for a in range(1, p)):
+    if p < 32 and any(_horner(f, a, int.__add__, int.__mul__) % p == 0
+                      for a in range(1, p)):
         return False
     ring = PackedRing(p, f)
     x = ring.encode((0, 1))
@@ -73,11 +84,9 @@ def _is_irreducible(f, p):
         frob_powers.append(ring.frob(frob_powers[-1], 1))
     if frob_powers[m] != x:
         return False
-    for r in _prime_factors(m):
-        diff = Poly.from_ints(gf_p, ring.decode(ring.sub(frob_powers[m // r], x)))
-        if poly_gcd(diff, modulus).degree != 0:
-            return False
-    return True
+    unit_order = p ** m - 1
+    return all(ring.power(ring.sub(frob_powers[m // r], x), unit_order) == 1
+               for r in _prime_factors(m))
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +446,9 @@ class Embedding:
         beta = None
         acc = 1
         for _ in range(sub.order - 1):
-            # evaluate the subfield modulus at acc (its coefficients are
-            # constants of GF(p), whose ints are themselves)
-            val = 0
-            for c in reversed(sub.modulus):
-                val = add(mul(val, acc), c)
-            if not val:
+            # the subfield modulus at acc (its coefficients are constants
+            # of GF(p), whose ints are themselves)
+            if not _horner(sub.modulus, acc, add, mul):
                 beta = acc
                 break
             acc = mul(acc, w)

@@ -46,17 +46,8 @@ class Poly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_ints(cls, field: Field, ints: Iterable[int]) -> "Poly":
-        """From integers, each taken through Z -> GF(p)."""
-        return cls.wrap(field, [v % field.p for v in ints])
-
-    @classmethod
     def x_power(cls, field: Field, k: int) -> "Poly":
         return cls.wrap(field, [0] * k + [1])
-
-    @classmethod
-    def constant(cls, field: Field, c: FieldElement) -> "Poly":
-        return cls(field, [c])
 
     # -- basics ----------------------------------------------------------------
 
@@ -143,18 +134,6 @@ class Poly:
         field = self.field
         mul, inv = field.mul, field.inv(self.ints[-1])
         return Poly.wrap(field, [mul(c, inv) for c in self.ints])
-
-    def eval(self, x: FieldElement) -> FieldElement:
-        """Horner evaluation; x may live in an extension of the coefficient field."""
-        big = x.field
-        ints = self.ints
-        if big is not self.field:
-            ints = list(map(self.field.embedding_into(big).map_int, ints))
-        mul, add, v = big.mul, big.add, x.v
-        acc = 0
-        for c in reversed(ints):
-            acc = add(mul(acc, v), c)
-        return big.wrap(acc)
 
 
 def _divmod_ints(field: Field, num, den):

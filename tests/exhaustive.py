@@ -14,7 +14,8 @@ polynomial form, the oracle's span equality by three ranks and its
 dual basis on wrapped elements, the generator rows as shifted and
 padded polynomials, the quotient-ring product by its explicit
 wraparound sum, the isometry M_s placed monomial by monomial, the
-Galois verdict decided one h at a time with a witness of its own, the
+Galois verdict decided one h at a time with a witness of its own, a
+polynomial from integers and its value at a point by Horner's rule, the
 multipliers walked one residue at a time, a coset polynomial as the
 product over its members, a code's check and generator both as products
 of coset polynomials, theta as a power of the generator, the
@@ -87,9 +88,9 @@ def reference_is_irreducible(f, p):
     if frob_powers[m] != x:
         return False
     gf_p = make_field(p, 1)
-    modulus = Poly.from_ints(gf_p, f)
+    modulus = poly_from_ints(gf_p, f)
     for r in _prime_factors(m):
-        diff = Poly.from_ints(gf_p, ring.decode(ring.sub(frob_powers[m // r], x)))
+        diff = poly_from_ints(gf_p, ring.decode(ring.sub(frob_powers[m // r], x)))
         if poly_gcd(diff, modulus).degree != 0:
             return False
     return True
@@ -520,6 +521,25 @@ def poly_xgcd(a, b):
         raise ValueError("gcd of two zero polynomials")
     lead_inv = r0.coeffs[-1].inverse()
     return r0 * lead_inv, u0 * lead_inv, v0 * lead_inv
+
+
+def poly_from_ints(field, ints):
+    """The polynomial with these integers as coefficients, each taken
+    through Z -> GF(p)."""
+    return Poly.wrap(field, [v % field.p for v in ints])
+
+
+def poly_eval(poly, x):
+    """poly at x by Horner's rule; x may live in an extension of the
+    coefficient field, which the canonical embedding maps into."""
+    big = x.field
+    ints = poly.ints
+    if big is not poly.field:
+        ints = list(map(poly.field.embedding_into(big).map_int, ints))
+    acc = 0
+    for c in reversed(ints):
+        acc = big.add(big.mul(acc, x.v), c)
+    return big.wrap(acc)
 
 
 def parse_poly(data, field):

@@ -12,7 +12,7 @@ from constagalois import (CosetFunction, Isometry, Poly, QuotientElem,
 from constagalois import oracle
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_exists, iso_selfdual_family
-from exhaustive import (PE_PAIRS, brute_iso_witness, grid_instances,
+from exhaustive import (PE_PAIRS, brute_iso_witness, grid_instances, poly_from_ints,
                         reference_iso_family_multiplier, reference_iso_witness_for,
                         reference_isometry_apply, reference_multipliers)
 from test_cosets import _census_grid
@@ -147,9 +147,9 @@ def test_isometry_ring_homomorphism():
                     continue
                 a = QuotientElem.from_vector(params, 1,
                                              [rng.choice(elems) for _ in range(params.n)])
-                scaled = iso.apply(a * QuotientElem(params, 1, Poly.constant(field, c)))
+                scaled = iso.apply(a * QuotientElem(params, 1, Poly(field, [c])))
                 twisted = iso.apply(a) * QuotientElem(
-                    params, iso.s, Poly.constant(field, c.frobenius(nu)))
+                    params, iso.s, Poly(field, [c.frobenius(nu)]))
                 assert scaled == twisted
 
 
@@ -213,7 +213,7 @@ def test_isometry_apply_stays_linear_in_n_when_r_is_large():
     # and reducing that took 0.5 s and 148 MB (2-CPU x86-64 VM, Python 3.11)
     params = derive_params(65537, 1, 100, 3)
     rng = random.Random(3)
-    elem = QuotientElem(params, 1, Poly.from_ints(params.field,
+    elem = QuotientElem(params, 1, poly_from_ints(params.field,
                                                   [rng.randrange(65537) for _ in range(100)]))
     iso = Isometry(params, 3)
 

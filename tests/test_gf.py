@@ -47,12 +47,18 @@ def test_modulus_minimality_general(p, m):
     assert make_field(p, m).modulus == min(brute_monic_irreducibles(p, m))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+# the top degree tested per p: degrees 5 and 6 over GF(2) run the
+# coprimality step for one and two primes of m; GF(37) has no root
+# screen, so every quadratic reaches it
+RABIN_DEGREES = {2: 6, 3: 4, 5: 4, 37: 2}
+
+
+@pytest.mark.parametrize("p", sorted(RABIN_DEGREES))
 def test_irreducibility_matches_rabin_by_powers(p):
-    # every monic polynomial of degree 1 to 4: the Frobenius steps of
-    # _is_irreducible against m powers by p, and the count of
-    # irreducibles against Gauss's formula
-    for m in range(1, 5):
+    # every monic polynomial of degree 1 up to RABIN_DEGREES[p]: the
+    # Frobenius steps and unit powers of _is_irreducible against m powers
+    # by p and gcds, and the count of irreducibles against Gauss's formula
+    for m in range(1, RABIN_DEGREES[p] + 1):
         count = 0
         for low in itertools.product(range(p), repeat=m):
             f = low + (1,)

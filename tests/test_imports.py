@@ -1,7 +1,8 @@
 """The library's imports, memos and domain errors: every name imported is
-used, importing the package and its CLI loads no heavy standard module,
+used, the modules import one way down a fixed order and only at module
+level, importing the package and its CLI loads no heavy standard module,
 only cosets.py reads a coset function's rep-keyed view or names the coset
-table's memo, the module-level memos are the eight listed, and each
+table's memo, the module-level memos are the seven listed, and each
 domain-rule message is raised from one place.
 
 Each ``src/constagalois/*.py`` except the package's ``__init__.py``
@@ -52,6 +53,52 @@ def test_library_modules_use_every_import():
             unused = unused_imports(fh.read())
         if unused:
             offenders[os.path.basename(path)] = unused
+    assert offenders == {}
+
+
+# the library's modules, bottom first: each imports only from modules
+# before it.  The package __init__ loads every module, so a runtime import
+# check could not see a cycle; this one reads the source.
+LAYERS = ["numtheory", "packed", "gf", "polyring", "cosets", "codes", "duality",
+          "existence", "oracle", "cli"]
+
+
+def layering_faults(source: str, module: str):
+    """(line, text) for each import of the module made inside a function or
+    class, and each ``from .x import`` whose x is not a module before it
+    in LAYERS."""
+    tree = ast.parse(source)
+    below = LAYERS[:LAYERS.index(module)]
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            faults += [(inner.lineno, "nested import") for inner in ast.walk(node)
+                       if isinstance(inner, (ast.Import, ast.ImportFrom))]
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module not in below:
+            faults.append((node.lineno, f"from .{node.module or ''} import"))
+    return sorted(set(faults))
+
+
+def test_guard_sees_a_nested_and_an_upward_import():
+    source = ("from .numtheory import p_split\nfrom .polyring import Poly\n"
+              "from . import cli\n"
+              "def f():\n    from .packed import PackedRing\n"
+              "class C:\n    import math\n")
+    assert layering_faults(source, "gf") == [
+        (2, "from .polyring import"), (3, "from . import"),
+        (5, "nested import"), (7, "nested import")]
+
+
+def test_library_modules_import_one_way_at_module_level():
+    offenders = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        if module == "__init__":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            faults = layering_faults(fh.read(), module)
+        if faults:
+            offenders[module] = faults
     assert offenders == {}
 
 

@@ -4,7 +4,8 @@ Fields with q <= 2^10 run on log/antilog tables, larger ones on packed
 slots; both are checked element by element (every ordered pair of every
 field with q <= 256, random pairs on six large fields and on GF(31^2)),
 through ``Poly`` and the oracle's ``Matrix``, and against the canonical
-moduli and generators recorded in tests/golden/fields.json.
+moduli and generators recorded in tests/golden/fields.json; the packed
+ring's products also on random moduli, at its slot bound and for large p.
 """
 
 import itertools
@@ -169,7 +170,9 @@ def test_table_and_packed_fields_share_one_encoding(p, m):
 def test_canonical_fields_match_the_recorded_table():
     # (p, m, modulus, generator coefficients) for every p <= 13 with
     # p^m <= 2^20 and every splitting field of the construct benchmark,
-    # recorded from the coefficient-tuple implementation
+    # recorded from the coefficient-tuple implementation; then four fields
+    # with p >= 32, where the modulus search has no root screen, recorded
+    # while Rabin's coprimality step still ran as a gcd over Poly
     with open(os.path.join(HERE, "golden", "fields.json")) as fh:
         table = json.load(fh)
     for p, m, modulus, generator in table:
@@ -294,6 +297,23 @@ def test_products_at_the_term_limit_fill_every_slot(p, m):
             for k, c in enumerate(got):
                 count = min(k + 1, 2 * terms - 1 - k)
                 assert ring.decode(c) == tuple(count * x % p for x in square), (f, terms, k)
+
+
+# large p with m >= 3: the Barrett quotient's slots exceed p before its
+# mod-p pass, and without that pass a third or more of these products over
+# (257, 6) and (1009, 3) come out wrong
+@pytest.mark.parametrize("p,m", [(257, 6), (1009, 3), (101, 8)])
+def test_products_with_large_p_against_schoolbook(p, m):
+    # five seeded random monic f, reducible or not, 300 products on each
+    rng = random.Random(f"barrett {p}^{m}")
+    for _ in range(5):
+        f = [rng.randrange(p) for _ in range(m)] + [1]
+        ring = PackedRing(p, f)
+        for _ in range(300):
+            a = [rng.randrange(p) for _ in range(m)]
+            b = [rng.randrange(p) for _ in range(m)]
+            got = ring.decode(ring.mul(ring.encode(a), ring.encode(b)))
+            assert got == schoolbook_mod(p, f, a, b), (f, a, b)
 
 
 @pytest.mark.parametrize("p,m", POLY_FIELDS)

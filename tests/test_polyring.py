@@ -5,8 +5,8 @@ import pytest
 from constagalois import (CodeParams, CosetFunction, Isometry, Poly, QuotientElem,
                           cf_poly, derive_params, make_field, poly_gcd, q_cosets)
 from constagalois.polyring import format_poly, poly_to_json
-from exhaustive import (parse_poly, poly_xgcd, reference_isometry_apply,
-                        reference_quotient_mul)
+from exhaustive import (parse_poly, poly_eval, poly_from_ints, poly_xgcd,
+                        reference_isometry_apply, reference_quotient_mul)
 
 
 def random_poly(field, max_deg, rng):
@@ -17,7 +17,7 @@ def random_poly(field, max_deg, rng):
 def test_multiplicative_identity():
     field = make_field(2, 2)
     one = Poly(field, [field.one])
-    a = Poly.from_ints(field, [1, 0, 1, 1])
+    a = poly_from_ints(field, [1, 0, 1, 1])
     assert a * one == a
 
 
@@ -68,15 +68,15 @@ def test_degree_of_products():
 
 
 def test_mixed_field_polys_rejected():
-    a = Poly.from_ints(make_field(2, 2), [1, 1])
-    b = Poly.from_ints(make_field(3, 2), [1, 1])
+    a = poly_from_ints(make_field(2, 2), [1, 1])
+    b = poly_from_ints(make_field(3, 2), [1, 1])
     with pytest.raises(ValueError, match="mixed fields"):
         a + b
 
 
 def test_divmod_self():
     field = make_field(5, 1)
-    a = Poly.from_ints(field, [2, 0, 3])
+    a = poly_from_ints(field, [2, 0, 3])
     q, r = divmod(a, a)
     assert q == Poly(field, [field.one]) and r.is_zero()
 
@@ -109,14 +109,14 @@ def test_division_identity_random():
 
 def test_division_by_zero_rejected():
     field = make_field(2, 2)
-    a = Poly.from_ints(field, [1, 1])
+    a = poly_from_ints(field, [1, 1])
     with pytest.raises(ZeroDivisionError):
         divmod(a, Poly(field, []))
 
 
 def test_gcd_with_zero_is_monic():
     field = make_field(5, 1)
-    a = Poly.from_ints(field, [2, 4])  # 2 + 4X
+    a = poly_from_ints(field, [2, 4])  # 2 + 4X
     g = poly_gcd(a, Poly(field, []))
     assert g == a.monic() and g.ints[-1] == 1
     with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ def test_quotient_defining_relation():
     xn1 = QuotientElem(params, 1, Poly.x_power(field, 3))
     x = QuotientElem(params, 1, Poly.x_power(field, 1))
     prod = xn1 * x
-    assert prod.rep == Poly.constant(field, params.lam)
+    assert prod.rep == Poly(field, [params.lam])
 
 
 def test_quotient_generator_squares_to_zero():
@@ -219,7 +219,7 @@ def test_quotient_ring_reduces_without_division(monkeypatch):
 def test_quotient_rejects_a_representative_over_another_field():
     params = derive_params(3, 1, 4, -1)
     with pytest.raises(ValueError, match="mixed fields"):
-        QuotientElem(params, 1, Poly.from_ints(make_field(5, 1), [4, 3]))
+        QuotientElem(params, 1, poly_from_ints(make_field(5, 1), [4, 3]))
 
 
 def test_quotient_mul_matches_wraparound_sum_on_every_class():
@@ -263,9 +263,9 @@ def test_eval_roots_and_constant_term():
     field = make_field(2, 2)
     theta = field.generator
     linear = Poly(field, [-theta, field.one])
-    assert not linear.eval(theta)
-    a = Poly.from_ints(field, [1, 1, 1])
-    assert a.eval(field.zero) == field.one
+    assert not poly_eval(linear, theta)
+    a = poly_from_ints(field, [1, 1, 1])
+    assert poly_eval(a, field.zero) == field.one
 
 
 def test_eval_all_roots_of_length26_negacyclic_modulus():
@@ -274,7 +274,7 @@ def test_eval_all_roots_of_length26_negacyclic_modulus():
     field = params.field
     modulus = params.modulus_poly(1)
     for k in range(52):
-        value = modulus.eval(params.theta_pow(k))
+        value = poly_eval(modulus, params.theta_pow(k))
         assert (not value) == (k % 2 == 1)
 
 
@@ -286,7 +286,7 @@ def test_coset_poly_roots_exact():
     for Q in cosets[:4]:
         poly = coset_poly(params, Q)
         for i in range(52):
-            value = poly.eval(params.theta_pow(i))
+            value = poly_eval(poly, params.theta_pow(i))
             assert (not value) == (i % 52 in Q.members)
 
 

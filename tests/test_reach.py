@@ -43,6 +43,7 @@ UNREACHED = {
     "polyring.Poly.__mod__": DUNDER,
     "polyring.Poly.__neg__": DUNDER,
     "polyring.Poly.__repr__": DUNDER,
+    "polyring.Poly.__sub__": DUNDER,
     "polyring.QuotientElem.__bool__": DUNDER,
     "polyring.QuotientElem.__hash__": DUNDER,
     "polyring.QuotientElem.__neg__": DUNDER,
