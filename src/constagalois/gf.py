@@ -22,8 +22,9 @@ size:
   serve only some hundreds of products as splitting fields, do without.
 * larger q: the packed ring itself.  A product is one big-int
   (Kronecker) product, reduced mod p in every slot at once and brought
-  below the modulus by Barrett division; sums use guard bits; the
-  Frobenius map is the precomputed GF(p)-linear map x -> x^p.
+  below the modulus by Barrett division; sums use guard bits; and
+  x -> x^(p^t) is t passes of the GF(p)-linear map x -> x^p, whose table
+  of images X^(ip) the ring builds once.
 
 ``FieldElement`` wraps one int for the public API; ``Poly``, the
 oracle's matrices and the coset machinery work on the ints directly.
@@ -64,8 +65,8 @@ def _is_irreducible(f, p):
     to f for every prime r dividing m (Rabin, SIAM J. Comput. 9, 1980).
     For p < 32 a root in GF(p), found by evaluating f at 1, ..., p - 1
     over the integers mod p, rejects most reducible candidates before any
-    power is taken.  X^p is one power; every later X^(p^k) is the
-    Frobenius map of the one before.  Coprimality is decided in the packed
+    power is taken.  Each X^(p^k), k = 1, ..., m, is the ring's Frobenius
+    step x -> x^p from the one before.  Coprimality is decided in the packed
     ring GF(p)[X]/(f): once X^(p^m) = X mod f, f divides X^(p^m) - X, so
     it is squarefree with factors of degrees d | m and the ring is a
     product of fields GF(p^d); a residue is then coprime to f iff it is a
@@ -79,8 +80,8 @@ def _is_irreducible(f, p):
         return False
     ring = PackedRing(p, f)
     x = ring.encode((0, 1))
-    frob_powers = [x, ring.power(x, p)]  # X^(p^k)
-    for _ in range(m - 1):
+    frob_powers = [x]  # X^(p^k)
+    for _ in range(m):
         frob_powers.append(ring.frob(frob_powers[-1], 1))
     if frob_powers[m] != x:
         return False

@@ -11,8 +11,6 @@ its ints.
 
 from __future__ import annotations
 
-import functools
-
 
 class PackedRing:
     """Arithmetic in GF(p)[X]/(f) for a monic f of degree m, on packed ints.
@@ -50,12 +48,6 @@ class PackedRing:
         even = sum(mask << (2 * W * j) for j in range(m))
         qmask = sum(((1 << (2 * W - shift)) - 1) << (2 * W * j) for j in range(m))
 
-        def mod_p(x):
-            """x with each of its slots (below 2^(W-1)) reduced mod p."""
-            quot = ((((x & even) * M) >> shift) & qmask
-                    | (((((x >> W) & even) * M) >> shift) & qmask) << W)
-            return x - p * quot
-
         def pack(vals):
             return sum((c % p) << slot for c, slot in zip(vals, slots))
 
@@ -75,9 +67,10 @@ class PackedRing:
         def reduce(u):
             """The residue of an unreduced product or sum of products.
 
-            Each step reduces mod p (``mod_p`` inlined) only the slots it
-            reads: the m - 1 high slots before the Barrett quotient, the
-            quotient after its shift, and the m low slots once, at the end."""
+            Each step reduces mod p only the slots it reads: the m - 1 high
+            slots before the Barrett quotient, the quotient after its shift,
+            and the m low slots once, at the end.  An m-slot sum has no high
+            slots, so there it is one pass mod p."""
             hi = u >> low_bits
             if hi:  # never so for m = 1
                 hi -= p * (((((hi & even) * M) >> shift) & qmask)
@@ -109,48 +102,38 @@ class PackedRing:
             return reduce(a * b)
 
         def power(a, k):
-            """a^k for k >= 0: square-and-multiply from the lowest set bit
-            of k, so no product is by 1."""
+            """a^k for k >= 0: square-and-multiply from the top bit of k
+            down, so no product is by 1."""
             if not k:
                 return 1
-            while not k & 1:
-                a = reduce(a * a)
-                k >>= 1
             out = a
-            k >>= 1
-            while k:
-                a = reduce(a * a)
-                if k & 1:
+            for bit in bin(k)[3:]:
+                out = reduce(out * out)
+                if bit == "1":
                     out = reduce(out * a)
-                k >>= 1
             return out
 
-        def linear_map(a, rows):
-            """sum_i c_i rows[i] for the coefficients c_i of a."""
-            acc = 0
-            for row in rows:
-                if not a:
-                    break
-                c = a & mask
-                if c:
-                    acc += c * row
-                a >>= W
-            return mod_p(acc)
-
-        @functools.cache  # one table per t, owned by this ring
-        def rows_for(t):
-            """The images of X^i under x -> x^(p^t)."""
-            if t == 1:
-                x_p = power(1 << W, p)
-                rows = [1, x_p]
-                for _ in range(m - 2):
-                    rows.append(reduce(rows[-1] * x_p))
-                return rows
-            return [linear_map(r, rows_for(1)) for r in rows_for(t - 1)]
+        # the images X^(ip) of X^i, i < m, under the GF(p)-linear x -> x^p
+        rows = [1]
+        if m > 1:
+            rows.append(power(1 << W, p))
+            for _ in range(m - 2):
+                rows.append(reduce(rows[-1] * rows[1]))
 
         def frob(a, t):
-            """a^(p^t) for 0 <= t < m, as a GF(p)-linear map."""
-            return linear_map(a, rows_for(t)) if t and a else a
+            """a^(p^t) for 0 <= t < m: t passes of x -> x^p, each the sum
+            of a's coefficients times the rows."""
+            for _ in range(t):
+                acc = 0
+                for row in rows:
+                    if not a:
+                        break
+                    c = a & mask
+                    if c:
+                        acc += c * row
+                    a >>= W
+                a = reduce(acc)
+            return a
 
         chunk = W * (2 * m - 1)
         chunk_mask = (1 << chunk) - 1

@@ -108,14 +108,13 @@ class Poly:
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.wrap(self.field, [1])
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:  # no squaring past the top bit
-                base = base * base
+        if not exp:
+            return Poly.wrap(self.field, [1])
+        result = self
+        for bit in bin(exp)[3:]:  # from the top bit of exp down
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __divmod__(self, other):

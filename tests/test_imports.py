@@ -2,8 +2,8 @@
 used, the modules import one way down a fixed order and only at module
 level, importing the package and its CLI loads no heavy standard module,
 only cosets.py reads a coset function's rep-keyed view or names the coset
-table's memo, the module-level memos are the seven listed, and each
-domain-rule message is raised from one place.
+table's memo, the library's memos, at any depth, are the seven listed, and
+each domain-rule message is raised from one place.
 
 Each ``src/constagalois/*.py`` except the package's ``__init__.py``
 (whose imports are its re-exports) is parsed with ``ast``; an imported
@@ -161,9 +161,10 @@ def test_only_cosets_reads_the_coset_table():
 
 
 def memo_names(source: str, module: str):
-    """The module-level memos of a module: its functions decorated with
-    ``cache``, ``functools.cache`` or ``functools.lru_cache(...)``, and its
-    names assigned such a call."""
+    """The memos of a module at any depth, each named by its scope: the
+    functions decorated with ``cache``, ``functools.cache`` or
+    ``functools.lru_cache(...)``, and the names and attributes assigned
+    such a call."""
 
     def is_memo(node):
         while isinstance(node, ast.Call):
@@ -172,13 +173,21 @@ def memo_names(source: str, module: str):
         return name in ("cache", "lru_cache")
 
     found = []
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and any(map(is_memo, node.decorator_list)):
-            found.append(f"{module}.{node.name}")
-        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
-                and is_memo(node.value):
-            found += [f"{module}.{target.id}" for target in node.targets
-                      if isinstance(target, ast.Name)]
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(map(is_memo, child.decorator_list)):
+                found.append(".".join(scope + [child.name]))
+            elif isinstance(child, ast.Assign) and isinstance(child.value, ast.Call) \
+                    and is_memo(child.value):
+                found.extend(".".join(scope + [getattr(target, "id", None) or target.attr])
+                             for target in child.targets
+                             if isinstance(target, (ast.Name, ast.Attribute)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [module])
     return found
 
 
@@ -188,12 +197,13 @@ def test_guard_sees_each_memo_spelling():
               "@functools.lru_cache(maxsize=None)\ndef c(): pass\n"
               "d = functools.cache(dict)\n"
               "def f():\n    @functools.cache\n    def inner(t): pass\n"
+              "class C:\n    def __init__(self):\n        self.e = cache(dict)\n"
               "@property\ndef g(self): pass\n")
-    assert memo_names(source, "m") == ["m.a", "m.b", "m.c", "m.d"]
+    assert memo_names(source, "m") == ["m.a", "m.b", "m.c", "m.d", "m.f.inner",
+                                       "m.C.__init__.e"]
 
 
-# the library's module-level memos, which live for the process; a memo
-# owned by an object (packed.py's per-ring Frobenius rows) is not one
+# the library's memos; each is module-level and lives for the process
 MEMOS = ["cli.build_parser", "codes.coset_poly", "cosets._coset_class",
          "cosets._interned_params", "existence.iso_selfdual_family", "gf.make_field",
          "gf._interned_embedding"]

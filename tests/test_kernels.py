@@ -5,7 +5,8 @@ slots; both are checked element by element (every ordered pair of every
 field with q <= 256, random pairs on six large fields and on GF(31^2)),
 through ``Poly`` and the oracle's ``Matrix``, and against the canonical
 moduli and generators recorded in tests/golden/fields.json; the packed
-ring's products also on random moduli, at its slot bound and for large p.
+ring's products also on random moduli, at its slot bound and for large p,
+and its Frobenius map and powers on random, mostly reducible moduli.
 """
 
 import itertools
@@ -314,6 +315,28 @@ def test_products_with_large_p_against_schoolbook(p, m):
             b = [rng.randrange(p) for _ in range(m)]
             got = ring.decode(ring.mul(ring.encode(a), ring.encode(b)))
             assert got == schoolbook_mod(p, f, a, b), (f, a, b)
+
+
+@pytest.mark.parametrize("p,m", [(2, 12), (3, 8), (7, 6), (257, 3)])
+def test_frobenius_and_powers_on_random_rings(p, m):
+    # the rings _is_irreducible builds, on seeded random monic f, mostly
+    # reducible: x -> x^(p^t) is a ring map on each, so t passes of the
+    # ring's one table must give the power p^t for every t < m, and a
+    # power must be the repeated product
+    rng = random.Random(f"frobenius {p}^{m}")
+    exponents = {1, 2, 3} | {2 ** j + d for j in range(2, 7) for d in (-1, 0, 1)}
+    for _ in range(5):
+        f = [rng.randrange(p) for _ in range(m)] + [1]
+        ring = PackedRing(p, f)
+        for a in [ring.encode((0, 1)), ring.encode([p - 1] * m)] + [
+                ring.encode([rng.randrange(p) for _ in range(m)]) for _ in range(6)]:
+            for t in range(m):
+                assert ring.frob(a, t) == ring.power(a, p ** t), (f, a, t)
+            acc = a
+            for k in range(1, max(exponents) + 1):
+                if k in exponents:
+                    assert ring.power(a, k) == acc, (f, a, k)
+                acc = ring.mul(acc, a)
 
 
 @pytest.mark.parametrize("p,m", POLY_FIELDS)
