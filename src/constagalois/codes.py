@@ -75,12 +75,14 @@ def coset_poly(params: CodeParams, coset: QCoset) -> Poly:
 
 
 def cf_poly(params: CodeParams, phi: CosetFunction) -> Poly:
-    """prod_Q coset_poly(Q)^phi(Q) over the cosets of phi's class."""
-    result = Poly(params.field, [params.field.one])
+    """prod_Q coset_poly(Q)^phi(Q) over the cosets of phi's class, from
+    the first factor on (no product by 1); no factor gives 1."""
+    result = None
     for Q, mult in zip(params.cosets_on(phi.residue), phi.values()):
         if mult:
-            result = result * coset_poly(params, Q) ** mult
-    return result
+            factor = coset_poly(params, Q) ** mult
+            result = factor if result is None else result * factor
+    return Poly.wrap(params.field, [1]) if result is None else result
 
 
 def _reciprocal_frob(poly: Poly, t: int) -> Poly:
@@ -144,7 +146,7 @@ class ConstaCode:
         by_check = sum(len(Q) * ((v == cap) - (v == 0)) for Q, v in
                        zip(params.cosets_on(phi.residue), phi.values())) < 0
         product = cf_poly(params, phi if by_check else phi.complement())
-        quot, rem = _divmod_ints(field, params.modulus_poly(phi.residue).ints, product.ints)
+        quot, rem = _divmod_ints(field, params.modulus_ints(phi.residue), product.ints)
         if rem:
             raise AssertionError("coset product does not divide X^n - lambda^s")
         quot = Poly.wrap(field, quot)

@@ -138,11 +138,15 @@ class CodeParams:
     def lam_power(self, s: int) -> FieldElement:
         return self.lam ** (s % self.r)
 
-    def modulus_poly(self, s: int = 1) -> Poly:
-        """X^n - lambda^s in F_q[X]."""
+    def modulus_ints(self, s: int = 1) -> list:
+        """X^n - lambda^s in F_q[X], as its list of element ints."""
         field = self.field
         unit = field.pow(self.lam_v, s % self.r)
-        return Poly.wrap(field, [field.neg(unit)] + [0] * (self.n - 1) + [1])
+        return [field.neg(unit)] + [0] * (self.n - 1) + [1]
+
+    def modulus_poly(self, s: int = 1) -> Poly:
+        """X^n - lambda^s in F_q[X]."""
+        return Poly.wrap(self.field, self.modulus_ints(s))
 
     # -- coset structure ---------------------------------------------------------
 

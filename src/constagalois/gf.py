@@ -17,9 +17,11 @@ size:
 * q <= 2^10: log/antilog tables keyed by the packed ints.  Products,
   inverses, powers and the Frobenius map add or scale logs; sums are
   xor for p = 2, plain residues for m = 1, and otherwise the packed
-  ring's guard-bit sums.  Building the tables costs a few microseconds
-  per element (at most about 6 ms here), so larger fields, which often
-  serve only some hundreds of products as splitting fields, do without.
+  ring's guard-bit sums.  Such a field also holds one ``FieldElement``
+  per element, so ``wrap`` is a dict lookup.  Building the tables costs
+  a few microseconds per element (at most about 6 ms here), so larger
+  fields, which often serve only some hundreds of products as splitting
+  fields, do without.
 * larger q: the packed ring itself.  A product is one big-int
   (Kronecker) product, reduced mod p in every slot at once and brought
   below the modulus by Barrett division; sums use guard bits; and
@@ -203,8 +205,9 @@ class Field:
     ``frob(v, t)`` (0 <= t < m), ``poly_mul`` (coefficient lists) and
     ``add_scaled(xs, c, ys)`` (the list xs + c * ys) take and return
     element ints; ``encode``/``decode``, the packed ring's, convert
-    between an int and its coefficient tuple, and ``wrap`` makes the
-    FieldElement of an int.  Fields compare by identity: one object per
+    between an int and its coefficient tuple, and ``wrap`` gives the
+    FieldElement of an int (a lookup on table fields, which hold one
+    element per int).  Fields compare by identity: one object per
     field, as ``make_field`` interns them.
     """
 
@@ -306,10 +309,23 @@ class Field:
         self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
         self.poly_mul, self.add_scaled = poly_mul, add_scaled
 
+        # one element per int, made once: wrap is a lookup
+        elements = {}
+        for v in itertools.chain((0,), exp[:n1]):
+            x = elements[v] = _new(FieldElement)
+            x.field, x.v = self, v
+        self.wrap = elements.__getitem__
+
     # -- construction of elements -------------------------------------------
 
     def wrap(self, v: int) -> FieldElement:
-        """The element whose int is v."""
+        """The element whose int is v.
+
+        A table field (q <= 2^10) binds ``wrap`` on the instance to a
+        lookup in the elements it made once, one per int: there
+        ``wrap(v) is wrap(v)``, and an int outside the field raises
+        KeyError.  A larger field makes a new element per call, here.
+        """
         x = _new(FieldElement)
         x.field = self
         x.v = v

@@ -15,6 +15,8 @@ from .codes import ConstaCode, enumerate_codewords, linear_combinations
 from .cosets import CodeParams
 from .gf import Field, FieldElement
 
+_new = object.__new__
+
 
 class Matrix:
     """A dense matrix over a finite field; just enough linear algebra.
@@ -23,26 +25,30 @@ class Matrix:
     """
 
     def __init__(self, field: Field, entries: Sequence[Sequence[FieldElement]]):
-        self.field = field
-        self.ints = [[x.v for x in row] for row in entries]
-        self.rows = len(self.ints)
-        self.cols = len(self.ints[0]) if self.ints else 0
+        cols = len(entries[0]) if entries else 0
+        ints = []
         for row in entries:
-            if len(row) != self.cols:
+            if len(row) != cols:
                 raise ValueError("ragged matrix")
-            if any(x.field is not field for x in row):
+            ints.append([x.v for x in row if x.field is field])
+            if len(ints[-1]) != cols:
                 raise ValueError("mixed fields")
+        self.field, self.ints, self.rows, self.cols = field, ints, len(ints), cols
 
     @classmethod
     def wrap(cls, field: Field, ints: List[List[int]]) -> "Matrix":
         """The matrix with these rows of element ints."""
-        mat = cls(field, [])
-        mat.ints, mat.rows = ints, len(ints)
+        mat = _new(cls)
+        mat.field, mat.ints, mat.rows = field, ints, len(ints)
         mat.cols = len(ints[0]) if ints else 0
         return mat
 
     def rref(self) -> Tuple["Matrix", List[int]]:
-        """Reduced row echelon form and the pivot column list."""
+        """Reduced row echelon form and the pivot column list.
+
+        A pivot that is already 1 (the int 1 is the field's one in every
+        encoding) is not rescaled, and a column already reduced costs only
+        its scan: a matrix in RREF comes back with no field operation."""
         field = self.field
         mul, neg, inv, add_scaled = field.mul, field.neg, field.inv, field.add_scaled
         mat = [row[:] for row in self.ints]
@@ -57,8 +63,10 @@ class Matrix:
             if pivot is None:
                 continue
             mat[r], mat[pivot] = mat[pivot], mat[r]
-            scale = inv(mat[r][c])
-            row_r = mat[r] = [mul(x, scale) for x in mat[r]]
+            row_r = mat[r]
+            if row_r[c] != 1:
+                scale = inv(row_r[c])
+                row_r = mat[r] = [mul(x, scale) for x in row_r]
             for i in range(len(mat)):
                 factor = mat[i][c]
                 if i != r and factor:
@@ -73,16 +81,25 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> List[tuple]:
-        """A basis of the right kernel {v : M v = 0}, as element-int tuples."""
-        red, pivots = self.rref()
+        """A basis of the right kernel {v : M v = 0}, as element-int tuples,
+        in reduced row echelon form.
+
+        Elimination runs from the right, on the column-reversed rows: each
+        vector is 1 on its own free column, 0 on the other free columns and
+        0 left of its free column, so the vectors, in free-column order,
+        are the kernel's unique RREF."""
+        cols, last = self.cols, self.cols - 1
+        red, pivots = Matrix.wrap(self.field, [row[::-1] for row in self.ints]).rref()
         neg = self.field.neg
-        free = [c for c in range(self.cols) if c not in pivots]
+        pivot_set = set(pivots)
         basis = []
-        for fc in free:
-            vec = [0] * self.cols
-            vec[fc] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = neg(red.ints[r][fc])
+        for fc in range(last, -1, -1):  # reversed index: original column last - fc
+            if fc in pivot_set:
+                continue
+            vec = [0] * cols
+            vec[last - fc] = 1
+            for row, pc in zip(red.ints, pivots):
+                vec[last - pc] = neg(row[fc])
             basis.append(tuple(vec))
         return basis
 
@@ -99,12 +116,15 @@ def generator_matrix(code: ConstaCode) -> Matrix:
 
 
 def dual_basis_of_rows(mat: Matrix, n: int, h: int) -> List[tuple]:
-    """Basis of the p^h-dual of the span of the matrix's length-n rows.
+    """Basis of the p^h-dual of the span of the matrix's length-n rows, in
+    reduced row echelon form.
 
     Solve G b = 0 for the twisted vector b (b_i = a_i^(p^h)), then untwist
     each basis vector through the inverse Frobenius.  The untwisted basis
-    spans the dual because untwisting is a semilinear bijection.  The work
-    stays on element ints; each output entry is wrapped once.
+    spans the dual because untwisting is a semilinear bijection, and it
+    keeps every 0 and 1, so the kernel's RREF stays the dual's RREF; for
+    h = 0 mod e there is nothing to untwist.  The work stays on element
+    ints; each output entry is wrapped once.
     """
     if mat.rows:
         kernel = mat.kernel_basis()
@@ -112,13 +132,17 @@ def dual_basis_of_rows(mat: Matrix, n: int, h: int) -> List[tuple]:
         kernel = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     field = mat.field
     back = (field.m - h) % field.m
-    frob, wrap = field.frob, field.wrap
+    wrap = field.wrap
+    if not back:
+        return [tuple(map(wrap, vec)) for vec in kernel]
+    frob = field.frob
     return [tuple(wrap(frob(b, back)) for b in vec) for vec in kernel]
 
 
 def dual_basis(code: ConstaCode, h: int) -> List[tuple]:
     """Basis of the p^h-dual of a constacyclic code, by the rank method on
-    the code's ``generator_int_rows()``."""
+    the code's ``generator_int_rows()``: the dual's unique reduced row
+    echelon form, so ``spans_equal`` finds every column of it reduced."""
     rows = code.generator_int_rows()
     return dual_basis_of_rows(Matrix.wrap(code.params.field, rows), code.params.n, h)
 
@@ -138,7 +162,9 @@ def brute_equal_codes(words: Set[tuple], code: ConstaCode,
 def spans_equal(field: Field, rows_a: Sequence[tuple],
                 rows_b: Sequence[tuple]) -> bool:
     """Row-space equality: a row space has exactly one reduced row echelon
-    form, so two spans are equal iff their pivots and nonzero RREF rows are."""
+    form, so two spans are equal iff their pivots and nonzero RREF rows are.
+    A side already in RREF, as ``dual_basis`` returns it, costs no field
+    operation."""
     if not rows_a and not rows_b:
         return True
     if not rows_a or not rows_b:

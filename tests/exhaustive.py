@@ -770,11 +770,24 @@ def census_instances():
 
 
 def criterion6_codes():
-    """(params, code) over acceptance criterion 6's grid: every coset
-    function when there are at most 32, else the zero and full functions
-    and six drawn ones."""
-    rng = random.Random(1234)
-    for params in grid_instances(PE_PAIRS, 12):
+    """(params, code) over acceptance criterion 6's grid (n <= 12): every
+    coset function when there are at most 32, else the zero and full
+    functions and six drawn ones."""
+    return _sampled_codes(grid_instances(PE_PAIRS, 12), random.Random(1234))
+
+
+def criterion6_wide_codes(n_max=20):
+    """criterion6_codes(), then the instances with 12 < n <= n_max of the
+    same grid, sampled by the same rule from a draw of their own."""
+    yield from criterion6_codes()
+    wider = (params for params in grid_instances(PE_PAIRS, n_max) if params.n > 12)
+    yield from _sampled_codes(wider, random.Random(f"criterion 6 up to n = {n_max}"))
+
+
+def _sampled_codes(instances, rng):
+    """(params, code) for each instance by criterion 6's sampling rule,
+    drawing from rng."""
+    for params in instances:
         cosets = q_cosets(params, 1)
         cap = params.p ** params.nu
         if (cap + 1) ** len(cosets) <= 32:
@@ -799,18 +812,21 @@ def rank_spans_equal(field, rows_a, rows_b):
     return ra == rb == rab
 
 
-def reference_dual_basis(code, h):
-    """The oracle's dual basis on coefficient tuples and wrapped elements:
-    ``ReferenceField.rref`` of generator_rows(), one kernel vector per free
-    column, each entry made an element and untwisted by
-    ``FieldElement.frobenius``.  The RREF is unique, so the basis is the
-    oracle's entry for entry."""
+def reference_dual_bases(code):
+    """The oracle's dual basis for every h = 0, ..., e, on coefficient
+    tuples and wrapped elements: ``ReferenceField.rref`` of
+    generator_rows(), one kernel vector per free column, the kernel brought
+    to its RREF by ``ReferenceField.rref`` (once, shared by every h), and
+    each entry made an element and untwisted by ``FieldElement.frobenius``.
+    The RREF is unique and untwisting keeps every 0 and 1, so each basis
+    is the oracle's entry for entry."""
     field, n = code.params.field, code.params.n
     ref = ReferenceField(field)
     rows = [[x.coeffs for x in row] for row in code.generator_rows()]
-    back = (field.m - h) % field.m
-    return [tuple(field.element(c).frobenius(back) for c in vec)
-            for vec in reference_kernel(ref, rows, n)]
+    kernel = [[field.element(c) for c in vec]
+              for vec in ref.rref(reference_kernel(ref, rows, n))[0]]
+    return [[tuple(x.frobenius((field.m - h) % field.m) for x in vec) for vec in kernel]
+            for h in range(field.m + 1)]
 
 
 def reference_kernel(ref, rows, n):

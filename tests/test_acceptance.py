@@ -18,7 +18,7 @@ from constagalois.duality import Isometry
 from constagalois.oracle import brute_dual, dual_basis, naive_cosets, spans_equal
 from constagalois.polyring import QuotientElem
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
-                        brute_iso_selfdual_exists, criterion6_codes, grid_instances,
+                        brute_iso_selfdual_exists, criterion6_wide_codes, grid_instances,
                         nu2_power_pm1)
 
 
@@ -138,7 +138,7 @@ def test_criterion_5_existence_criteria_vs_enumeration():
 def test_criterion_6_closed_form_dual_vs_oracle():
     def body():
         mismatches = []
-        for params, code in criterion6_codes():
+        for params, code in criterion6_wide_codes():
             for h in range(params.e + 1):
                 # the dual's polynomials are read off the code's, so
                 # cf_poly on psi ties the span check to the closed form
@@ -151,7 +151,7 @@ def test_criterion_6_closed_form_dual_vs_oracle():
                     mismatches.append((params, code.phi.values(), h))
         assert not mismatches, mismatches[:5]
 
-    run_criterion(6, "closed-form dual equals Gaussian-elimination dual (n <= 12)",
+    run_criterion(6, "closed-form dual equals Gaussian-elimination dual (n <= 20)",
                   60.0, body)
 
 

@@ -158,20 +158,51 @@ def test_mult_order_gf81_sixteenth_roots():
     assert mult_order(theta ** 12) == 4
 
 
-def test_mult_order_matches_factor_walk_up_to_2_10():
-    # every nonzero element of every field with q <= 2^10, read off the
-    # dlog table
+def _table_fields():
+    """Every field with q <= 2^10: the fields that run on log tables."""
     for p in range(2, 1 << 10):
         if any(p % f == 0 for f in range(2, int(p ** 0.5) + 1)):
             continue
         m = 1
         while p ** m <= 1 << 10:
-            field = make_field(p, m)
-            field.dlog(field.one)          # builds the table
-            for x in field.elements():
-                if x:
-                    assert mult_order(x) == factor_walk_order(x), x
+            yield make_field(p, m)
             m += 1
+
+
+def test_mult_order_matches_factor_walk_up_to_2_10():
+    # every nonzero element of every field with q <= 2^10, read off the
+    # dlog table
+    for field in _table_fields():
+        field.dlog(field.one)          # builds the table
+        for x in field.elements():
+            if x:
+                assert mult_order(x) == factor_walk_order(x), x
+
+
+def test_table_fields_hold_one_element_per_int():
+    # a table field wraps by lookup: one element per int, made once, and
+    # an int outside the field (a slot holding p, or beyond the top slot)
+    # raises instead of making an invalid element
+    for field in _table_fields():
+        ints = list(field.ints())
+        made = [field.wrap(v) for v in ints]
+        assert all(x.field is field and x.v == v for x, v in zip(made, ints)), field
+        assert all(field.wrap(v) is x for x, v in zip(made, ints)), field
+        assert len(set(map(id, made))) == field.order
+        assert field.zero is made[0] and field.one is field.wrap(1)
+        for v in (-1, field.p, max(ints) + 1):
+            with pytest.raises(KeyError):
+                field.wrap(v)
+
+
+@pytest.mark.parametrize("p,m", [(1031, 1), (2, 11), (5, 24)])
+def test_packed_fields_make_elements_through_field_wrap(p, m):
+    field = make_field(p, m)
+    assert "wrap" not in vars(field)
+    assert field.wrap.__func__ is Field.wrap
+    v = field.generator.v
+    x, y = field.wrap(v), field.wrap(v)
+    assert x == y and x is not y and x.field is field and x.v == v
 
 
 def test_mult_order_without_dlog_table():

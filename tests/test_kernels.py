@@ -358,6 +358,9 @@ def test_matrix_ops_against_reference(p, m):
         assert pivots == want_pivots and mat.rank() == len(want_pivots)
         kernel = mat.kernel_basis()
         assert len(kernel) == cols - len(want_pivots)
+        if kernel:  # the kernel's own RREF
+            assert Matrix.wrap(field, [list(v) for v in kernel]).rref()[0].ints == [
+                list(v) for v in kernel]
         for vec in kernel:
             for row in entries:
                 acc = ref.zero

@@ -9,8 +9,8 @@ from constagalois.oracle import (Matrix, brute_dual, brute_equal_codes,
                                  dual_basis, dual_basis_of_rows,
                                  generator_matrix, naive_cosets, span,
                                  spans_equal)
-from exhaustive import (PE_PAIRS, criterion6_codes, grid_instances, rank_spans_equal,
-                        reference_dual_basis, reference_generator_rows)
+from exhaustive import (PE_PAIRS, criterion6_codes, criterion6_wide_codes, grid_instances,
+                        rank_spans_equal, reference_dual_bases, reference_generator_rows)
 
 
 def test_matrix_rank_and_kernel():
@@ -228,10 +228,54 @@ def test_spans_equal_is_two_eliminations(monkeypatch):
 
 def test_dual_basis_matches_wrapped_reference_on_criterion6_grid():
     for params, code in criterion6_codes():
-        for h in range(params.e + 1):
+        for h, want in enumerate(reference_dual_bases(code)):
             basis = dual_basis(code, h)
-            assert basis == reference_dual_basis(code, h)
+            assert basis == want
             assert all(x.field is params.field for vec in basis for x in vec)
+
+
+def test_spans_equal_finds_the_dual_basis_already_reduced(monkeypatch):
+    # dual_basis returns the dual's RREF, so eliminating it again makes no
+    # field call: spans_equal makes exactly the closed-form side's calls
+    calls = []
+
+    def counting(name, kernel):
+        def counted(*args):
+            calls.append(name)
+            return kernel(*args)
+        return counted
+
+    patched = set()
+    for params, code in itertools.islice(criterion6_codes(), 0, None, 7):
+        field = params.field
+        if field not in patched:
+            patched.add(field)
+            for name in ("add_scaled", "inv", "mul"):
+                monkeypatch.setattr(field, name, counting(name, getattr(field, name)))
+        for h in range(params.e + 1):
+            closed = galois_dual(code, h).generator_rows()
+            brute = dual_basis(code, h)
+            calls.clear()
+            if brute:
+                red, _ = Matrix(field, brute).rref()
+                assert red.ints == [[x.v for x in vec] for vec in brute]
+            assert not calls, (params, code.phi.values(), h)
+            if closed:
+                Matrix(field, closed).rref()
+            closed_calls = len(calls)
+            calls.clear()
+            assert spans_equal(field, closed, brute)
+            assert len(calls) == closed_calls
+    assert len(patched) == len(PE_PAIRS)
+
+
+def test_criterion6_wide_grid_extends_the_n12_grid():
+    narrow = [(params, code.phi.values()) for params, code in criterion6_codes()]
+    wide = [(params, code.phi.values()) for params, code in criterion6_wide_codes()]
+    assert wide[:len(narrow)] == narrow
+    assert all(params.n > 12 for params, _ in wide[len(narrow):])
+    assert len({params for params, _ in wide}) == 370
+    assert sum(params.e + 1 for params, _ in wide) == 8650
 
 
 def test_dual_basis_wraps_each_entry_once(monkeypatch):
@@ -241,13 +285,13 @@ def test_dual_basis_wraps_each_entry_once(monkeypatch):
     code.generator  # built before counting
     field = params.field
     wraps = []
-    wrap = type(field).wrap
+    wrap = field.wrap  # a table field's own lookup, bound on the instance
 
-    def counted(self, v):
+    def counted(v):
         wraps.append(v)
-        return wrap(self, v)
+        return wrap(v)
 
-    monkeypatch.setattr(type(field), "wrap", counted)
+    monkeypatch.setattr(field, "wrap", counted)
     for h in range(params.e + 1):
         wraps.clear()
         basis = dual_basis(code, h)
