@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from .cosets import CodeParams, CosetFunction, QCoset
 from .gf import Field, FieldElement
@@ -24,7 +24,7 @@ DEFAULT_ENUM_CAP = 1 << 20
 
 # coset_poly is a functools cache keyed on interned params and cosets of
 # them; like those params it lives for the process, and ``cache_info()``
-# reads its hits and misses.  Minimum weights are not memoised.
+# reads its hits and misses.
 
 
 def _enum_cap(cap: Optional[int]) -> int:
@@ -75,28 +75,14 @@ def coset_poly(params: CodeParams, coset: QCoset) -> Poly:
 
 
 def cf_poly(params: CodeParams, phi: CosetFunction) -> Poly:
-    """prod_Q coset_poly(Q)^phi(Q) over the cosets of phi's class, from
-    the first factor on (no product by 1); no factor gives 1."""
+    """prod_Q coset_poly(Q)^phi(Q) over the cosets of phi's class; no
+    factor gives 1."""
     result = None
     for Q, mult in zip(params.cosets_on(phi.residue), phi.values()):
         if mult:
             factor = coset_poly(params, Q) ** mult
             result = factor if result is None else result * factor
     return Poly.wrap(params.field, [1]) if result is None else result
-
-
-def _reciprocal_frob(poly: Poly, t: int) -> Poly:
-    """The monic reciprocal of poly with every coefficient raised to p^t.
-
-    poly must have a nonzero constant term, as every divisor of
-    X^n - lambda^s has; reversing its coefficients and dividing by that
-    term gives the monic reciprocal, and x -> x^(p^t) is a field
-    automorphism, so the result stays monic.
-    """
-    field = poly.field
-    mul, frob = field.mul, field.frob
-    inv = field.inv(poly.ints[0])
-    return Poly.wrap(field, [frob(mul(c, inv), t) for c in reversed(poly.ints)])
 
 
 class ConstaCode:
@@ -110,13 +96,10 @@ class ConstaCode:
     smaller total size, the generator on a tie.  The other is the exact
     quotient of X^n - lambda^residue by that product.  A zero or full phi
     makes the product 1, so no coset polynomial is built.  A Galois dual
-    holds its source code C and t in ``_dual_of`` (set by
-    ``duality.galois_dual``) and reads them off C's own polynomials: its
-    generator is the monic reciprocal of C's check, and its check that of
-    C's generator, each with every coefficient raised to p^t.
+    comes with both polynomials already set (``duality.galois_dual``).
     """
 
-    __slots__ = ("params", "phi", "dim", "_generator", "_check", "_dual_of")
+    __slots__ = ("params", "phi", "dim", "_generator", "_check")
 
     def __init__(self, params: CodeParams, phi: CosetFunction):
         if phi.params is not params:
@@ -126,7 +109,6 @@ class ConstaCode:
         self.dim = phi.weight()
         self._generator: Optional[Poly] = None
         self._check: Optional[Poly] = None
-        self._dual_of: Optional[Tuple["ConstaCode", int]] = None
 
     @property
     def residue(self) -> int:
@@ -155,21 +137,13 @@ class ConstaCode:
     @property
     def check(self) -> Poly:
         if self._check is None:
-            if self._dual_of is None:
-                self._from_cosets()
-            else:
-                source, t = self._dual_of
-                self._check = _reciprocal_frob(source.generator, t)
+            self._from_cosets()
         return self._check
 
     @property
     def generator(self) -> Poly:
         if self._generator is None:
-            if self._dual_of is None:
-                self._from_cosets()
-            else:
-                source, t = self._dual_of
-                self._generator = _reciprocal_frob(source.check, t)
+            self._from_cosets()
         return self._generator
 
     def __eq__(self, other):

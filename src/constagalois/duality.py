@@ -22,7 +22,7 @@ from .codes import ConstaCode, build_code
 from .cosets import CodeParams, CosetFunction
 from .gf import FieldElement
 from .numtheory import p_split
-from .polyring import QuotientElem, fold
+from .polyring import Poly, QuotientElem, fold
 
 
 def _galois_h(e: int, h: int) -> int:
@@ -102,21 +102,38 @@ class Isometry:
         return build_code(self.params, code.phi.act(self.s))
 
 
+def _reciprocal_frob(poly: Poly, t: int) -> Poly:
+    """The monic reciprocal of poly with every coefficient raised to p^t.
+
+    poly must have a nonzero constant term, as every divisor of
+    X^n - lambda^s has; reversing its coefficients and dividing by that
+    term gives the monic reciprocal, and x -> x^(p^t) is a field
+    automorphism, so the result stays monic.
+    """
+    field = poly.field
+    mul, frob = field.mul, field.frob
+    inv = field.inv(poly.ints[0])
+    return Poly.wrap(field, [frob(mul(c, inv), t) for c in reversed(poly.ints)])
+
+
 def galois_dual(code: ConstaCode, h: int) -> ConstaCode:
     """The p^h-dual: the code with function (-p^(e-h)) * phibar.
 
-    Its polynomials are read off the code's own, with no coset-polynomial
-    product: the dual's generator is the monic reciprocal of the code's
-    check and its check that of the code's generator, each with every
-    coefficient raised to p^t, t = (e - h) mod e.  (The Euclidean dual is
-    generated by the reciprocal of the check polynomial, and
-    <a, b>_h = 0 for all a in C iff b^(p^h) lies in that dual.)
+    The dual is made with both its polynomials, read off the code's own
+    (which this builds if the code has not yet): its generator is the
+    monic reciprocal of the code's check and its check that of the
+    code's generator, each with every coefficient raised to p^t,
+    t = (e - h) mod e.  (The Euclidean dual is generated by the
+    reciprocal of the check polynomial, and <a, b>_h = 0 for all a in C
+    iff b^(p^h) lies in that dual.)
     """
     params = code.params
     h_eff = _galois_h(params.e, h)
     psi = code.phi.complement().act(-(params.p ** (params.e - h_eff)))
     dual = build_code(params, psi)
-    dual._dual_of = (code, (params.e - h_eff) % params.e)
+    t = (params.e - h_eff) % params.e
+    dual._generator = _reciprocal_frob(code.check, t)
+    dual._check = _reciprocal_frob(code.generator, t)
     return dual
 
 

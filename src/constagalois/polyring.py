@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import starmap, zip_longest
 from typing import Iterable, Sequence
 
-from .gf import Field, FieldElement, format_element, format_element_int
+from .gf import Field, FieldElement, format_element_int
 
 
 _new = object.__new__
@@ -21,7 +21,7 @@ class Poly:
     """Polynomial with coefficients in a fixed field, ascending by degree.
 
     ``ints`` holds the coefficients as the field's element ints (no
-    trailing zeros); ``coeffs`` wraps them as FieldElements.
+    trailing zeros).
     """
 
     __slots__ = ("field", "ints")
@@ -50,10 +50,6 @@ class Poly:
         return cls.wrap(field, [0] * k + [1])
 
     # -- basics ----------------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(map(self.field.wrap, self.ints))
 
     @property
     def degree(self) -> int:
@@ -256,11 +252,11 @@ def format_poly(poly: Poly) -> str:
     """Human form "c0 + c1*X + c2*X^2 + ..." with zero terms omitted."""
     if poly.is_zero():
         return "0"
-    terms = []
-    for k, c in enumerate(poly.coeffs):
+    field, terms = poly.field, []
+    for k, c in enumerate(poly.ints):
         if not c:
             continue
-        enc = format_element(c)
+        enc = format_element_int(field, c)
         if k == 0:
             terms.append(enc)
         elif k == 1:

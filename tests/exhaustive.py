@@ -163,10 +163,10 @@ def reference_image_rep(params, members, s):
     return min((s * k) % params.period for k in members)
 
 
-def reference_s_orbits(params, s):
+def reference_s_orbits(params, cosets, s):
     """Orbits of Q -> sQ on the unit class, as lists of reps, by following
-    every member's image; each orbit starts at its least rep."""
-    cosets = naive_cosets(params, 1)
+    every member's image; cosets is ``naive_cosets(params, 1)``.  Each
+    orbit starts at its least rep."""
     reps = [c[0] for c in cosets]
     image = {c[0]: reference_image_rep(params, c, s) for c in cosets}
     orbits, done = [], set()
@@ -181,11 +181,10 @@ def reference_s_orbits(params, s):
     return orbits
 
 
-def reference_act(phi, s):
-    """(s*phi).assignment, with each coset's image found from its members."""
-    params = phi.params
-    return {reference_image_rep(params, c, s): phi.assignment[c[0]]
-            for c in naive_cosets(params, 1)}
+def reference_act(params, cosets, assignment, s):
+    """(s*phi).assignment from phi.assignment, with each coset's image
+    found from its members; cosets is ``naive_cosets(params, 1)``."""
+    return {reference_image_rep(params, c, s): assignment[c[0]] for c in cosets}
 
 
 def reference_multipliers(params):
@@ -212,17 +211,20 @@ def reference_iso_family_multiplier(params):
 def brute_iso_witness(phi):
     """Smallest s = 1 mod r, coprime to n'r, whose reference action sends
     phi to its complement; None when there is none."""
-    cap = phi.params.p ** phi.params.nu
-    comp = {k: cap - v for k, v in phi.assignment.items()}
-    return next((s for s in reference_multipliers(phi.params)
-                 if reference_act(phi, s) == comp), None)
+    params, assignment = phi.params, phi.assignment
+    cap, cosets = params.p ** params.nu, naive_cosets(params, 1)
+    comp = {k: cap - v for k, v in assignment.items()}
+    return next((s for s in reference_multipliers(params)
+                 if reference_act(params, cosets, assignment, s) == comp), None)
 
 
 def even_orbit_multiplier(params):
     """Smallest s = 1 mod r, coprime to n'r, whose reference orbits on the
     unit class are all even; None when there is none."""
+    cosets = naive_cosets(params, 1)
     return next((s for s in reference_multipliers(params)
-                 if all(len(orbit) % 2 == 0 for orbit in reference_s_orbits(params, s))),
+                 if all(len(orbit) % 2 == 0
+                        for orbit in reference_s_orbits(params, cosets, s))),
                 None)
 
 
@@ -296,7 +298,7 @@ def reference_coset_poly(params, coset):
     for i in coset.members:
         product = product * Poly(big, [-(params.theta ** i), big.one])
     section = params.field.embedding_into(big).section
-    return Poly(params.field, [section(c) for c in product.coeffs])
+    return Poly(params.field, [section(c) for c in poly_coeffs(product)])
 
 
 def reference_code_polys(code):
@@ -519,8 +521,13 @@ def poly_xgcd(a, b):
         v0, v1 = v1, v0 - q * v1
     if r0.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    lead_inv = r0.coeffs[-1].inverse()
+    lead_inv = r0.field.wrap(r0.ints[-1]).inverse()
     return r0 * lead_inv, u0 * lead_inv, v0 * lead_inv
+
+
+def poly_coeffs(poly):
+    """poly's coefficients as FieldElements, ascending by degree."""
+    return tuple(map(poly.field.wrap, poly.ints))
 
 
 def poly_from_ints(field, ints):
@@ -598,7 +605,7 @@ def reference_generator_rows(code):
     field, n = code.params.field, code.params.n
     rows = []
     for i in range(code.dim):
-        coeffs = (code.generator * Poly.x_power(field, i)).coeffs
+        coeffs = poly_coeffs(code.generator * Poly.x_power(field, i))
         assert len(coeffs) <= n, "degree too large for vector length"
         rows.append(coeffs + (field.zero,) * (n - len(coeffs)))
     return rows

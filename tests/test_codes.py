@@ -10,8 +10,8 @@ from constagalois import (CosetFunction, Poly, QuotientElem, build_code,
 from constagalois import codes
 from constagalois.cosets import CodeParams
 from exhaustive import (brute_min_weight, code_contains, code_from_generator,
-                        criterion6_codes, grid_instances, poly_eval, poly_from_ints,
-                        reference_code_polys, reference_coset_poly,
+                        criterion6_codes, grid_instances, poly_coeffs, poly_eval,
+                        poly_from_ints, reference_code_polys, reference_coset_poly,
                         reference_generator_rows)
 
 
@@ -42,7 +42,7 @@ def test_coset_poly_singleton_length26():
     poly = coset_poly(params, Q13)
     assert poly.degree == 1
     assert not poly_eval(poly, params.theta_pow(13))
-    root = -poly.coeffs[0]
+    root = -poly_coeffs(poly)[0]
     assert embed(root, params.big_field) == params.theta_pow(13)
 
 
@@ -101,7 +101,7 @@ def test_cf_poly_length12_matches_big_field_product():
     expect = Poly(big, [big.one])
     for i, mult in [(1, 1), (5, 2), (9, 1), (13, 2)]:
         expect = expect * Poly(big, [-params.theta_pow(i), big.one]) ** mult
-    lifted = Poly(big, [embed(c, big) for c in got.coeffs])
+    lifted = Poly(big, [embed(c, big) for c in poly_coeffs(got)])
     assert lifted == expect
     assert got.degree == 6
 

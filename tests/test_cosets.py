@@ -8,6 +8,7 @@ from constagalois import (CodeParams, CosetFunction, derive_params, embed,
 from constagalois.codes import coset_poly
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_family
+from constagalois.oracle import naive_cosets
 from constagalois.cosets import _coset_class, _interned_params
 from exhaustive import (PE_PAIRS, criterion6_codes, factor_walk_order, grid_instances,
                         reference_act, reference_image_rep, reference_multipliers,
@@ -305,9 +306,10 @@ def test_coset_table_matches_member_minimum_on_census_grid():
         assert [Q.index for Q in cosets] == list(range(len(cosets)))
         phi = CosetFunction.from_values(
             params, [rng.randint(0, cap) for _ in cosets])
+        naive, assignment = naive_cosets(params, 1), phi.assignment
         for s in units:
             assert [[Q.rep for Q in orbit] for orbit in s_orbits(params, s)] \
-                == reference_s_orbits(params, s), (params, s)
+                == reference_s_orbits(params, naive, s), (params, s)
         for s in units + negs:
             if math.gcd(s, period) != 1:
                 continue
@@ -316,7 +318,8 @@ def test_coset_table_matches_member_minimum_on_census_grid():
                 [reference_image_rep(params, Q.members, s) for Q in cosets], (params, s)
             assert all(params.image(Q, s) is P for Q, P in zip(cosets, images))
             image = phi.act(s)
-            assert image.assignment == reference_act(phi, s), (params, s)
+            assert image.assignment == reference_act(params, naive, assignment, s), \
+                (params, s)
             assert image.residue == s % params.r
             assert phi.act_is_complement(s) == (image == phi.complement()), (params, s)
         _, psi, witness = iso_selfdual_family(params)

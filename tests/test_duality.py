@@ -9,7 +9,7 @@ from constagalois import (CosetFunction, Isometry, Poly, QuotientElem,
                           build_code, cf_poly, derive_params, galois_dual,
                           galois_inner, is_galois_selfdual,
                           is_iso_galois_selfdual, make_field, q_cosets)
-from constagalois import oracle
+from constagalois import codes, oracle
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_exists, iso_selfdual_family
 from exhaustive import (PE_PAIRS, brute_iso_witness, grid_instances, poly_from_ints,
@@ -319,6 +319,25 @@ def test_dual_polynomials_match_coset_products():
                 pairs += 1
                 repeated += params.nu > 0
     assert pairs > 500 and repeated > 50
+
+
+def test_dual_is_made_with_both_polynomials(monkeypatch):
+    # a dual is a finished code: once made, reading its polynomials builds
+    # no coset product, even when its source had read neither of its own.
+    # e = 4 makes h and e - h differ for h = 1, 3
+    params = derive_params(3, 4, 12, "g^20")
+    code = build_code(params, CosetFunction.from_values(params, [1, 2, 1, 2]))
+    duals = [galois_dual(code, h) for h in range(params.e + 1)]
+    references = [(cf_poly(params, dual.phi.complement()), cf_poly(params, dual.phi))
+                  for dual in duals]
+
+    def refuse(*args):
+        raise AssertionError("a dual built a coset product")
+
+    monkeypatch.setattr(codes, "cf_poly", refuse)
+    monkeypatch.setattr(codes, "coset_poly", refuse)
+    for h, (dual, reference) in enumerate(zip(duals, references)):
+        assert (dual.generator, dual.check) == reference, h
 
 
 def test_selfdual_code_equals_own_dual_length4():

@@ -21,7 +21,7 @@ from constagalois.gf import _DLOG_MAX, _TABLE_MAX, Field
 from constagalois.numtheory import _isprime
 from constagalois.oracle import Matrix
 from constagalois.packed import PackedRing
-from exhaustive import ReferenceField, reference_first_primitive
+from exhaustive import ReferenceField, poly_coeffs, reference_first_primitive
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -205,7 +205,7 @@ def random_poly(field, rng, max_deg):
 
 
 def as_tuples(poly):
-    return [c.coeffs for c in poly.coeffs]
+    return [c.coeffs for c in poly_coeffs(poly)]
 
 
 @pytest.mark.parametrize("p,m", POLY_FIELDS)
