@@ -268,8 +268,9 @@ def cmd_search(args) -> Iterator[List[str]]:
     also when no row follows.
 
     All input is checked here, so an error comes before the first row:
-    every field, and the first instance's length and every h of each
-    (p, e) that has rows.  The rows themselves are generated lazily.
+    every field, the first length of each (p, e), also one that keeps
+    no lambda, and every h of each (p, e) that has rows.  The rows
+    themselves are generated lazily.
     """
     wanted, h_set = args.orders or None, args.h_list or None  # empty: no restriction
     lengths = range(args.n_min, args.n_max + 1)
@@ -292,6 +293,10 @@ def cmd_search(args) -> Iterator[List[str]]:
                 derive_params(p, e, args.n_min, lams[0][1])
                 for h in hs:
                     _galois_h(e, h)
+            elif lengths:
+                # no lambda kept, but the rows split every length all the
+                # same; a valid first length derives at n = 1, at no cost
+                derive_params(p, e, min(args.n_min, 1), field.one)
             blocks.append((p, e, lams, hs))
     return _search_rows(args, blocks, lengths)
 

@@ -440,11 +440,15 @@ def mult_order(x: FieldElement) -> int:
 class Embedding:
     """The canonical field homomorphism GF(p^m) -> GF(p^M), m | M.
 
-    Realized by sending the residue class of X in the subfield to the root
-    of the subfield modulus in the big field with the smallest discrete log
-    (the first root hit when walking the order-(p^m - 1) subgroup from 1).
-    This is a genuine ring homomorphism; matching generators by raw powers
-    generally is not.  ``powers`` holds the ints of 1, beta, ..., beta^(m-1).
+    An embedding holds one thing, the int ``beta`` of the image of X:
+    an element of the subfield maps to its coefficient polynomial
+    evaluated at beta.  beta is X itself when the two fields are one, 0
+    for a prime subfield (whose elements are constants and map to
+    themselves), and otherwise the root of the subfield modulus in the
+    big field with the smallest discrete log (the first root hit when
+    walking the order-(p^m - 1) subgroup from 1).  This is a genuine
+    ring homomorphism; matching generators by raw powers generally is
+    not.
     """
 
     def __init__(self, sub: Field, sup: Field):
@@ -452,11 +456,11 @@ class Embedding:
             raise ValueError("incompatible fields: no subfield embedding")
         self.sub = sub
         self.sup = sup
-        if sub is sup:
-            self.powers = None
-            return
         if sub.m == 1:
-            self.powers = [1]
+            self.beta = 0
+            return
+        if sub is sup:
+            self.beta = sup.encode((0, 1))
             return
         mul, add = sup.mul, sup.add
         w = sup.pow(sup.generator.v, (sup.order - 1) // (sub.order - 1))
@@ -471,21 +475,11 @@ class Embedding:
             acc = mul(acc, w)
         if beta is None:
             raise AssertionError("subfield modulus has no root in extension")
-        pows = [1]
-        for _ in range(sub.m - 1):
-            pows.append(mul(pows[-1], beta))
-        self.powers = pows
+        self.beta = beta
 
     def map_int(self, v: int) -> int:
         """The image of the subfield element with int v, as an int of sup."""
-        if self.sub is self.sup:
-            return v
-        mul, add = self.sup.mul, self.sup.add
-        out = 0
-        for c, b in zip(self.sub.decode(v), self.powers):
-            if c:
-                out = add(out, mul(c, b))
-        return out
+        return _horner(self.sub.decode(v), self.beta, self.sup.add, self.sup.mul)
 
     @functools.cached_property
     def _section_table(self) -> dict:
@@ -507,17 +501,6 @@ class Embedding:
             raise ValueError("not in subfield")
         return v
 
-    def __call__(self, x: FieldElement) -> FieldElement:
-        if x.field is not self.sub:
-            raise ValueError("element not in the source field")
-        return self.sup.wrap(self.map_int(x.v))
-
-    def section(self, y: FieldElement) -> FieldElement:
-        """Preimage in the subfield; raises if y is outside the image."""
-        if y.field is not self.sup:
-            raise ValueError("element not in the target field")
-        return self.sub.wrap(self.section_int(y.v))
-
 
 # One Embedding per (sub, sup) pair for the life of the process.  Fields
 # hash by identity, so a field built directly gets its own embeddings;
@@ -526,11 +509,13 @@ _interned_embedding = functools.cache(Embedding)
 
 
 def embed(x: FieldElement, sup: Field) -> FieldElement:
-    return x.field.embedding_into(sup)(x)
+    """The image of x in sup under the canonical embedding."""
+    return sup.wrap(x.field.embedding_into(sup).map_int(x.v))
 
 
 def section(y: FieldElement, sub: Field) -> FieldElement:
-    return sub.embedding_into(y.field).section(y)
+    """The preimage of y in the subfield sub; raises if y is outside it."""
+    return sub.wrap(sub.embedding_into(y.field).section_int(y.v))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ dual basis on wrapped elements, the generator rows as shifted and
 padded polynomials, the quotient-ring product by its explicit
 wraparound sum, the isometry M_s placed monomial by monomial, the
 Galois verdict decided one h at a time with a witness of its own, a
-polynomial from integers and its value at a point by Horner's rule, the
+polynomial from integers and its value at a point by Horner's rule, a
+subfield element's embedded image as a sum over the powers of beta, the
 multipliers walked one residue at a time, a coset polynomial as the
 product over its members, a code's check and generator both as products
 of coset polynomials, theta as a power of the generator, the
@@ -34,9 +35,9 @@ import math
 import random
 
 from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
-                          build_code, coset_poly, derive_params,
+                          build_code, coset_poly, derive_params, embed,
                           galois_selfdual_exists, make_field, nu, parse_element,
-                          poly_gcd, q_cosets)
+                          poly_gcd, q_cosets, section)
 from constagalois.cli import build_parser
 from constagalois.codes import _enum_cap, cf_poly, enumerate_codewords, min_weight
 from constagalois.duality import Isometry, _galois_h
@@ -267,7 +268,7 @@ def reference_theta_dlog(params):
     big_order = big.order - 1
     step = big_order // (params.q - 1)
     w = big.generator ** step
-    img_gen = field.embedding_into(big)(field.generator)
+    img_gen = embed(field.generator, big)
     acc = big.one
     for u in range(params.q - 1):
         if acc == img_gen:
@@ -297,8 +298,7 @@ def reference_coset_poly(params, coset):
     product = Poly(big, [big.one])
     for i in coset.members:
         product = product * Poly(big, [-(params.theta ** i), big.one])
-    section = params.field.embedding_into(big).section
-    return Poly(params.field, [section(c) for c in poly_coeffs(product)])
+    return Poly(params.field, [section(c, params.field) for c in poly_coeffs(product)])
 
 
 def reference_code_polys(code):
@@ -534,6 +534,28 @@ def poly_from_ints(field, ints):
     """The polynomial with these integers as coefficients, each taken
     through Z -> GF(p)."""
     return Poly.wrap(field, [v % field.p for v in ints])
+
+
+def reference_map_int(emb):
+    """The embedding's map on ints as a sum: a subfield int's coefficients
+    times the powers 1, beta, ..., beta^(m-1) of the image of X, listed
+    once, zero coefficients skipped; the identity when the two fields
+    are one."""
+    sub, sup = emb.sub, emb.sup
+    if sub is sup:
+        return lambda v: v
+    mul, add = sup.mul, sup.add
+    powers = [1]
+    for _ in range(sub.m - 1):
+        powers.append(mul(powers[-1], emb.beta))
+
+    def map_int(v):
+        out = 0
+        for c, b in zip(sub.decode(v), powers):
+            if c:
+                out = add(out, mul(c, b))
+        return out
+    return map_int
 
 
 def poly_eval(poly, x):

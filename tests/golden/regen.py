@@ -151,6 +151,11 @@ CASES = [
                                       "--e", "2", "--n", "1", "--lambda", "1"]),
     ("error_prime_above_maxsize_splitting", ["params", "--p", "62864142619960717084721153",
                                              "--e", "1", "--n", "3", "--lambda", "1"]),
+    # --orders 3 keeps no lambda of GF(3), yet the rows would split every
+    # length: a length below 1 is refused before the csv header
+    ("error_search_length_no_lambda_kept", ["search", "--p-list", "3", "--e-list", "1",
+                                            "--n-min", "0", "--n-max", "3",
+                                            "--orders", "3", "--format", "csv"]),
 ]
 
 

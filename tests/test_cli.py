@@ -257,6 +257,18 @@ def test_search_errors_come_before_any_output(capsys, flag, value, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("p_list, n_min, fmt", [
+    ("3", "0", "csv"), ("3", "-2", "text"), ("3,5", "0", "csv"),
+])
+def test_search_length_is_checked_where_no_lambda_is_kept(capsys, p_list, n_min, fmt):
+    # --orders 4 keeps no lambda of GF(3), whose rows would still split
+    # every length; GF(5) keeps one
+    code, out, err = run_cli(capsys, "search", "--p-list", p_list, "--e-list", "1",
+                             "--n-min", n_min, "--n-max", "3", "--orders", "4",
+                             "--format", fmt)
+    assert (code, out, err) == (1, "", "error: length must be positive\n")
+
+
 def _cells(line):
     """A json search line's cells in column order."""
     return tuple(json.loads(line).values())

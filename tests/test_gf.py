@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -13,9 +14,11 @@ from constagalois.gf import Field, _is_irreducible
 from constagalois.numtheory import (_PSI_13, _isprime, _prime_factors,
                                     _strong_lucas_probable_prime)
 from exhaustive import (brute_monic_irreducibles, factor_walk_order,
-                        gauss_irreducible_count, reference_is_irreducible)
+                        gauss_irreducible_count, reference_is_irreducible,
+                        reference_map_int)
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
 
 
 def test_make_field_rejects_bad_arguments():
@@ -285,12 +288,42 @@ def test_section_into_prime_field_needs_no_table():
     # into GF(10007) reads it off instead of tabling 10007 images
     f = make_field(10007, 1)
     big = make_field(10007, 2)
-    emb = f.embedding_into(big)
     for c in (0, 1, 2, 5003, 10006):
-        assert emb.section(embed(f.from_int(c), big)) == f.from_int(c)
+        assert section(embed(f.from_int(c), big), f) == f.from_int(c)
     with pytest.raises(ValueError, match="not in subfield"):
-        emb.section(big.generator)
-    assert "_section_table" not in vars(emb)
+        section(big.generator, f)
+    assert "_section_table" not in vars(f.embedding_into(big))
+
+
+def _embedding_pairs():
+    """(p, m, M, coefficients of beta) for every pair of recorded fields
+    with 2 <= m < M, m | M and p^m <= 2^10, recorded before map_int
+    became Horner's rule at beta."""
+    with open(os.path.join(HERE, "golden", "embeddings.json")) as fh:
+        return json.load(fh)
+
+
+def test_canonical_embedding_roots_match_the_recorded_table():
+    # beta, the least-log root of the subfield modulus, fixes the whole
+    # embedding: the section tables and every coset polynomial read it
+    table = _embedding_pairs()
+    assert {(7, 2, 6), (2, 3, 12), (5, 2, 24)} <= {(p, m, M) for p, m, M, _ in table}
+    for p, m, M, beta in table:
+        sup = make_field(p, M)
+        assert list(sup.decode(make_field(p, m).embedding_into(sup).beta)) == beta, (p, m, M)
+
+
+def test_map_int_is_the_power_sum_at_beta():
+    # Horner's rule at beta against the sum over 1, beta, ..., beta^(m-1),
+    # on every subfield element of the recorded pairs, and on the identity
+    # (beta = X) and prime-subfield (beta = 0) cases
+    pairs = [(p, m, M) for p, m, M, _ in _embedding_pairs()]
+    pairs += [(2, 4, 4), (3, 2, 2), (5, 1, 1), (2, 1, 8), (3, 1, 6), (257, 1, 2)]
+    for p, m, M in pairs:
+        emb = make_field(p, m).embedding_into(make_field(p, M))
+        reference = reference_map_int(emb)
+        for v in emb.sub.ints():
+            assert emb.map_int(v) == reference(v), (p, m, M, v)
 
 
 def test_embedding_into_a_directly_built_field_lands_there():
