@@ -2,10 +2,11 @@
 
 A coset function phi determines the code with check polynomial
 f_phi = prod_Q coset_poly(Q)^phi(Q) and generator polynomial f_phibar;
-the two multiply back to X^n - lambda^residue, so a code computes one
-as a product of coset polynomials and the other by one exact division.
-Codewords are the generator's multiples; at desk scale we enumerate
-them all for membership spot checks and exact minimum weights.
+they multiply back to X^n - lambda^residue, so a code computes one as a
+product and the other by one exact division.  Each product of many
+polynomials, of coset polynomials or of a coset's linear factors, is one
+balanced tree (``polyring.product``).  The generator's multiples, the
+codewords, are listed for membership checks and exact minimum weights.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import itertools
 import os
 from typing import Iterator, List, Optional, Sequence
 
-from .cosets import CodeParams, CosetFunction, QCoset
+from .cosets import CodeParams, CosetFunction, QCoset, check_coset, check_phi
 from .gf import Field, FieldElement
 from .numtheory import p_split
-from .polyring import Poly, _divmod_ints, poly_to_json
+from .polyring import Poly, _divmod_ints, poly_to_json, product
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -49,40 +50,34 @@ def coset_poly(params: CodeParams, coset: QCoset) -> Poly:
 
     The coset is the orbit of its rep under k -> q*k, so its roots are
     theta^rep and its images under the q-power Frobenius x -> x^q, one
-    map per further root.  The product is computed over the splitting
-    field GF(q^d); its coefficients are fixed by the Galois group over
-    F_q, so sectioning them into F_q must succeed.  The result is monic
-    and irreducible of degree |coset|.  Memoised on (params, coset): a
-    repeated call returns the same Poly.
+    map per further root.  Their linear factors multiply over the
+    splitting field GF(q^d) in one ``polyring.product``; the coefficients
+    are fixed by the Galois group over F_q, so sectioning them into F_q
+    must succeed.  The result is monic and irreducible of degree |coset|.
+    Memoised on (params, coset); a miss first checks that the coset is
+    one of params'.  A repeated call returns the same Poly.
     """
+    check_coset(params, coset)
     big = params.big_field
     neg, frob, e = big.neg, big.frob, params.e
     roots = [params.theta_pow(coset.rep).v]
     for _ in range(len(coset) - 1):
         roots.append(frob(roots[-1], e))
-    # a balanced product tree keeps the operands of each product of
-    # similar length
-    factors = [Poly.wrap(big, (neg(root), 1)) for root in roots]
-    while len(factors) > 1:
-        factors = [factors[i] * factors[i + 1] if i + 1 < len(factors) else factors[i]
-                   for i in range(0, len(factors), 2)]
+    big_poly = product(big, [Poly.wrap(big, (neg(root), 1)) for root in roots])
     emb = params.field.embedding_into(big)
     try:
-        ints = [emb.section_int(c) for c in factors[0].ints]
+        ints = [emb.section_int(c) for c in big_poly.ints]
     except ValueError as exc:
         raise AssertionError("coset not Galois-stable") from exc
     return Poly.wrap(params.field, ints)
 
 
 def cf_poly(params: CodeParams, phi: CosetFunction) -> Poly:
-    """prod_Q coset_poly(Q)^phi(Q) over the cosets of phi's class; no
-    factor gives 1."""
-    result = None
-    for Q, mult in zip(params.cosets_on(phi.residue), phi.values()):
-        if mult:
-            factor = coset_poly(params, Q) ** mult
-            result = factor if result is None else result * factor
-    return Poly.wrap(params.field, [1]) if result is None else result
+    """prod_Q coset_poly(Q)^phi(Q) over the cosets of phi's class with
+    phi(Q) != 0, in one ``polyring.product``; no factor gives 1."""
+    check_phi(params, phi)
+    return product(params.field, [coset_poly(params, Q) ** mult for Q, mult in
+                                  zip(params.cosets_on(phi.residue), phi.values()) if mult])
 
 
 class ConstaCode:
@@ -102,8 +97,7 @@ class ConstaCode:
     __slots__ = ("params", "phi", "dim", "_generator", "_check")
 
     def __init__(self, params: CodeParams, phi: CosetFunction):
-        if phi.params is not params:
-            raise ValueError("coset function belongs to different params")
+        check_phi(params, phi)
         self.params = params
         self.phi = phi
         self.dim = phi.weight()

@@ -168,7 +168,9 @@ class CodeParams:
         return [table[s * Q.rep % period // r] for Q in cosets]
 
     def image(self, Q: QCoset, s: int) -> QCoset:
-        """The q-coset s*Q for s coprime to n'r."""
+        """The q-coset s*Q for s coprime to n'r; Q must be a coset of these
+        params."""
+        check_coset(self, Q)
         return self.images(Q.residue, s)[Q.index]
 
     def coset_of(self, k: int) -> QCoset:
@@ -255,6 +257,20 @@ def derive_params(p: int, e: int, n: int, lam) -> CodeParams:
     if n < 1:
         raise ValueError("length must be positive")
     return _interned_params(field, n, lam.v)
+
+
+def check_coset(params: CodeParams, Q: QCoset) -> None:
+    """Refuse a q-coset of other params: cosets are interned, so one of
+    params is the entry at its index in its class's list."""
+    cosets = params.cosets_on(Q.residue)
+    if not (Q.index < len(cosets) and cosets[Q.index] is Q):
+        raise ValueError("coset belongs to different params")
+
+
+def check_phi(params: CodeParams, phi: CosetFunction) -> None:
+    """Refuse a coset function of other params."""
+    if phi.params is not params:
+        raise ValueError("coset function belongs to different params")
 
 
 def q_cosets(params: CodeParams, s: int = 1) -> List[QCoset]:

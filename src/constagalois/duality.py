@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .codes import ConstaCode, build_code
-from .cosets import CodeParams, CosetFunction
+from .cosets import CodeParams, CosetFunction, check_phi
 from .gf import FieldElement
 from .numtheory import p_split
 from .polyring import Poly, QuotientElem, fold
@@ -172,8 +172,10 @@ def iso_witness_for(params: CodeParams, phi: CosetFunction) -> Optional[int]:
 
     Candidates are the least s of each class-preserving action, ascending
     (:meth:`CodeParams.multipliers`), each tested once by
-    :meth:`CosetFunction.act_is_complement`.
+    :meth:`CosetFunction.act_is_complement`.  phi must be a coset function
+    of params.
     """
+    check_phi(params, phi)
     return next((s for s in params.multipliers() if phi.act_is_complement(s)),
                 None)
 

@@ -131,6 +131,15 @@ class Poly:
         return Poly.wrap(field, [mul(c, inv) for c in self.ints])
 
 
+def product(field: Field, polys: Sequence[Poly]) -> Poly:
+    """The product of the polys as one balanced tree, adjacent factors
+    paired level by level (k - 1 products for k factors); none gives 1."""
+    while len(polys) > 1:
+        polys = [polys[i] * polys[i + 1] if i + 1 < len(polys) else polys[i]
+                 for i in range(0, len(polys), 2)]
+    return polys[0] if polys else Poly.wrap(field, [1])
+
+
 def _divmod_ints(field: Field, num, den):
     """Quotient and remainder lists of num by a nonzero den (element ints)."""
     mul, neg, add_scaled = field.mul, field.neg, field.add_scaled

@@ -18,11 +18,12 @@ Galois verdict decided one h at a time with a witness of its own, a
 polynomial from integers and its value at a point by Horner's rule, a
 subfield element's embedded image as a sum over the powers of beta, the
 multipliers walked one residue at a time, a coset polynomial as the
-product over its members, a code's check and generator both as products
-of coset polynomials, theta as a power of the generator, the
-canonical generator by one power per prime of q - 1, Rabin's
-irreducibility test by m powers by p, the CLI's dict records and search rows
-written through csv.writer, json.dumps and a k=v join, and the
+product over its members, a product of coset polynomials as a left
+fold, a code's check and generator both as such folds, theta as a power
+of the generator, the canonical generator by one power per prime of
+q - 1, Rabin's irreducibility test by m powers by p, the CLI's dict
+records and search rows written through csv.writer, json.dumps and a
+k=v join, and the
 existence verdicts decided on the codes of dimension n/2 themselves,
 listed as divisors of X^n - lambda with no q-coset in sight.
 """
@@ -39,7 +40,7 @@ from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
                           galois_selfdual_exists, make_field, nu, parse_element,
                           poly_gcd, q_cosets, section)
 from constagalois.cli import build_parser
-from constagalois.codes import _enum_cap, cf_poly, enumerate_codewords, min_weight
+from constagalois.codes import _enum_cap, enumerate_codewords, min_weight
 from constagalois.duality import Isometry, _galois_h
 from constagalois.existence import _witness, iso_selfdual_family
 from constagalois.gf import format_element
@@ -301,11 +302,23 @@ def reference_coset_poly(params, coset):
     return Poly(params.field, [section(c, params.field) for c in poly_coeffs(product)])
 
 
+def reference_cf_poly(params, phi):
+    """prod_Q coset_poly(Q)^phi(Q) as a left fold over the cosets of phi's
+    class, the accumulator taking one power per coset with phi(Q) != 0;
+    no factor gives 1."""
+    result = None
+    for Q, mult in zip(params.cosets_on(phi.residue), phi.values()):
+        if mult:
+            factor = coset_poly(params, Q) ** mult
+            result = factor if result is None else result * factor
+    return Poly.wrap(params.field, [1]) if result is None else result
+
+
 def reference_code_polys(code):
-    """(check, generator) of a code built from phi, both as products of
-    coset polynomials: cf_poly(phi) and cf_poly(phibar)."""
-    return (cf_poly(code.params, code.phi),
-            cf_poly(code.params, code.phi.complement()))
+    """(check, generator) of a code built from phi, both as left folds of
+    coset polynomials: reference_cf_poly of phi and of phibar."""
+    return (reference_cf_poly(code.params, code.phi),
+            reference_cf_poly(code.params, code.phi.complement()))
 
 
 def brute_min_weight(code):

@@ -9,6 +9,7 @@ from constagalois import (CosetFunction, Poly, QuotientElem, build_code,
                           galois_dual, make_field, q_cosets)
 from constagalois import codes
 from constagalois.cosets import CodeParams
+from constagalois.packed import PackedRing
 from exhaustive import (brute_min_weight, code_contains, code_from_generator,
                         criterion6_codes, grid_instances, poly_coeffs, poly_eval,
                         poly_from_ints, reference_code_polys, reference_coset_poly,
@@ -106,12 +107,39 @@ def test_cf_poly_length12_matches_big_field_product():
     assert got.degree == 6
 
 
+def test_cf_poly_multiplies_one_balanced_tree(monkeypatch):
+    # 16 singleton cosets, each a linear coset polynomial with no product of
+    # its own: the tree pairs them in 8 + 4 + 2 + 1 products, the last
+    # 8 x 8, where a left fold's last is 15 x 1
+    params = derive_params(17, 1, 16, 1)
+    phi = CosetFunction.constant(params, 1)
+    degrees = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda a, b: degrees.append((a.degree, b.degree)) or mul(a, b))
+    assert cf_poly(params, phi) == params.modulus_poly(1)
+    assert len(degrees) == 15 and degrees[-1] == (8, 8)
+
+
+def test_coset_poly_checks_its_coset_on_a_miss_only(monkeypatch):
+    params = derive_params(5, 2, 26, -1)
+    Q = params.coset_of(1)
+    first = coset_poly(params, Q)
+    checked = []
+    monkeypatch.setattr(codes, "check_coset", lambda params, Q: checked.append(Q))
+    assert coset_poly(params, Q) is first and checked == []
+    assert coset_poly.__wrapped__(params, Q) == first and checked == [Q]
+
+
 def assert_polys_match_reference(code):
-    """check and generator equal the two products, read in either order."""
+    """check and generator equal the two left folds, read in either order,
+    and so does cf_poly of phi and of phibar."""
+    params, phi = code.params, code.phi
     check, generator = reference_code_polys(code)
-    fresh = build_code(code.params, code.phi)
+    fresh = build_code(params, phi)
     assert (code.check, code.generator) == (check, generator), code
     assert (fresh.generator, fresh.check) == (generator, check), code
+    assert (cf_poly(params, phi), cf_poly(params, phi.complement())) == (check, generator), code
 
 
 def test_code_polys_match_both_products_on_criterion6_grid():
@@ -120,6 +148,26 @@ def test_code_polys_match_both_products_on_criterion6_grid():
         assert_polys_match_reference(code)
         count += 1
     assert count == 1777
+
+
+def test_code_polys_match_both_products_on_packed_fields(monkeypatch):
+    # singleton cosets, 128 of 256 over GF(65537) and 64 of 160 over
+    # GF(7^4) with phi = 1: the top products of both trees pass the packed
+    # ring's TERM_LIMIT, so its chunked path runs
+    shorter = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda a, b: shorter.append(min(len(a.ints), len(b.ints))) or mul(a, b))
+    rng = random.Random(37)
+    for params, ones in ((derive_params(65537, 1, 256, -1), 128),
+                         (derive_params(7, 4, 160, 1), 64)):
+        n = params.n
+        assert len(params.cosets_on(1)) == n and params.q > 1 << 10
+        support = set(rng.sample(range(n), ones))
+        phi = CosetFunction.from_values(params, [int(i in support) for i in range(n)])
+        shorter.clear()
+        assert_polys_match_reference(build_code(params, phi))
+        assert max(shorter) > PackedRing.TERM_LIMIT, params
 
 
 def construct_grid_with_repeated_roots():

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from constagalois import (CodeParams, CosetFunction, derive_params, embed,
-                          make_field, mult_order, q_cosets, s_orbits)
+from constagalois import (CodeParams, CosetFunction, build_code, cf_poly, derive_params,
+                          embed, make_field, mult_order, q_cosets, s_orbits)
 from constagalois.codes import coset_poly
 from constagalois.duality import iso_witness_for
 from constagalois.existence import iso_selfdual_family
@@ -340,6 +340,26 @@ def test_coset_table_matches_member_minimum_on_census_grid():
             assert Q.rep == Q.members[0]
             assert all(table[k // params.r] is Q for k in Q.members)
         assert params.images(1, 1 + period) == cosets   # s acts mod n'r
+
+
+def test_phi_and_cosets_of_other_params_are_refused():
+    # each pair shares p and e, so nothing but ownership tells a foreign
+    # phi or coset apart: cf_poly would zip the four cosets of the cyclic
+    # params with phi's two values, and image would index the other table
+    cyclic, nega = derive_params(5, 1, 4, 1), derive_params(5, 1, 4, -1)
+    phi = CosetFunction.constant(nega, 1)
+    for call in (cf_poly, iso_witness_for, build_code):
+        with pytest.raises(ValueError, match="^coset function belongs to different params$"):
+            call(cyclic, phi)
+    for params, Q in [(cyclic, nega.coset_of(1)), (nega, cyclic.coset_of(1)),
+                      (cyclic, nega.coset_of(0))]:
+        with pytest.raises(ValueError, match="^coset belongs to different params$"):
+            coset_poly(params, Q)
+    Q5 = derive_params(3, 2, 8, -1).coset_of(5)
+    with pytest.raises(ValueError, match="^coset belongs to different params$"):
+        derive_params(5, 2, 26, -1).image(Q5, 1)
+    assert cf_poly(nega, phi) == nega.modulus_poly(1)
+    assert coset_poly(cyclic, cyclic.coset_of(1)).degree == 1
 
 
 def test_multiplier_action_reads_the_coset_memo_per_class():

@@ -273,6 +273,8 @@ SINGLE_SOURCE = {
     "enumeration too large": ["codes._check_enum_size"],
     "negative enumeration cap": ["codes._enum_cap"],
     "unknown format": ["cli._style"],
+    "coset function belongs to different params": ["cosets.check_phi"],
+    "coset belongs to different params": ["cosets.check_coset"],
 }
 
 
