@@ -42,12 +42,13 @@ def parse_phi(params: CodeParams, text: str) -> CosetFunction:
     assignment = {}
     for chunk in text.split(","):
         rep, _, value = chunk.partition(":")
-        if not _:
-            raise ValueError(f"bad phi entry {chunk!r}, expected rep:value")
-        key = int(rep)
+        try:
+            key, value = int(rep), int(value)
+        except ValueError:  # also an entry with no colon, whose value is ""
+            raise ValueError(f"bad phi entry {chunk!r}, expected rep:value") from None
         if key in assignment:
             raise ValueError(f"phi rep {key} given twice")
-        assignment[key] = int(value)
+        assignment[key] = value
     return CosetFunction(params, assignment)
 
 
@@ -458,6 +459,10 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
     return parser
 
 
+# what a config value of each flag type must be
+_VALUE_KINDS = {int: "an integer", parse_int_set: "comma-separated integers"}
+
+
 def _add_flags(parser, config: dict, flags) -> Set[str]:
     """Add each (flag, options) pair; the flag's config value becomes its
     default, converted as its action converts a command-line value.
@@ -475,7 +480,11 @@ def _add_flags(parser, config: dict, flags) -> Set[str]:
                 raise ValueError(f"config {flag} takes true or false, not {text!r}")
             value = text == "true"
         else:
-            value = action.type(text) if action.type else text
+            try:
+                value = action.type(text) if action.type else text
+            except ValueError:
+                raise ValueError(f"config {flag} takes {_VALUE_KINDS[action.type]}, "
+                                 f"not {text!r}") from None
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"config {flag} takes one of {action.choices}, not {text!r}")
         parser.set_defaults(**{action.dest: value})

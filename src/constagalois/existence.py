@@ -99,7 +99,6 @@ def iso_selfdual_exists(params: CodeParams, h: int = 0) -> ExistenceVerdict:
     return ExistenceVerdict(label is not None, label, phi)
 
 
-@functools.cache
 def iso_selfdual_family(params: CodeParams):
     """(label, witness phi, witness s) of the isometrically self-dual
     family, or (None, None, None).
@@ -108,15 +107,22 @@ def iso_selfdual_family(params: CodeParams):
     Outside (i), phi alternates 0 and p^nu along the orbits of the first
     multiplier s whose orbits are all even; phi alternates along the orbits
     of any witness too, so s is the smallest, as :func:`iso_witness_for`
-    finds it.  Memoised on the params for the process, as interned params
-    live: a repeated call returns the same tuple.
+    finds it.  Read off :func:`selfdual_families`: a repeated call returns
+    the same tuple.
     """
+    return selfdual_families(params).iso
+
+
+_NO_ISO = (None, None, None)  # the family of every instance without one
+
+
+def _iso_family(params: CodeParams):
     if params.p == 2 and params.nu >= 1:
         label = "(i)"
     else:
         duadic = duadic_exists(params)
         if not duadic:
-            return None, None, None
+            return _NO_ISO
         label = _ISO_LABELS[duadic.matched_condition]
     for s in params.multipliers():  # s = 1 first: the constant of (i)
         phi = _witness(params, s)
@@ -129,16 +135,12 @@ def iso_selfdual_family(params: CodeParams):
 _ABSENT = ExistenceVerdict(False)
 
 
-def galois_selfdual_verdicts(params: CodeParams,
-                             hs: Iterable[int]) -> List[ExistenceVerdict]:
-    """:func:`galois_selfdual_exists` for every h of ``hs``, in order.
+def _galois_verdicts(params: CodeParams) -> Optional[List]:
+    """The verdict of every h in [0, e], or None when none exists.
 
-    Multiplication by q fixes every q-coset, so -p^h and -p^h' act alike
-    when they lie in one <q>-orbit mod n'r, as h = 0 and h = e always do.
-    Once r | p^h + 1, t = -p^h is 1 mod r and coprime to n'r, so its orbit
-    is the q-coset that holds t, :meth:`CodeParams.coset_of`.  The
-    witness is built and checked once per such coset, and the verdicts of
-    its h share that one phi.
+    A rejected h holds :data:`_ABSENT`.  An h whose family exists holds its
+    label until :func:`galois_selfdual_verdicts` first asks for it, and then
+    its verdict, so a witness is built only for an h that is asked.
     """
     p, e, r = params.p, params.e, params.r
     even = params.nprime % 2 == 0 and r % 2 == 0
@@ -150,24 +152,75 @@ def galois_selfdual_verdicts(params: CodeParams,
         iv = "(iv)" if nu(2, params.nprime * r) > nu(2, p + 1) else None
         labels = ("(iii)" if e % 2 == 0 else iv, iv)
     else:
-        labels = (None, None)
-    witnesses = {}  # the q-coset of -p^h -> its witness
-    verdicts = []
+        return None
+    verdicts = [_ABSENT if labels[h % 2] is None or (p ** h + 1) % r != 0 else labels[h % 2]
+                for h in range(e + 1)]
+    return verdicts if any(v is not _ABSENT for v in verdicts) else None
+
+
+def _galois_verdict(params: CodeParams, verdicts: List, h: int) -> ExistenceVerdict:
+    """The verdict of an h whose family exists, put in place of its label.
+
+    Multiplication by q fixes every q-coset, so -p^h and -p^h' act alike
+    when they lie in one <q>-orbit mod n'r, as h = 0 and h = e always do.
+    Once r | p^h + 1, t = -p^h is 1 mod r and coprime to n'r, so its orbit
+    is the q-coset that holds t, :meth:`CodeParams.coset_of`.  The
+    witness is built and checked once per such coset, and the verdicts of
+    its h share that one phi.
+    """
+    t = -(params.p ** h)
+    orbit = params.coset_of(t)
+    for k, known in enumerate(verdicts):
+        if known and not isinstance(known, str) and params.coset_of(-(params.p ** k)) == orbit:
+            phi = known.witness_phi
+            break
+    else:
+        phi = _witness(params, t)
+        if phi is None:
+            raise AssertionError("-p^h has an odd orbit in a family that exists")
+    verdict = verdicts[h] = ExistenceVerdict(True, verdicts[h], phi)
+    return verdict
+
+
+class SelfDualFamilies(NamedTuple):
+    """Both self-dual families of one instance, one record per params."""
+
+    iso: tuple  # (label, witness phi, witness s) of iso_selfdual_family
+    galois: Optional[List]  # of _galois_verdicts; None: no h has a family
+
+
+# every instance with neither family shares this record
+_NO_FAMILIES = SelfDualFamilies(_NO_ISO, None)
+
+
+@functools.cache
+def selfdual_families(params: CodeParams) -> SelfDualFamilies:
+    """The isometric family and the Galois verdict of every h of params.
+
+    The verdict depends on h only through h mod 2, r | p^h + 1 and the
+    q-coset of -p^h, so the labels of every h are worked out at once and
+    each witness is built on the first ask of its h.  Memoised on the
+    params for the process, as interned params live.
+    """
+    iso, galois = _iso_family(params), _galois_verdicts(params)
+    if iso is _NO_ISO and galois is None:
+        return _NO_FAMILIES
+    return SelfDualFamilies(iso, galois)
+
+
+def galois_selfdual_verdicts(params: CodeParams,
+                             hs: Iterable[int]) -> List[ExistenceVerdict]:
+    """:func:`galois_selfdual_exists` for every h of ``hs``, in order, read
+    off :func:`selfdual_families`."""
+    e, verdicts = params.e, selfdual_families(params).galois
+    found = []
     for h in hs:
         _galois_h(e, h)
-        label = labels[h % 2]
-        if label is None or (p ** h + 1) % r != 0:
-            verdicts.append(_ABSENT)
-            continue
-        t = -(p ** h)
-        orbit = params.coset_of(t)
-        phi = witnesses.get(orbit)
-        if phi is None:
-            phi = witnesses[orbit] = _witness(params, t)
-            if phi is None:
-                raise AssertionError("-p^h has an odd orbit in a family that exists")
-        verdicts.append(ExistenceVerdict(True, label, phi))
-    return verdicts
+        verdict = _ABSENT if verdicts is None else verdicts[h]
+        if verdict.__class__ is str:  # a label: its witness is not built yet
+            verdict = _galois_verdict(params, verdicts, h)
+        found.append(verdict)
+    return found
 
 
 def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:

@@ -156,6 +156,13 @@ CASES = [
     ("error_search_length_no_lambda_kept", ["search", "--p-list", "3", "--e-list", "1",
                                             "--n-min", "0", "--n-max", "3",
                                             "--orders", "3", "--format", "csv"]),
+    # a phi value, or a config value, that is not an integer is a domain or
+    # usage error that names the entry or the flag
+    ("error_phi_value_not_int", ["code", "--p", "3", "--e", "1", "--n", "4",
+                                 "--lambda", "-1", "--phi", "1:x,5:1"]),
+    ("error_config_value_not_int", ["--config", "non_int.cfg", "params"]),
+    ("error_config_list_not_ints", ["--config", "non_int_list.cfg", "search",
+                                    "--p-list", "3", "--e-list", "1", "--n-max", "2"]),
 ]
 
 

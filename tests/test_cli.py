@@ -513,6 +513,27 @@ def test_repeated_phi_rep_is_a_domain_error(capsys):
     assert err == "error: phi rep 7 given twice\n"
 
 
+def test_non_integer_phi_entry_is_named(capsys):
+    # a rep or value that is not an int is a bad entry, as a missing colon is
+    for entry in ("1:x", "x:1", "1:1:1", "1"):
+        code, out, err = run_cli(capsys, "code", "--p", "3", "--e", "1", "--n", "4",
+                                 "--lambda", "-1", "--phi", f"{entry},5:1")
+        assert (code, out) == (1, ""), entry
+        assert err == f"error: bad phi entry {entry!r}, expected rep:value\n"
+
+
+def test_non_integer_config_value_names_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for line, message in (("p=x", "config --p takes an integer, not 'x'"),
+                          ("n-max = four", "config --n-max takes an integer, not 'four'"),
+                          ("orders=a", "config --orders takes comma-separated integers, not 'a'")):
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "search", "--p-list", "3",
+                                 "--e-list", "1", "--n-max", "2")
+        assert (code, out) == (2, ""), line
+        assert err == f"usage error: {message}\n"
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p=3\ne=2\nn=4\nlambda=-1\nwith_weight = true\nfoo = 1\n")
@@ -601,6 +622,15 @@ def test_search_builds_one_galois_witness_per_action(capsys, monkeypatch):
                 orbits.add(frozenset(t * q ** j % period for j in range(params.d)))
         actions += len(orbits)
     assert actions == 839
+    existence.selfdual_families.cache_clear()
+    built = spy_galois_witnesses(monkeypatch)
+    code, _, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
+    assert code == 0, err
+    assert len(built) == actions
+
+
+def spy_galois_witnesses(monkeypatch):
+    """The list that every later -p^h witness build appends its (params, t) to."""
     built = []
     witness = existence._witness
 
@@ -610,9 +640,31 @@ def test_search_builds_one_galois_witness_per_action(capsys, monkeypatch):
         return witness(params, t)
 
     monkeypatch.setattr(existence, "_witness", counting)
-    code, _, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
+    return built
+
+
+def test_search_builds_each_instance_record_once_per_process(capsys, monkeypatch):
+    # a second census in one process reads every verdict off the records
+    existence.selfdual_families.cache_clear()
+    built = spy_galois_witnesses(monkeypatch)
+    code, first, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
     assert code == 0, err
-    assert len(built) == actions
+    assert len(built) == 839
+    built.clear()
+    code, second, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
+    assert code == 0, err
+    assert built == [] and second == first
+
+
+def test_search_builds_the_witnesses_of_the_asked_h_only(capsys, monkeypatch):
+    # a record works out the labels of every h at once, but the witness of
+    # an h only when that h is asked: here t = -p^0 alone, once per instance
+    existence.selfdual_families.cache_clear()
+    built = spy_galois_witnesses(monkeypatch)
+    code, _, err = run_cli(capsys, *CENSUS_ARGV, "--h-list", "0", "--format", "csv")
+    assert code == 0, err
+    assert built and {t for _, t in built} == {-1}
+    assert len(built) == len({params for params, _ in built})
 
 
 # a lambda printed [c0,...] (a quoted csv cell), weights with a number and an

@@ -205,7 +205,7 @@ def test_guard_sees_each_memo_spelling():
 
 # the library's memos; each is module-level and lives for the process
 MEMOS = ["cli.build_parser", "codes.coset_poly", "cosets._coset_class",
-         "cosets._interned_params", "existence.iso_selfdual_family", "gf.make_field",
+         "cosets._interned_params", "existence.selfdual_families", "gf.make_field",
          "gf._interned_embedding"]
 
 
@@ -290,14 +290,21 @@ def test_each_domain_rule_is_raised_from_one_place():
 
 def test_every_existence_witness_goes_through_one_check(monkeypatch):
     # _witness is the one place that checks t*phi = phibar for a witness
-    from constagalois import CosetFunction, derive_params, galois_selfdual_exists
-    from constagalois.existence import iso_selfdual_family
+    from constagalois import CosetFunction, derive_params, existence, galois_selfdual_exists
+    from constagalois.existence import iso_selfdual_family, selfdual_families
 
     cases = [derive_params(2, 1, 2, 1), derive_params(5, 1, 2, -1)]  # (i), (ii)
-    iso_selfdual_family.cache_clear()
+    selfdual_families.cache_clear()
     assert all(galois_selfdual_exists(params, 0) for params in cases)
     monkeypatch.setattr(CosetFunction, "act_is_complement", lambda phi, t: False)
+    selfdual_families.cache_clear()  # both readers rebuild the record
     for params in cases:
+        # each builder of the record on its own: the record builds the iso
+        # family first, so the public calls alone would not reach the Galois one
+        with pytest.raises(AssertionError, match="witness"):
+            existence._galois_verdict(params, existence._galois_verdicts(params), 0)
+        with pytest.raises(AssertionError, match="witness"):
+            existence._iso_family(params)
         with pytest.raises(AssertionError, match="witness"):
             galois_selfdual_exists(params, 0)
         with pytest.raises(AssertionError, match="witness"):
