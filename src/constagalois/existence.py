@@ -135,13 +135,9 @@ def _iso_family(params: CodeParams):
 _ABSENT = ExistenceVerdict(False)
 
 
-def _galois_verdicts(params: CodeParams) -> Optional[List]:
-    """The verdict of every h in [0, e], or None when none exists.
-
-    A rejected h holds :data:`_ABSENT`.  An h whose family exists holds its
-    label until :func:`galois_selfdual_verdicts` first asks for it, and then
-    its verdict, so a witness is built only for an h that is asked.
-    """
+def _galois_labels(params: CodeParams) -> Optional[tuple]:
+    """The label of every h in [0, e], None where no p^h-self-dual code
+    exists, or None when no h has one."""
     p, e, r = params.p, params.e, params.r
     even = params.nprime % 2 == 0 and r % 2 == 0
     if p == 2 and params.nu >= 1:
@@ -153,13 +149,43 @@ def _galois_verdicts(params: CodeParams) -> Optional[List]:
         labels = ("(iii)" if e % 2 == 0 else iv, iv)
     else:
         return None
-    verdicts = [_ABSENT if labels[h % 2] is None or (p ** h + 1) % r != 0 else labels[h % 2]
-                for h in range(e + 1)]
-    return verdicts if any(v is not _ABSENT for v in verdicts) else None
+    found = tuple(labels[h % 2] if (p ** h + 1) % r == 0 else None for h in range(e + 1))
+    return found if any(found) else None
 
 
-def _galois_verdict(params: CodeParams, verdicts: List, h: int) -> ExistenceVerdict:
-    """The verdict of an h whose family exists, put in place of its label.
+class SelfDualFamilies(NamedTuple):
+    """Both self-dual families of one instance, one record per params."""
+
+    iso: tuple  # (label, witness phi, witness s) of iso_selfdual_family
+    labels: Optional[tuple]  # of _galois_labels
+    witnesses: dict  # the q-coset of -p^h -> its witness, filled on first ask
+
+
+# every instance with neither family shares this record; with no label,
+# its witnesses stay empty
+_NO_FAMILIES = SelfDualFamilies(_NO_ISO, None, {})
+
+
+@functools.cache
+def selfdual_families(params: CodeParams) -> SelfDualFamilies:
+    """The isometric family, the Galois label of every h and the Galois
+    witnesses built so far, of params.
+
+    The verdict depends on h only through h mod 2, r | p^h + 1 and the
+    q-coset of -p^h, so the labels of every h are worked out at once and
+    each witness is built on the first ask of its coset.  Memoised on the
+    params for the process, as interned params live.
+    """
+    iso, labels = _iso_family(params), _galois_labels(params)
+    if iso is _NO_ISO and labels is None:
+        return _NO_FAMILIES
+    return SelfDualFamilies(iso, labels, {})
+
+
+def galois_selfdual_verdicts(params: CodeParams,
+                             hs: Iterable[int]) -> List[ExistenceVerdict]:
+    """:func:`galois_selfdual_exists` for every h of ``hs``, in order, read
+    off :func:`selfdual_families`.
 
     Multiplication by q fixes every q-coset, so -p^h and -p^h' act alike
     when they lie in one <q>-orbit mod n'r, as h = 0 and h = e always do.
@@ -168,59 +194,25 @@ def _galois_verdict(params: CodeParams, verdicts: List, h: int) -> ExistenceVerd
     witness is built and checked once per such coset, and the verdicts of
     its h share that one phi.
     """
-    t = -(params.p ** h)
-    orbit = params.coset_of(t)
-    for k, known in enumerate(verdicts):
-        if known and not isinstance(known, str) and params.coset_of(-(params.p ** k)) == orbit:
-            phi = known.witness_phi
-            break
-    else:
-        phi = _witness(params, t)
-        if phi is None:
-            raise AssertionError("-p^h has an odd orbit in a family that exists")
-    verdict = verdicts[h] = ExistenceVerdict(True, verdicts[h], phi)
-    return verdict
-
-
-class SelfDualFamilies(NamedTuple):
-    """Both self-dual families of one instance, one record per params."""
-
-    iso: tuple  # (label, witness phi, witness s) of iso_selfdual_family
-    galois: Optional[List]  # of _galois_verdicts; None: no h has a family
-
-
-# every instance with neither family shares this record
-_NO_FAMILIES = SelfDualFamilies(_NO_ISO, None)
-
-
-@functools.cache
-def selfdual_families(params: CodeParams) -> SelfDualFamilies:
-    """The isometric family and the Galois verdict of every h of params.
-
-    The verdict depends on h only through h mod 2, r | p^h + 1 and the
-    q-coset of -p^h, so the labels of every h are worked out at once and
-    each witness is built on the first ask of its h.  Memoised on the
-    params for the process, as interned params live.
-    """
-    iso, galois = _iso_family(params), _galois_verdicts(params)
-    if iso is _NO_ISO and galois is None:
-        return _NO_FAMILIES
-    return SelfDualFamilies(iso, galois)
-
-
-def galois_selfdual_verdicts(params: CodeParams,
-                             hs: Iterable[int]) -> List[ExistenceVerdict]:
-    """:func:`galois_selfdual_exists` for every h of ``hs``, in order, read
-    off :func:`selfdual_families`."""
-    e, verdicts = params.e, selfdual_families(params).galois
-    found = []
+    p, e = params.p, params.e
+    _, labels, witnesses = selfdual_families(params)
+    verdicts = []
     for h in hs:
         _galois_h(e, h)
-        verdict = _ABSENT if verdicts is None else verdicts[h]
-        if verdict.__class__ is str:  # a label: its witness is not built yet
-            verdict = _galois_verdict(params, verdicts, h)
-        found.append(verdict)
-    return found
+        label = None if labels is None else labels[h]
+        if label is None:
+            verdicts.append(_ABSENT)
+            continue
+        t = -(p ** h)
+        orbit = params.coset_of(t)
+        phi = witnesses.get(orbit)
+        if phi is None:
+            phi = _witness(params, t)
+            if phi is None:
+                raise AssertionError("-p^h has an odd orbit in a family that exists")
+            witnesses[orbit] = phi
+        verdicts.append(ExistenceVerdict(True, label, phi))
+    return verdicts
 
 
 def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:

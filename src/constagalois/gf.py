@@ -539,10 +539,17 @@ def format_element(x: FieldElement) -> str:
 
 
 def parse_element(text: str, field: Field) -> FieldElement:
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        return field.element(int(c) for c in text[1:-1].split(","))
-    if text.startswith("g^"):
-        return field.generator ** int(text[2:])
-    value = int(text)  # bare integer, e.g. "1" or "-1"
-    return field.from_int(value)
+    """The element written as an integer (e.g. "1" or "-1", read mod p),
+    ``g^K`` or ``[c0,...]`` (coefficients, ascending degree)."""
+    body = text.strip()
+    try:
+        if body.startswith("[") and body.endswith("]"):
+            coeffs = [int(c) for c in body[1:-1].split(",")]
+        elif body.startswith("g^"):
+            return field.generator ** int(body[2:])
+        else:
+            return field.from_int(int(body))
+    except ValueError:
+        raise ValueError(f"bad field element {text!r}, expected an integer, "
+                         "g^K or [c0,...]") from None
+    return field.element(coeffs)  # outside the try: its "too many coefficients" stands

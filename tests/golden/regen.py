@@ -163,6 +163,11 @@ CASES = [
     ("error_config_value_not_int", ["--config", "non_int.cfg", "params"]),
     ("error_config_list_not_ints", ["--config", "non_int_list.cfg", "search",
                                     "--p-list", "3", "--e-list", "1", "--n-max", "2"]),
+    # a lambda that is not an integer, g^K or [c0,...] is a domain error
+    ("error_lambda_power_not_int", ["exist", "--p", "3", "--e", "1", "--n", "4",
+                                    "--lambda", "g^x"]),
+    ("error_lambda_vector_not_ints", ["params", "--p", "3", "--e", "2", "--n", "4",
+                                      "--lambda", "[1,x]"]),
 ]
 
 

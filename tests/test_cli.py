@@ -522,6 +522,16 @@ def test_non_integer_phi_entry_is_named(capsys):
         assert err == f"error: bad phi entry {entry!r}, expected rep:value\n"
 
 
+def test_malformed_lambda_names_its_text_and_the_grammar(capsys):
+    # not int()'s message: the lambda text and the three ways to write one
+    for e, text in ((1, "g^x"), (2, "g^x"), (2, "[1,x]"), (2, "[]"), (2, "[1,]"), (1, "x")):
+        code, out, err = run_cli(capsys, "exist", "--p", "3", "--e", str(e), "--n", "4",
+                                 "--lambda", text)
+        assert (code, out) == (1, ""), text
+        assert err == (f"error: bad field element {text!r}, expected an integer, "
+                       "g^K or [c0,...]\n")
+
+
 def test_non_integer_config_value_names_its_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for line, message in (("p=x", "config --p takes an integer, not 'x'"),

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from constagalois import (CosetFunction, build_code, derive_params,
-                          duadic_exists, euclidean_selfdual_exists,
+                          duadic_exists, existence, euclidean_selfdual_exists,
                           galois_selfdual_exists, hermitian_selfdual_exists,
                           is_galois_selfdual, is_iso_galois_selfdual,
                           iso_selfdual_exists, make_field, nu, q_cosets,
@@ -211,6 +211,42 @@ def test_per_params_verdicts_match_the_one_h_reference_on_the_census_grid():
                 witnesses += 1
     assert len(rejected) == 1
     assert witnesses == 3124, witnesses
+
+
+def test_verdicts_asked_in_any_order_share_one_witness_per_action(monkeypatch):
+    # descending and repeated h on cleared records: -p^h and -p^h' act alike
+    # when one <q>-orbit mod n'r holds both, so those h share one phi, built
+    # on the first ask of the orbit and read off the record after it
+    built = []  # the t of every witness build
+    witness = existence._witness
+
+    def counting(params, t):
+        built.append(t)
+        return witness(params, t)
+
+    monkeypatch.setattr(existence, "_witness", counting)
+    existence.selfdual_families.cache_clear()
+    actions = 0
+    for params in census_instances():
+        if params.e < 2:
+            continue
+        hs = [*range(params.e, -1, -1), 0]
+        built.clear()
+        verdicts = galois_selfdual_verdicts(params, hs)
+        assert verdicts == [reference_galois_verdict(params, h) for h in hs], params
+        shared = {}  # the <q>-orbit of -p^h -> the ids of its h's witnesses
+        for h, verdict in zip(hs, verdicts):
+            if verdict.exists:
+                t = -(params.p ** h)
+                orbit = frozenset(t * params.q ** j % params.period for j in range(params.d))
+                shared.setdefault(orbit, set()).add(id(verdict.witness_phi))
+        assert all(len(ids) == 1 for ids in shared.values()), params
+        assert len([t for t in built if t < 0]) == len(shared), params
+        actions += len(shared)
+        built.clear()
+        assert galois_selfdual_verdicts(params, hs) == verdicts, params
+        assert built == [], params
+    assert actions == 712, actions
 
 
 def test_verdicts_match_the_code_level_oracle_for_every_lambda():

@@ -353,6 +353,9 @@ def test_element_text_round_trip():
         assert parse_element(format_element(x), field) == x
     assert parse_element("-1", field) == -field.one
     assert parse_element("[1,3]", field) == field.generator
+    for text in ("g^x", "[1,x]", "[]", "x"):
+        with pytest.raises(ValueError, match=r"^bad field element .*, expected an integer"):
+            parse_element(text, field)
 
 
 # -- integer primality and factoring (stdlib, in place of sympy) ---------------

@@ -290,21 +290,26 @@ def test_each_domain_rule_is_raised_from_one_place():
 
 def test_every_existence_witness_goes_through_one_check(monkeypatch):
     # _witness is the one place that checks t*phi = phibar for a witness
-    from constagalois import CosetFunction, derive_params, existence, galois_selfdual_exists
-    from constagalois.existence import iso_selfdual_family, selfdual_families
+    from constagalois import CosetFunction, derive_params, galois_selfdual_exists
+    from constagalois.existence import (iso_selfdual_exists, iso_selfdual_family,
+                                        selfdual_families)
 
     cases = [derive_params(2, 1, 2, 1), derive_params(5, 1, 2, -1)]  # (i), (ii)
     selfdual_families.cache_clear()
     assert all(galois_selfdual_exists(params, 0) for params in cases)
+    selfdual_families.cache_clear()
+    for params in cases:  # each record built with the real predicate ...
+        iso_selfdual_family(params)
     monkeypatch.setattr(CosetFunction, "act_is_complement", lambda phi, t: False)
-    selfdual_families.cache_clear()  # both readers rebuild the record
     for params in cases:
-        # each builder of the record on its own: the record builds the iso
-        # family first, so the public calls alone would not reach the Galois one
+        # ... builds its Galois witnesses on first ask, so this reaches the
+        # Galois path alone, under the broken predicate
         with pytest.raises(AssertionError, match="witness"):
-            existence._galois_verdict(params, existence._galois_verdicts(params), 0)
+            galois_selfdual_exists(params, 0)
+    selfdual_families.cache_clear()  # every reader rebuilds the record
+    for params in cases:
         with pytest.raises(AssertionError, match="witness"):
-            existence._iso_family(params)
+            iso_selfdual_exists(params)
         with pytest.raises(AssertionError, match="witness"):
             galois_selfdual_exists(params, 0)
         with pytest.raises(AssertionError, match="witness"):
