@@ -403,27 +403,41 @@ _H_FLAG = ("--h", dict(type=int, default=0))
 
 def _make_parser(config: dict) -> argparse.ArgumentParser:
     """The CLI parser with the values of a config file (``load_config``
-    keys) as defaults, so an explicit flag wins in any spelling."""
+    keys) as defaults, so an explicit flag wins in any spelling.
+
+    ``parser.exact_flags`` is the table :func:`parse_exact` reads: each
+    subcommand's name -> (the namespace argparse starts it from, its
+    option strings -> actions, the dests it requires), built from the
+    actions ``add_argument`` returns."""
     parser = argparse.ArgumentParser(
         prog="constagalois",
         description="constacyclic codes over GF(p^e) under Galois inner products")
-    known = _add_flags(parser, config, (
+    top = _add_flags(parser, config, (
         ("--config", dict(help="flat key=value file with default flags")),
         ("--format", dict(choices=list(_ROW_STYLES), default="json")),
         ("--cap", dict(type=int, default=None,
                        help="codeword enumeration cap (default 2^20, or "
                             "CONSTAGALOIS_ENUM_CAP)"))))
+    known = {_config_key(action) for action in top}
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.exact_flags = {}
 
     def command(name, func, help, *flags, params=True):
         sub = subs.add_parser(name, help=help)
-        known.update(_add_flags(sub, config, (_PARAMS_FLAGS if params else ()) + flags))
+        actions = _add_flags(sub, config, (_PARAMS_FLAGS if params else ()) + flags)
+        known.update(map(_config_key, actions))
         # duplicated on each subcommand (SUPPRESS keeps the global defaults)
-        sub.add_argument("--format", choices=list(_ROW_STYLES),
-                         default=argparse.SUPPRESS)
-        sub.add_argument("--cap", type=int, default=argparse.SUPPRESS)
-        sub.add_argument("--config", default=argparse.SUPPRESS)
+        actions += [sub.add_argument("--format", choices=list(_ROW_STYLES),
+                                     default=argparse.SUPPRESS),
+                    sub.add_argument("--cap", type=int, default=argparse.SUPPRESS),
+                    sub.add_argument("--config", default=argparse.SUPPRESS)]
         sub.set_defaults(func=func)
+        start = {action.dest: action.default for action in top + actions
+                 if action.default is not argparse.SUPPRESS}
+        start.update(command=name, func=func)
+        parser.exact_flags[name] = (
+            start, {flag: action for action in actions for flag in action.option_strings},
+            {action.dest for action in actions if action.required})
 
     command("params", cmd_params, "derived parameters incl. theta")
     command("cosets", cmd_cosets, "q-coset table and optional s-orbits",
@@ -463,16 +477,33 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
 _VALUE_KINDS = {int: "an integer", parse_int_set: "comma-separated integers"}
 
 
-def _add_flags(parser, config: dict, flags) -> Set[str]:
+def _config_key(action) -> str:
+    """The config file key of a flag: its long name with "_" for "-"."""
+    return action.option_strings[0][2:].replace("-", "_")
+
+
+def _convert(action, text: str):
+    """The value of a flag given as ``text``, converted as argparse
+    converts it: by the action's type, then checked against its choices.
+    A ValueError says what the flag takes."""
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise ValueError(f"takes {_VALUE_KINDS[action.type]}, not {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"takes one of {action.choices}, not {text!r}")
+    return value
+
+
+def _add_flags(parser, config: dict, flags) -> list:
     """Add each (flag, options) pair; the flag's config value becomes its
     default, converted as its action converts a command-line value.
-    Returns the config keys of the flags."""
-    keys = set()
+    Returns the actions of the flags."""
+    actions = []
     for flag, options in flags:
         action = parser.add_argument(flag, **options)
-        key = flag[2:].replace("-", "_")
-        keys.add(key)
-        text = config.get(key)
+        actions.append(action)
+        text = config.get(_config_key(action))
         if text is None:
             continue
         if action.nargs == 0:  # store_true
@@ -481,14 +512,11 @@ def _add_flags(parser, config: dict, flags) -> Set[str]:
             value = text == "true"
         else:
             try:
-                value = action.type(text) if action.type else text
-            except ValueError:
-                raise ValueError(f"config {flag} takes {_VALUE_KINDS[action.type]}, "
-                                 f"not {text!r}") from None
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"config {flag} takes one of {action.choices}, not {text!r}")
+                value = _convert(action, text)
+            except ValueError as exc:
+                raise ValueError(f"config {flag} {exc}") from None
         parser.set_defaults(**{action.dest: value})
-    return keys
+    return actions
 
 
 @functools.lru_cache(maxsize=None)
@@ -497,12 +525,55 @@ def build_parser() -> argparse.ArgumentParser:
     return _make_parser({})
 
 
+def parse_exact(parser: argparse.ArgumentParser,
+                argv: List[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``parser.parse_args(argv)`` gives, read in one pass,
+    or None where argparse must read argv.
+
+    The pass answers only when argv is a subcommand followed by that
+    subcommand's flags, each spelled exactly; a flag that takes a value
+    is followed by one that does not start with "-", or is "-" and
+    digits.  It declines everything else (an abbreviation, a
+    ``--flag=value``, "--", -h and --help, a flag before the
+    subcommand, a missing value or required flag, a value its type or
+    choices refuse), so help, usage errors and exit codes come from
+    argparse alone."""
+    entry = parser.exact_flags.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    start, flags, required = entry
+    values, seen = dict(start), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = flags.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+        else:
+            text = next(tokens, None)
+            if text is None or (text[:1] == "-" and not (text[1:].isdigit()
+                                                        and text.isascii())):
+                return None
+            try:
+                values[action.dest] = _convert(action, text)
+            except ValueError:
+                return None
+        seen.add(action.dest)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    parser = build_parser()
+    args = parse_exact(parser, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         if args.config:
             args = _make_parser(load_config(args.config)).parse_args(argv)

@@ -171,7 +171,9 @@ class CodeParams:
         """The q-coset s*Q for s coprime to n'r; Q must be a coset of these
         params."""
         check_coset(self, Q)
-        return self.images(Q.residue, s)[Q.index]
+        if math.gcd(s, self.period) != 1:
+            self.images(Q.residue, s)  # refuses s
+        return self.coset_of(s * Q.rep)
 
     def coset_of(self, k: int) -> QCoset:
         """The q-coset that holds k, read off the table of k's class mod r."""

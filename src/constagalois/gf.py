@@ -332,9 +332,12 @@ class Field:
         return x
 
     def element(self, coeffs: Iterable[int]) -> FieldElement:
+        """The element of the coefficients (ascending degree), at most m."""
         coeffs = list(coeffs)
         if len(coeffs) > self.m:
-            raise ValueError("too many coefficients")
+            plural = "s" if self.m > 1 else ""
+            raise ValueError(f"bad field element '[{','.join(map(str, coeffs))}]', "
+                             f"{self!r} takes at most {self.m} coefficient{plural}")
         coeffs += [0] * (self.m - len(coeffs))
         return self.wrap(self.encode(coeffs))
 
@@ -552,4 +555,4 @@ def parse_element(text: str, field: Field) -> FieldElement:
     except ValueError:
         raise ValueError(f"bad field element {text!r}, expected an integer, "
                          "g^K or [c0,...]") from None
-    return field.element(coeffs)  # outside the try: its "too many coefficients" stands
+    return field.element(coeffs)  # outside the try: it names a vector too long

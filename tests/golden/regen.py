@@ -168,6 +168,17 @@ CASES = [
                                     "--lambda", "g^x"]),
     ("error_lambda_vector_not_ints", ["params", "--p", "3", "--e", "2", "--n", "4",
                                       "--lambda", "[1,x]"]),
+    # spellings that only argparse reads: an "=" value, an abbreviated flag
+    # and a global flag before the subcommand
+    ("search_format_equals_csv", ["search", "--p-list", "3", "--e-list", "1,2",
+                                  "--n-max", "6", "--format=csv"]),
+    ("search_abbreviated_flag", ["search", "--p-l", "2,3", "--e-list", "1",
+                                 "--n-max", "6", "--format", "csv"]),
+    ("search_global_format_first", ["--format", "csv", "search", "--p-list", "5",
+                                    "--e-list", "1", "--n-max", "6"]),
+    # a lambda vector with more coefficients than e is a domain error
+    ("error_lambda_vector_too_long", ["params", "--p", "3", "--e", "2", "--n", "4",
+                                      "--lambda", "[1,2,3]"]),
 ]
 
 

@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import hashlib
 import io
 import itertools
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -532,6 +534,16 @@ def test_malformed_lambda_names_its_text_and_the_grammar(capsys):
                        "g^K or [c0,...]\n")
 
 
+def test_lambda_vector_longer_than_e_names_its_text_and_the_field(capsys):
+    # not a bare "too many coefficients": the vector, the field and its e
+    for e, text, field, takes in ((2, "[1,2,3]", "GF(3^2)", "2 coefficients"),
+                                  (1, "[1,2]", "GF(3)", "1 coefficient")):
+        code, out, err = run_cli(capsys, "params", "--p", "3", "--e", str(e), "--n", "4",
+                                 "--lambda", text)
+        assert (code, out) == (1, ""), text
+        assert err == f"error: bad field element {text!r}, {field} takes at most {takes}\n"
+
+
 def test_non_integer_config_value_names_its_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for line, message in (("p=x", "config --p takes an integer, not 'x'"),
@@ -795,3 +807,126 @@ def test_search_writes_each_head_and_tail_once(capsys, monkeypatch):
     assert len(heads) == len(instances) == 8040
     assert len(tails) == 1 + sum(map(len, instances.values()))
     assert len(heads) + len(tails) < len(rows) // 2
+
+
+# each subcommand's flags and the kind of value each takes, as README
+# lists them; every subcommand also takes the global flags
+_PARAMS_FLAGS = {"--p": "int", "--e": "int", "--n": "int", "--lambda": "text"}
+_PHI_H_FLAGS = {**_PARAMS_FLAGS, "--phi": "text", "--h": "int"}
+SUBCOMMAND_FLAGS = {
+    "params": _PARAMS_FLAGS,
+    "cosets": {**_PARAMS_FLAGS, "--s": "int"},
+    "factor": _PARAMS_FLAGS,
+    "code": {**_PARAMS_FLAGS, "--phi": "text"},
+    "dual": _PHI_H_FLAGS,
+    "check": _PHI_H_FLAGS,
+    "exist": {**_PARAMS_FLAGS, "--h": "int"},
+    "search": {"--p-list": "ints", "--e-list": "ints", "--n-min": "int", "--n-max": "int",
+               "--orders": "ints", "--h-list": "ints", "--max-cosets": "int",
+               "--max-multiplicity": "int", "--with-weights": "flag"},
+    "verify": _PHI_H_FLAGS,
+}
+GLOBAL_FLAGS = {"--format": "format", "--cap": "int", "--config": "text"}
+SEARCH_REQUIRED = ["--p-list", "--e-list", "--n-max"]
+GOOD_VALUES = {"int": ["3", "0", "-2", "12", "-0"], "ints": ["2,3", "5", "", "1, 2,"],
+               "text": ["-1", "g^2", "[1,2]", "1:0,3:1", "a b", ""],
+               "format": ["json", "csv", "text"]}
+# values argparse may refuse, or read only by its own rules
+ODD_VALUES = ["x", "-x", "--", "-", "-1.5", "1.5", "a,b", "xml", "=3", "-h", "--p", "+4"]
+
+
+def seeded_argvs(count, seed=41):
+    """Command lines over every subcommand: exact flags in any order and
+    repeated, and every spelling or slip the exact pass leaves to argparse."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        name = rng.choice(list(SUBCOMMAND_FLAGS))
+        flags = {**SUBCOMMAND_FLAGS[name], **GLOBAL_FLAGS}
+        argv = [] if rng.random() > 0.05 else rng.choice(
+            [["--format", "csv"], ["--cap", "9"], ["--config", "x.cfg"], ["--form", "csv"]])
+        argv.append(name if rng.random() > 0.02 else rng.choice(["frobnicate", "sea", ""]))
+        chosen = [flag for flag in SEARCH_REQUIRED if name == "search" and rng.random() < 0.9]
+        chosen += rng.choices(list(flags), k=rng.randint(0, 4))  # repeats allowed
+        rng.shuffle(chosen)
+        for flag in chosen:
+            kind, slip = flags[flag], rng.random()
+            value = rng.choice(GOOD_VALUES.get(kind, [""]) if rng.random() < 0.8
+                               else ODD_VALUES)
+            if slip < 0.04:
+                flag = flag[:-1]  # an abbreviation, or "--" for --p
+            elif slip < 0.06:
+                flag = "--bogus"
+            if kind == "flag":
+                argv += [flag] if rng.random() < 0.9 else [flag, value]
+            elif slip > 0.97:
+                argv.append(f"{flag}={value}")
+            elif slip > 0.95:
+                argv.append(flag)  # its value missing, or the next flag read as it
+            else:
+                argv += [flag, value]
+        if rng.random() < 0.02:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(["-h", "--help", "--"]))
+        yield argv
+
+
+def perfbench_argvs():
+    """Census and weights command lines, shaped as perfbench/ops.py builds
+    them: every census (p, e) over three windows, and every weights (p, e)
+    at two lengths and every lambda order."""
+    for p, e in CENSUS_PE:
+        for lo, hi in ((1, 30), (11, 40), (41, 60)):
+            yield ["search", "--p-list", str(p), "--e-list", str(e),
+                   "--n-min", str(lo), "--n-max", str(hi), "--format", "csv"]
+    for p in (2, 3, 5, 7):
+        for e in (1, 2):
+            for n in (1, 24):
+                for r in (r for r in range(1, p ** e) if (p ** e - 1) % r == 0):
+                    yield ["search", "--p-list", str(p), "--e-list", str(e),
+                           "--n-min", str(n), "--n-max", str(n), "--orders", str(r),
+                           "--with-weights", "--cap", "4096", "--format", "csv"]
+
+
+def argparse_vars(parser, argv):
+    """vars() of what argparse reads from argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_exact_pass_reads_what_argparse_reads_or_declines():
+    from golden.regen import CASES
+
+    parser = build_parser()
+    for source, argvs in (("golden", [argv for _, argv in CASES]),
+                          ("perfbench", list(perfbench_argvs())),
+                          ("seeded", list(seeded_argvs(2000)))):
+        answered = 0
+        for argv in argvs:
+            fast = cli.parse_exact(parser, argv)
+            if fast is not None:  # so argparse answers too, and reads the same
+                assert vars(fast) == argparse_vars(parser, argv), argv
+                answered += 1
+            elif source == "perfbench":
+                pytest.fail(f"the exact pass declined {argv}")
+        assert answered > len(argvs) // 4, (source, answered, len(argvs))
+    assert answered < len(argvs) * 3 // 4, answered  # and declines many seeded argvs
+
+
+def test_exact_flags_skip_argparse_and_other_spellings_do_not(capsys, monkeypatch):
+    parser, calls = build_parser(), []
+    parse = parser.parse_known_args
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    weights = ["search", "--p-list", "3", "--e-list", "2", "--n-min", "4", "--n-max", "4",
+               "--orders", "2", "--with-weights", "--cap", "4096", "--format", "csv"]
+    code, out, err = run_cli(capsys, *weights)
+    assert (code, err, len(calls)) == (0, "", 0)
+    abbreviated = ["--p-l" if token == "--p-list" else token for token in weights]
+    assert run_cli(capsys, *abbreviated) == (code, out, err)
+    assert len(calls) == 1
