@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional, Set
 from .codes import ConstaCode, _enum_cap, build_code, coset_poly, min_weight
 from .cosets import CodeParams, CosetFunction, derive_params, q_cosets, s_orbits
 from .duality import _galois_h, galois_dual, is_galois_selfdual, is_iso_galois_selfdual
-from .existence import (duadic_exists, euclidean_selfdual_exists,
+from .existence import (duadic_exists, euclidean_selfdual_exists, family_possible,
                         galois_selfdual_exists, galois_selfdual_verdicts,
                         hermitian_selfdual_exists, iso_selfdual_exists,
                         iso_selfdual_family)
@@ -307,7 +307,9 @@ def _search_rows(args, blocks, lengths) -> Iterator[List[str]]:
     instance's head (p, e, n, lambda, r, n', nu) is written once, each
     lambda's cell once, and the tail after h (phi, dim, d_min, selfdual,
     iso_witness) once per distinct witness of the instance; the instances
-    with no witness share one tail."""
+    with no witness share one tail.  An instance that
+    :func:`family_possible` rules out gets that tail from its integers,
+    with no params, unless --max-cosets must count its cosets."""
     max_cosets, max_mult = args.max_cosets, args.max_multiplicity
     cell, prefix, suffix = row_split(args.format, CSV_COLUMNS, "h")
     if header := _header(args.format, CSV_COLUMNS):
@@ -330,19 +332,22 @@ def _search_rows(args, blocks, lengths) -> Iterator[List[str]]:
     for p, e, lams, hs in blocks:
         pe_cells = [cell("p", p), cell("e", e)]
         # lambda = g^((q-1)/r) has order r
-        lam_cells = [(lam, [cell("lambda", text), cell("r", r)]) for text, lam, r in lams]
+        lam_cells = [(lam, r, [cell("lambda", text), cell("r", r)]) for text, lam, r in lams]
         for n in lengths:
             nu, nprime = p_split(p, n)  # the params' nu and n', as for every lambda
+            if max_mult is not None and p ** nu > max_mult:
+                continue
             pen_cells = [*pe_cells, cell("n", n)]
             n_cells = [cell("nprime", nprime), cell("nu", nu)]
             rows = []
-            for lam, lam_r_cells in lam_cells:
+            for lam, r, lam_r_cells in lam_cells:
+                head = prefix([*pen_cells, *lam_r_cells, *n_cells])
+                if max_cosets is None and not family_possible(p, nprime, nu, r):
+                    rows += [f"{head}{h}{no_witness}" for h in hs]
+                    continue
                 params = derive_params(p, e, n, lam)
                 if max_cosets is not None and len(q_cosets(params, 1)) > max_cosets:
                     continue
-                if max_mult is not None and params.mult_cap > max_mult:
-                    continue
-                head = prefix([*pen_cells, *lam_r_cells, *n_cells])
                 _, iso_phi, iso_witness = iso_selfdual_family(params)
                 # a verdict's witness -> the row's text after h; h of one action
                 # share a witness, and every h without one (None) shows the iso witness

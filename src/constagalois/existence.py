@@ -68,6 +68,18 @@ def _witness(params: CodeParams, t: int) -> Optional[CosetFunction]:
 # the existence predicates
 # ---------------------------------------------------------------------------
 
+def family_possible(p: int, nprime: int, nu: int, r: int) -> bool:
+    """False when no label rule of this module allows either family, on
+    integers alone: (i) needs p = 2 and nu >= 1, and (ii)-(iv) and both
+    duadic cases, (iii.1) and (iii.2), need n' and r even (p odd).  A
+    necessary condition, not the labels: True does not promise a family.
+    For lambda = 1 it is the classical one, self-dual cyclic codes need
+    even q and n."""
+    if p == 2:
+        return nu >= 1
+    return nprime % 2 == 0 and r % 2 == 0
+
+
 def duadic_exists(params: CodeParams) -> ExistenceVerdict:
     """Do duadic lambda'-constacyclic codes of length n' exist?
 
@@ -176,6 +188,8 @@ def selfdual_families(params: CodeParams) -> SelfDualFamilies:
     each witness is built on the first ask of its coset.  Memoised on the
     params for the process, as interned params live.
     """
+    if not family_possible(params.p, params.nprime, params.nu, params.r):
+        return _NO_FAMILIES
     iso, labels = _iso_family(params), _galois_labels(params)
     if iso is _NO_ISO and labels is None:
         return _NO_FAMILIES

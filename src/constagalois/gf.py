@@ -42,7 +42,7 @@ import math
 import sys
 from typing import Iterable, Iterator, Optional
 
-from .numtheory import _isprime, _prime_factors
+from .numtheory import _group_order_factors, _isprime, _prime_factors
 from .packed import PackedRing
 
 # Fields up to this size run on log/antilog tables; discrete logs (the
@@ -363,7 +363,7 @@ class Field:
     @functools.cached_property
     def group_factors(self) -> list:
         """Prime factors of p^m - 1 (for multiplicative order computations)."""
-        return _prime_factors(self.order - 1)
+        return _group_order_factors(self.p, self.m)
 
     def dlog(self, x: FieldElement) -> int:
         """Discrete log of x base the canonical generator (q <= 2^16 only)."""

@@ -125,3 +125,21 @@ def _prime_factors(n: int) -> list:
             f = _rho_factor(m)
             rest += [f, m // f]
     return sorted(primes)
+
+
+def _group_order_factors(p: int, m: int) -> list:
+    """The distinct prime factors of p^m - 1, ascending.
+
+    p^m - 1 is the product of the cyclotomic values Phi_d(p) over d | m,
+    so each value is factored apart: rho then meets factors the size of
+    Phi_d(p), not of p^m - 1.  Phi_d(p) is p^d - 1 divided by the values
+    of the proper divisors of d, in integers."""
+    values, primes = {}, set()
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        value = p ** d - 1
+        for k, smaller in values.items():
+            if d % k == 0:
+                value //= smaller
+        values[d] = value
+        primes.update(_prime_factors(value))
+    return sorted(primes)

@@ -179,6 +179,14 @@ CASES = [
     # a lambda vector with more coefficients than e is a domain error
     ("error_lambda_vector_too_long", ["params", "--p", "3", "--e", "2", "--n", "4",
                                       "--lambda", "[1,2,3]"]),
+    # both filters beside the instances that cannot have a self-dual family:
+    # --max-cosets counts the cosets of every instance, --max-multiplicity
+    # compares p^nu
+    ("search_max_cosets_csv", ["search", "--p-list", "2,3,5,7", "--e-list", "1,2",
+                               "--n-max", "16", "--max-cosets", "3", "--format", "csv"]),
+    ("search_max_multiplicity_json", ["search", "--p-list", "2,3,5,7", "--e-list", "1,2",
+                                      "--n-max", "16", "--max-multiplicity", "1",
+                                      "--format", "json"]),
 ]
 
 

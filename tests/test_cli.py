@@ -330,16 +330,19 @@ def test_internal_error_mid_search_follows_the_rows_before_it(capsys, monkeypatc
     verdicts = cli_module.galois_selfdual_verdicts
 
     def broken(params, hs):
-        if params.n == 3:
+        if params.n == 4:
             raise AssertionError("witness fails")
         return verdicts(params, hs)
 
     monkeypatch.setattr(cli_module, "galois_selfdual_verdicts", broken)
+    # n = 4, r = 2 has n' and r even, so it reaches the verdicts; the
+    # lengths before it have n' odd and no family, so they make no call
     code, out, err = run_cli(capsys, "search", "--p-list", "3", "--e-list", "1",
                              "--n-max", "4", "--format", "csv")
     assert (code, err) == (3, "internal error: witness fails\n")
-    # the header and the blocks of n = 1, 2: two orders, two h each
-    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["1"] * 4 + ["2"] * 4
+    # the header and the blocks of n = 1, 2, 3: two orders, two h each
+    assert ([line.split(",")[2] for line in out.splitlines()[1:]]
+            == ["1"] * 4 + ["2"] * 4 + ["3"] * 4)
 
 
 def test_closed_pipe_ends_without_a_traceback():
@@ -676,6 +679,38 @@ def test_search_builds_each_instance_record_once_per_process(capsys, monkeypatch
     code, second, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
     assert code == 0, err
     assert built == [] and second == first
+
+
+def spy_derive_params(monkeypatch):
+    """The list that every later derive_params call of the CLI appends its
+    arguments to."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return derive_params(*args)
+
+    monkeypatch.setattr(cli, "derive_params", counting)
+    return calls
+
+
+def test_search_derives_no_params_for_instances_with_no_possible_family(capsys,
+                                                                        monkeypatch):
+    # 2 670 of the 8 040 instances pass family_possible; the others are
+    # written from integers, and each (p, e) checks its first length
+    calls = spy_derive_params(monkeypatch)
+    code, out, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
+    assert code == 0, err
+    assert hashlib.md5(out.encode()).hexdigest() == "300a752ff46b747b89075f15367a9043"
+    assert len(calls) == 2670 + 18
+
+
+def test_search_with_max_cosets_derives_every_instance(capsys, monkeypatch):
+    # --max-cosets counts the cosets of each instance, so each gets params
+    calls = spy_derive_params(monkeypatch)
+    code, _, err = run_cli(capsys, *CENSUS_ARGV, "--max-cosets", "4", "--format", "csv")
+    assert code == 0, err
+    assert len(calls) == 8040 + 18
 
 
 def test_search_builds_the_witnesses_of_the_asked_h_only(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,10 @@ from constagalois import (CosetFunction, build_code, derive_params,
                           iso_selfdual_exists, make_field, nu, q_cosets,
                           s_orbits)
 from constagalois.duality import iso_witness_for
-from constagalois.existence import galois_selfdual_verdicts, iso_selfdual_family
+from constagalois.existence import (_NO_FAMILIES, _galois_labels, _iso_family,
+                                    family_possible, galois_selfdual_verdicts,
+                                    iso_selfdual_family, selfdual_families)
+from constagalois.numtheory import p_split
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
                         brute_iso_selfdual_exists, census_instances,
                         code_level_galois_selfdual, code_level_iso_selfdual,
@@ -276,3 +280,35 @@ def test_verdict_json_shape():
     data = galois_selfdual_exists(params, 0).to_json()
     assert data["exists"] is True
     assert set(data) == {"exists", "matched_condition", "witness_phi"}
+
+
+def _ruled_out_instances():
+    """Every census-grid instance that family_possible rules out, then a
+    seeded sample of those over GF(p^e), p in {17, 19, 23}, e <= 2, n <= 120."""
+    census = [params for params in census_instances()
+              if not family_possible(params.p, params.nprime, params.nu, params.r)]
+    assert len(census) == 5370  # of the grid's 8 040
+    yield from census
+    wide = []
+    for p, e in itertools.product((17, 19, 23), (1, 2)):
+        q = p ** e
+        orders = [r for r in range(1, q) if (q - 1) % r == 0]
+        for n in range(1, 121):
+            nu_n, nprime = p_split(p, n)
+            wide += [(p, e, n, r) for r in orders
+                     if not family_possible(p, nprime, nu_n, r)]
+    for p, e, n, r in random.Random("family_possible").sample(wide, 300):
+        field = make_field(p, e)
+        params = derive_params(p, e, n, field.generator ** ((p ** e - 1) // r))
+        assert (params.nprime, params.r) == (n // p ** params.nu, r)
+        yield params
+
+
+def test_family_possible_is_necessary_for_every_label_rule():
+    # where it is False, no rule gives either family, worked out directly
+    # and not read off the record; the record is the shared empty one
+    for params in _ruled_out_instances():
+        assert _iso_family(params) == (None, None, None), params
+        assert _galois_labels(params) is None, params
+        assert selfdual_families(params) is _NO_FAMILIES, params
+

@@ -11,8 +11,8 @@ import pytest
 from constagalois import (embed, format_element, frobenius, make_field,
                           mult_order, parse_element, section)
 from constagalois.gf import Field, _is_irreducible
-from constagalois.numtheory import (_PSI_13, _isprime, _prime_factors,
-                                    _strong_lucas_probable_prime)
+from constagalois.numtheory import (_PSI_13, _group_order_factors, _isprime,
+                                    _prime_factors, _strong_lucas_probable_prime)
 from exhaustive import (brute_monic_irreducibles, factor_walk_order,
                         gauss_irreducible_count, reference_is_irreducible,
                         reference_map_int)
@@ -383,6 +383,18 @@ def test_prime_factors_of_products_above_psi13():
     assert _isprime(big) and not _isprime(big * 1031)
     assert _prime_factors(big * 1031 * 1033 ** 2 * 12) == [2, 3, 1031, 1033, big]
     assert _prime_factors(1) == [] and _prime_factors(2) == [2]
+
+
+def test_group_order_factors_split_by_cyclotomic_values():
+    # 101^40 - 1 took about a minute as one number in rho; no field is built
+    for m in (28, 40):
+        rest = 101 ** m - 1
+        primes = _group_order_factors(101, m)
+        assert all(map(_isprime, primes)), m
+        for f in primes:
+            while rest % f == 0:
+                rest //= f
+        assert rest == 1, m
 
 
 def test_isprime_matches_sympy():
