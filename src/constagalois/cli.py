@@ -23,7 +23,7 @@ from .duality import _galois_h, galois_dual, is_galois_selfdual, is_iso_galois_s
 from .existence import (duadic_exists, euclidean_selfdual_exists, family_possible,
                         galois_selfdual_exists, galois_selfdual_verdicts,
                         hermitian_selfdual_exists, iso_selfdual_exists,
-                        iso_selfdual_family)
+                        selfdual_families)
 from .gf import format_element, make_field
 from .numtheory import p_split
 from .oracle import brute_dual, brute_equal_codes, dual_basis, naive_cosets, spans_equal
@@ -348,7 +348,7 @@ def _search_rows(args, blocks, lengths) -> Iterator[List[str]]:
                 params = derive_params(p, e, n, lam)
                 if max_cosets is not None and len(q_cosets(params, 1)) > max_cosets:
                     continue
-                _, iso_phi, iso_witness = iso_selfdual_family(params)
+                _, iso_phi, iso_witness = selfdual_families(params).iso
                 # a verdict's witness -> the row's text after h; h of one action
                 # share a witness, and every h without one (None) shows the iso witness
                 tails, weights = {}, {}

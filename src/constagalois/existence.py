@@ -69,31 +69,35 @@ def _witness(params: CodeParams, t: int) -> Optional[CosetFunction]:
 # ---------------------------------------------------------------------------
 
 def family_possible(p: int, nprime: int, nu: int, r: int) -> bool:
-    """False when no label rule of this module allows either family, on
-    integers alone: (i) needs p = 2 and nu >= 1, and (ii)-(iv) and both
-    duadic cases, (iii.1) and (iii.2), need n' and r even (p odd).  A
-    necessary condition, not the labels: True does not promise a family.
-    For lambda = 1 it is the classical one, self-dual cyclic codes need
-    even q and n."""
+    """The first clause of every existence rule, on integers alone: p = 2
+    needs nu >= 1, and odd p needs n' and r even.  False rules out both
+    families; True does not promise one.  For lambda = 1 it is the
+    classical one, self-dual cyclic codes need even q and n."""
     if p == 2:
         return nu >= 1
     return nprime % 2 == 0 and r % 2 == 0
+
+
+# every verdict of "no such codes" is this one
+_ABSENT = ExistenceVerdict(False)
 
 
 def duadic_exists(params: CodeParams) -> ExistenceVerdict:
     """Do duadic lambda'-constacyclic codes of length n' exist?
 
     Equivalently: is there a multiplier s = 1 mod r, coprime to n'r, all of
-    whose orbits on the coset quotient set have even length?
+    whose orbits on the coset quotient set have even length?  Past
+    :func:`family_possible`, n' and r are even for odd q, and r | q - 1
+    is odd for even q, where neither case holds.
     """
-    if params.q % 2 == 0:
-        return ExistenceVerdict(False)
+    if not family_possible(params.p, params.nprime, params.nu, params.r):
+        return _ABSENT
     nr = nu(2, params.r)
-    if params.nprime % 2 == 0 and nu(2, params.q - 1) > nr >= 1:
+    if nu(2, params.q - 1) > nr:
         return ExistenceVerdict(True, "(iii.1)")
     if nr == 1 and min(nu(2, params.q + 1), nu(2, params.nprime)) >= 2:
         return ExistenceVerdict(True, "(iii.2)")
-    return ExistenceVerdict(False)
+    return _ABSENT
 
 
 # duadic_exists labels -> iso_selfdual_exists labels (odd q)
@@ -104,78 +108,24 @@ def iso_selfdual_exists(params: CodeParams, h: int = 0) -> ExistenceVerdict:
     """Existence of isometrically p^h-self-dual codes (h-independent).
 
     In characteristic 2 with nu >= 1 the family is (i); otherwise it exists
-    exactly when duadic codes do.  The verdict is computed once per params.
+    exactly when duadic codes do.  Read off :func:`selfdual_families`.
     """
     _galois_h(params.e, h)
-    label, phi, _ = iso_selfdual_family(params)
+    label, phi, _ = selfdual_families(params).iso
     return ExistenceVerdict(label is not None, label, phi)
-
-
-def iso_selfdual_family(params: CodeParams):
-    """(label, witness phi, witness s) of the isometrically self-dual
-    family, or (None, None, None).
-
-    s is the first multiplier with a :func:`_witness`, s = 1 in (i).
-    Outside (i), phi alternates 0 and p^nu along the orbits of the first
-    multiplier s whose orbits are all even; phi alternates along the orbits
-    of any witness too, so s is the smallest, as :func:`iso_witness_for`
-    finds it.  Read off :func:`selfdual_families`: a repeated call returns
-    the same tuple.
-    """
-    return selfdual_families(params).iso
-
-
-_NO_ISO = (None, None, None)  # the family of every instance without one
-
-
-def _iso_family(params: CodeParams):
-    if params.p == 2 and params.nu >= 1:
-        label = "(i)"
-    else:
-        duadic = duadic_exists(params)
-        if not duadic:
-            return _NO_ISO
-        label = _ISO_LABELS[duadic.matched_condition]
-    for s in params.multipliers():  # s = 1 first: the constant of (i)
-        phi = _witness(params, s)
-        if phi is not None:
-            return label, phi, s
-    raise AssertionError("even-orbit multiplier promised but not found")
-
-
-# every rejected h of every instance gets this one verdict
-_ABSENT = ExistenceVerdict(False)
-
-
-def _galois_labels(params: CodeParams) -> Optional[tuple]:
-    """The label of every h in [0, e], None where no p^h-self-dual code
-    exists, or None when no h has one."""
-    p, e, r = params.p, params.e, params.r
-    even = params.nprime % 2 == 0 and r % 2 == 0
-    if p == 2 and params.nu >= 1:
-        labels = ("(i)", "(i)")  # the label for h even, for h odd; None: no codes
-    elif even and p % 4 == 1:
-        labels = ("(ii)", "(ii)")
-    elif even and p % 4 == 3:
-        iv = "(iv)" if nu(2, params.nprime * r) > nu(2, p + 1) else None
-        labels = ("(iii)" if e % 2 == 0 else iv, iv)
-    else:
-        return None
-    found = tuple(labels[h % 2] if (p ** h + 1) % r == 0 else None for h in range(e + 1))
-    return found if any(found) else None
 
 
 class SelfDualFamilies(NamedTuple):
     """Both self-dual families of one instance, one record per params."""
 
-    iso: tuple  # (label, witness phi, witness s) of iso_selfdual_family
-    labels: Optional[tuple]  # of _galois_labels
+    iso: tuple  # (label, witness phi, witness s) of the isometric family
+    labels: Optional[tuple]  # the Galois label of each h in [0, e], or None
     witnesses: dict  # the q-coset of -p^h -> its witness, filled on first ask
 
 
 # every instance with neither family shares this record; with no label,
 # its witnesses stay empty
-_NO_FAMILIES = SelfDualFamilies(_NO_ISO, None, {})
+_NO_FAMILIES = SelfDualFamilies((None, None, None), None, {})
 
 
 @functools.cache
@@ -183,17 +133,39 @@ def selfdual_families(params: CodeParams) -> SelfDualFamilies:
     """The isometric family, the Galois label of every h and the Galois
     witnesses built so far, of params.
 
-    The verdict depends on h only through h mod 2, r | p^h + 1 and the
-    q-coset of -p^h, so the labels of every h are worked out at once and
-    each witness is built on the first ask of its coset.  Memoised on the
-    params for the process, as interned params live.
+    The isometric family is (label, phi, s), or three None.  s is the
+    first multiplier with a :func:`_witness`, s = 1 in (i); elsewhere phi
+    alternates 0 and p^nu along the orbits of any witness, so s is the
+    smallest, as :func:`iso_witness_for` finds it.  A Galois label is None
+    where no p^h-self-dual code exists, and the tuple is None when no h
+    has one.  The verdict depends on h only through h mod 2, r | p^h + 1
+    and the q-coset of -p^h, so the labels of every h are worked out at
+    once and each witness is built on the first ask of its coset.
+    Memoised on the params for the process, as interned params live.
     """
-    if not family_possible(params.p, params.nprime, params.nu, params.r):
+    p, e, r = params.p, params.e, params.r
+    if not family_possible(p, params.nprime, params.nu, r):
         return _NO_FAMILIES
-    iso, labels = _iso_family(params), _galois_labels(params)
-    if iso is _NO_ISO and labels is None:
-        return _NO_FAMILIES
-    return SelfDualFamilies(iso, labels, {})
+    if p == 2:
+        iso_label, by_parity = "(i)", ("(i)", "(i)")  # the label of h even, h odd
+    else:
+        duadic = duadic_exists(params)
+        iso_label = _ISO_LABELS[duadic.matched_condition] if duadic else None
+        if p % 4 == 1:
+            by_parity = ("(ii)", "(ii)")
+        else:
+            iv = "(iv)" if nu(2, params.nprime * r) > nu(2, p + 1) else None
+            by_parity = ("(iii)" if e % 2 == 0 else iv, iv)
+    labels = tuple(by_parity[h % 2] if (p ** h + 1) % r == 0 else None
+                   for h in range(e + 1))
+    labels = labels if any(labels) else None
+    if iso_label is None:
+        return SelfDualFamilies(_NO_FAMILIES.iso, labels, {}) if labels else _NO_FAMILIES
+    for s in params.multipliers():  # s = 1 first: the constant of (i)
+        phi = _witness(params, s)
+        if phi is not None:
+            return SelfDualFamilies((iso_label, phi, s), labels, {})
+    raise AssertionError("even-orbit multiplier promised but not found")
 
 
 def galois_selfdual_verdicts(params: CodeParams,

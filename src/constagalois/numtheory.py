@@ -113,6 +113,8 @@ def _prime_factors(n: int) -> list:
     """The distinct prime factors of n >= 1, ascending."""
     primes = set()
     for f in itertools.chain((2,), range(3, 1 << 10, 2)):
+        if f * f > n:  # what is left of n is 1 or a prime
+            break
         while n % f == 0:
             primes.add(f)
             n //= f

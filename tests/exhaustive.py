@@ -42,7 +42,7 @@ from constagalois import (CosetFunction, ExistenceVerdict, Poly, QuotientElem,
 from constagalois.cli import build_parser
 from constagalois.codes import _enum_cap, enumerate_codewords, min_weight
 from constagalois.duality import Isometry, _galois_h
-from constagalois.existence import _witness, iso_selfdual_family
+from constagalois.existence import _witness, selfdual_families
 from constagalois.gf import format_element
 from constagalois.numtheory import _prime_factors
 from constagalois.packed import PackedRing
@@ -461,7 +461,7 @@ def reference_search_output(argv):
                     if (args.max_multiplicity is not None
                             and p ** params.nu > args.max_multiplicity):
                         continue
-                    _, iso_phi, iso_witness = iso_selfdual_family(params)
+                    _, iso_phi, iso_witness = selfdual_families(params).iso
                     for h in hs:
                         verdict = reference_galois_verdict(params, h)
                         phi = iso_phi if verdict.witness_phi is None else verdict.witness_phi

@@ -187,6 +187,20 @@ CASES = [
     ("search_max_multiplicity_json", ["search", "--p-list", "2,3,5,7", "--e-list", "1,2",
                                       "--n-max", "16", "--max-multiplicity", "1",
                                       "--format", "json"]),
+    # one exist case per label the cases above never print: (ii) for
+    # p = 1 mod 4, (iii) for p = 3 mod 4 with e even, (i) with lambda = 1,
+    # an instance the integer gate rules out (n' odd), and one that passes
+    # the gate (n' = r = 4) with no label
+    ("exist_p5_e2_label_ii", ["exist", "--p", "5", "--e", "2", "--n", "4",
+                              "--lambda", "-1", "--h", "1"]),
+    ("exist_p3_e2_label_iii", ["exist", "--p", "3", "--e", "2", "--n", "4",
+                               "--lambda", "-1", "--h", "0"]),
+    ("exist_p2_e2_cyclic_label_i", ["exist", "--p", "2", "--e", "2", "--n", "4",
+                                    "--lambda", "1", "--h", "1"]),
+    ("exist_p3_n3_gate_rules_out", ["exist", "--p", "3", "--e", "1", "--n", "3",
+                                    "--lambda", "-1", "--h", "0"]),
+    ("exist_p5_r4_past_gate_no_label", ["exist", "--p", "5", "--e", "1", "--n", "4",
+                                        "--lambda", "g^1", "--h", "0"]),
 ]
 
 

@@ -7,7 +7,7 @@ from constagalois import (CodeParams, CosetFunction, build_code, cf_poly, derive
                           embed, make_field, mult_order, q_cosets, s_orbits)
 from constagalois.codes import coset_poly
 from constagalois.duality import iso_witness_for
-from constagalois.existence import iso_selfdual_family, selfdual_families
+from constagalois.existence import selfdual_families
 from constagalois.oracle import naive_cosets
 from constagalois.cosets import _coset_class, _interned_params
 from exhaustive import (PE_PAIRS, criterion6_codes, factor_walk_order, grid_instances,
@@ -322,7 +322,7 @@ def test_coset_table_matches_member_minimum_on_census_grid():
                 (params, s)
             assert image.residue == s % params.r
             assert phi.act_is_complement(s) == (image == phi.complement()), (params, s)
-        _, psi, witness = iso_selfdual_family(params)
+        _, psi, witness = selfdual_families(params).iso
         if psi is not None:
             assert psi.act_is_complement(witness), params
             assert witness == iso_witness_for(params, psi), params
@@ -403,9 +403,9 @@ def test_coset_poly_and_iso_family_memos_hit_on_repeat():
     hits = coset_poly.cache_info().hits
     assert coset_poly(params, Q) is first
     assert coset_poly.cache_info().hits == hits + 1
-    family = iso_selfdual_family(params)
+    family = selfdual_families(params).iso
     hits = selfdual_families.cache_info().hits
-    assert iso_selfdual_family(params) is family
+    assert selfdual_families(params).iso is family
     assert selfdual_families.cache_info().hits == hits + 1
     cosets = params.cosets_on(1)
     hits = _coset_class.cache_info().hits

@@ -11,7 +11,7 @@ from constagalois import (CosetFunction, Isometry, Poly, QuotientElem,
                           is_iso_galois_selfdual, make_field, q_cosets)
 from constagalois import codes, oracle
 from constagalois.duality import iso_witness_for
-from constagalois.existence import iso_selfdual_exists, iso_selfdual_family
+from constagalois.existence import iso_selfdual_exists, selfdual_families
 from exhaustive import (PE_PAIRS, brute_iso_witness, grid_instances, poly_from_ints,
                         reference_iso_family_multiplier, reference_iso_witness_for,
                         reference_isometry_apply, reference_multipliers)
@@ -476,14 +476,14 @@ def _seeded_phi(params, residue, rng):
 
 
 def test_one_multiplier_per_action_finds_the_per_residue_witness():
-    # iso_witness_for and iso_selfdual_family test the least s of each
+    # iso_witness_for and selfdual_families test the least s of each
     # q-coset of multipliers; the references walk every residue s = 1 mod r.
     # Every class mod r is seeded when r <= 12, else the classes 0, 1 and
     # one drawn class, which keeps the coset tables built to a bounded size
     rng = random.Random(25)
     found = missing = 0
     for params in _census_grid():
-        _, psi, s = iso_selfdual_family(params)
+        _, psi, s = selfdual_families(params).iso
         assert s == reference_iso_family_multiplier(params), params
         phis = [] if psi is None else [psi, psi.complement()]
         r = params.r

@@ -11,9 +11,8 @@ from constagalois import (CosetFunction, build_code, derive_params,
                           iso_selfdual_exists, make_field, nu, q_cosets,
                           s_orbits)
 from constagalois.duality import iso_witness_for
-from constagalois.existence import (_NO_FAMILIES, _galois_labels, _iso_family,
-                                    family_possible, galois_selfdual_verdicts,
-                                    iso_selfdual_family, selfdual_families)
+from constagalois.existence import (_NO_FAMILIES, family_possible,
+                                    galois_selfdual_verdicts, selfdual_families)
 from constagalois.numtheory import p_split
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
                         brute_iso_selfdual_exists, census_instances,
@@ -21,7 +20,8 @@ from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
                         even_orbit_multiplier, grid_instances, half_dimension_codes,
                         nu2_power_pm1, orbits_even_by_case, orbits_even_by_valuations,
                         reference_euclidean_selfdual_exists, reference_galois_verdict,
-                        reference_hermitian_selfdual_exists)
+                        reference_hermitian_selfdual_exists,
+                        reference_iso_family_multiplier)
 
 
 def test_nu_basics():
@@ -135,7 +135,7 @@ def test_memoised_iso_verdict_equal_for_all_h_and_checks_h():
         for h in range(1, params.e + 1):
             again = iso_selfdual_exists(params, h)
             assert again == first and again is not first
-        label, phi, s = iso_selfdual_family(params)
+        label, phi, s = selfdual_families(params).iso
         assert (label, phi) == (first.matched_condition, first.witness_phi)
         assert s == (None if phi is None else iso_witness_for(params, phi))
         for h in (-1, params.e + 1):
@@ -208,7 +208,7 @@ def test_per_params_verdicts_match_the_one_h_reference_on_the_census_grid():
             assert verdicts[0].witness_phi is verdicts[-1].witness_phi, params
         # C = C^(perp h), or C^(perp h) = M_s(C) with M_s weight-preserving:
         # either way dim C = n - dim C, as census rows write it
-        _, iso_phi, _ = iso_selfdual_family(params)
+        _, iso_phi, _ = selfdual_families(params).iso
         for phi in [v.witness_phi for v in verdicts if v.exists] + [iso_phi]:
             if phi is not None:
                 assert 2 * phi.weight() == params.n, (params, phi)
@@ -305,10 +305,11 @@ def _ruled_out_instances():
 
 
 def test_family_possible_is_necessary_for_every_label_rule():
-    # where it is False, no rule gives either family, worked out directly
-    # and not read off the record; the record is the shared empty one
+    # where it is False, the tests' own spellings of the rules, which never
+    # read it, give neither family; the record is the shared empty one
     for params in _ruled_out_instances():
-        assert _iso_family(params) == (None, None, None), params
-        assert _galois_labels(params) is None, params
+        assert not any(reference_galois_verdict(params, h).exists
+                       for h in range(params.e + 1)), params
+        assert reference_iso_family_multiplier(params) is None, params
         assert selfdual_families(params) is _NO_FAMILIES, params
 

@@ -413,6 +413,10 @@ def test_prime_factors_match_sympy_on_group_orders():
             n = p ** m - 1
             assert _prime_factors(n) == sorted(sympy.factorint(n)), (p, m)
             m += 1
+    # either side of the stop at f^2 > n: 1021 is the last trial divisor
+    # that is prime, 1031 the first prime past the trial range
+    for n in (1, 1021 ** 2, 1031 ** 2, 1021 * 1031, 2 ** 20):
+        assert _prime_factors(n) == sorted(sympy.factorint(n)), n
 
 
 def test_import_leaves_sympy_unloaded():

@@ -291,15 +291,14 @@ def test_each_domain_rule_is_raised_from_one_place():
 def test_every_existence_witness_goes_through_one_check(monkeypatch):
     # _witness is the one place that checks t*phi = phibar for a witness
     from constagalois import CosetFunction, derive_params, galois_selfdual_exists
-    from constagalois.existence import (iso_selfdual_exists, iso_selfdual_family,
-                                        selfdual_families)
+    from constagalois.existence import iso_selfdual_exists, selfdual_families
 
     cases = [derive_params(2, 1, 2, 1), derive_params(5, 1, 2, -1)]  # (i), (ii)
     selfdual_families.cache_clear()
     assert all(galois_selfdual_exists(params, 0) for params in cases)
     selfdual_families.cache_clear()
     for params in cases:  # each record built with the real predicate ...
-        iso_selfdual_family(params)
+        selfdual_families(params).iso
     monkeypatch.setattr(CosetFunction, "act_is_complement", lambda phi, t: False)
     for params in cases:
         # ... builds its Galois witnesses on first ask, so this reaches the
@@ -313,4 +312,4 @@ def test_every_existence_witness_goes_through_one_check(monkeypatch):
         with pytest.raises(AssertionError, match="witness"):
             galois_selfdual_exists(params, 0)
         with pytest.raises(AssertionError, match="witness"):
-            iso_selfdual_family(params)
+            selfdual_families(params).iso
