@@ -269,8 +269,8 @@ def cmd_search(args) -> Iterator[List[str]]:
     also when no row follows.
 
     All input is checked here, so an error comes before the first row:
-    every field, the first length of each (p, e), also one that keeps
-    no lambda, and every h of each (p, e) that has rows.  The rows
+    every field, the first length of each (p, e), derived at n = 1 (or at
+    n_min below 1), and every h of each (p, e) that has rows.  The rows
     themselves are generated lazily.
     """
     wanted, h_set = args.orders or None, args.h_list or None  # empty: no restriction
@@ -290,14 +290,12 @@ def cmd_search(args) -> Iterator[List[str]]:
                       if wanted is None or r in wanted)
             lams = sorted((format_element(lam), lam, r) for lam, r in powers)
             hs = range(e + 1) if h_set is None else sorted(h_set)
-            if lams and lengths:
-                derive_params(p, e, args.n_min, lams[0][1])
-                for h in hs:
-                    _galois_h(e, h)
-            elif lengths:
-                # no lambda kept, but the rows split every length all the
-                # same; a valid first length derives at n = 1, at no cost
+            if lengths:
+                # derive_params is the one check of a length; n = 1 costs alike for all n_min
                 derive_params(p, e, min(args.n_min, 1), field.one)
+                if lams:
+                    for h in hs:
+                        _galois_h(e, h)
             blocks.append((p, e, lams, hs))
     return _search_rows(args, blocks, lengths)
 

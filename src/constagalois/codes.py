@@ -3,10 +3,11 @@
 A coset function phi determines the code with check polynomial
 f_phi = prod_Q coset_poly(Q)^phi(Q) and generator polynomial f_phibar;
 they multiply back to X^n - lambda^residue, so a code computes one as a
-product and the other by one exact division.  Each product of many
-polynomials, of coset polynomials or of a coset's linear factors, is one
-balanced tree (``polyring.product``).  The generator's multiples, the
-codewords, are listed for membership checks and exact minimum weights.
+product and the other by one exact division, or is passed both.  Each
+product of many polynomials, of coset polynomials or of a coset's linear
+factors, is one balanced tree (``polyring.product``).  The generator's
+multiples, the codewords, are listed for membership checks and exact
+minimum weights.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .cosets import CodeParams, CosetFunction, QCoset, check_coset, check_phi
 from .gf import Field, FieldElement
@@ -90,19 +91,19 @@ class ConstaCode:
     the side whose support, the cosets Q with a nonzero value, has the
     smaller total size, the generator on a tie.  The other is the exact
     quotient of X^n - lambda^residue by that product.  A zero or full phi
-    makes the product 1, so no coset polynomial is built.  A Galois dual
-    comes with both polynomials already set (``duality.galois_dual``).
+    makes the product 1, so no coset polynomial is built.  A Galois dual's
+    pair is passed to the constructor (``duality.galois_dual``).
     """
 
-    __slots__ = ("params", "phi", "dim", "_generator", "_check")
+    __slots__ = ("params", "phi", "dim", "_polys")
 
-    def __init__(self, params: CodeParams, phi: CosetFunction):
+    def __init__(self, params: CodeParams, phi: CosetFunction,
+                 polys: Optional[Tuple[Poly, Poly]] = None):
         check_phi(params, phi)
         self.params = params
         self.phi = phi
         self.dim = phi.weight()
-        self._generator: Optional[Poly] = None
-        self._check: Optional[Poly] = None
+        self._polys = polys  # (generator, check); None until first read
 
     @property
     def residue(self) -> int:
@@ -113,8 +114,8 @@ class ConstaCode:
         """The constant lambda^residue the ring is taken modulo."""
         return self.params.lam_power(self.residue)
 
-    def _from_cosets(self) -> None:
-        """Set both polynomials: the cheaper side a product, the other a quotient."""
+    def _from_cosets(self) -> Tuple[Poly, Poly]:
+        """(generator, check): the cheaper side a product, the other a quotient."""
         params, phi, field = self.params, self.phi, self.params.field
         cap = params.mult_cap
         # phi and phibar share the cosets with 0 < phi(Q) < cap: the check's
@@ -126,19 +127,16 @@ class ConstaCode:
         if rem:
             raise AssertionError("coset product does not divide X^n - lambda^s")
         quot = Poly.wrap(field, quot)
-        self._check, self._generator = (product, quot) if by_check else (quot, product)
+        return (quot, product) if by_check else (product, quot)
 
     @property
-    def check(self) -> Poly:
-        if self._check is None:
-            self._from_cosets()
-        return self._check
+    def _pair(self) -> Tuple[Poly, Poly]:
+        if self._polys is None:
+            self._polys = self._from_cosets()
+        return self._polys
 
-    @property
-    def generator(self) -> Poly:
-        if self._generator is None:
-            self._from_cosets()
-        return self._generator
+    generator = property(lambda self: self._pair[0])
+    check = property(lambda self: self._pair[1])
 
     def __eq__(self, other):
         return (isinstance(other, ConstaCode) and self.params is other.params

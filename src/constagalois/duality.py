@@ -119,22 +119,20 @@ def _reciprocal_frob(poly: Poly, t: int) -> Poly:
 def galois_dual(code: ConstaCode, h: int) -> ConstaCode:
     """The p^h-dual: the code with function (-p^(e-h)) * phibar.
 
-    The dual is made with both its polynomials, read off the code's own
-    (which this builds if the code has not yet): its generator is the
-    monic reciprocal of the code's check and its check that of the
-    code's generator, each with every coefficient raised to p^t,
-    t = (e - h) mod e.  (The Euclidean dual is generated by the
-    reciprocal of the check polynomial, and <a, b>_h = 0 for all a in C
-    iff b^(p^h) lies in that dual.)
+    Both of the dual's polynomials are read off the code's own (which
+    this builds if the code has not yet) and passed to the constructor:
+    its generator is the monic reciprocal of the code's check and its
+    check that of the code's generator, each with every coefficient
+    raised to p^t, t = (e - h) mod e.  (The Euclidean dual is generated
+    by the reciprocal of the check polynomial, and <a, b>_h = 0 for all
+    a in C iff b^(p^h) lies in that dual.)
     """
     params = code.params
     h_eff = _galois_h(params.e, h)
     psi = code.phi.complement().act(-(params.p ** (params.e - h_eff)))
-    dual = build_code(params, psi)
     t = (params.e - h_eff) % params.e
-    dual._generator = _reciprocal_frob(code.check, t)
-    dual._check = _reciprocal_frob(code.generator, t)
-    return dual
+    return ConstaCode(params, psi, (_reciprocal_frob(code.check, t),
+                                    _reciprocal_frob(code.generator, t)))
 
 
 class SelfDualCertificate(NamedTuple):

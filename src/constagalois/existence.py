@@ -112,7 +112,7 @@ def iso_selfdual_exists(params: CodeParams, h: int = 0) -> ExistenceVerdict:
     """
     _galois_h(params.e, h)
     label, phi, _ = selfdual_families(params).iso
-    return ExistenceVerdict(label is not None, label, phi)
+    return _ABSENT if label is None else ExistenceVerdict(True, label, phi)
 
 
 class SelfDualFamilies(NamedTuple):
@@ -214,7 +214,7 @@ _SPECIAL_LABELS = {"(i)": "(i)", "(ii)": "(ii)", "(iii)": "(ii)", "(iv)": "(iii)
 
 def _special_case(verdict: ExistenceVerdict) -> ExistenceVerdict:
     label = _SPECIAL_LABELS.get(verdict.matched_condition)
-    return ExistenceVerdict(verdict.exists, label, verdict.witness_phi)
+    return verdict._replace(matched_condition=label) if verdict else _ABSENT
 
 
 def euclidean_selfdual_exists(params: CodeParams) -> ExistenceVerdict:
@@ -225,5 +225,5 @@ def euclidean_selfdual_exists(params: CodeParams) -> ExistenceVerdict:
 def hermitian_selfdual_exists(params: CodeParams) -> ExistenceVerdict:
     """Existence of Hermitian self-dual codes: the h = e/2 specialization."""
     if params.e % 2 != 0:
-        return ExistenceVerdict(False)
+        return _ABSENT
     return _special_case(galois_selfdual_exists(params, params.e // 2))

@@ -201,6 +201,16 @@ CASES = [
                                     "--lambda", "-1", "--h", "0"]),
     ("exist_p5_r4_past_gate_no_label", ["exist", "--p", "5", "--e", "1", "--n", "4",
                                         "--lambda", "g^1", "--h", "0"]),
+    # --orders 3 keeps no lambda of GF(3), so no row reaches a verdict and
+    # an h outside [0, e] is not checked: the header alone
+    ("search_no_lambda_kept_h_out_of_range", ["search", "--p-list", "3", "--e-list", "1",
+                                              "--n-max", "3", "--orders", "3",
+                                              "--h-list", "5", "--format", "csv"]),
+    # n = 10^9 + 7 is odd and prime, so every row is written from integers
+    # and the first length is checked at n = 1, with no splitting degree
+    ("search_huge_odd_length", ["search", "--p-list", "2,3", "--e-list", "1",
+                                "--n-min", "1000000007", "--n-max", "1000000007",
+                                "--format", "csv"]),
 ]
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -323,6 +324,28 @@ def test_search_lambda_orders_of_a_large_field_within_a_cpu_limit(capsys):
     assert (code, err) == (0, "")
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(row["lambda"], row["r"]) for row in rows] == [("[100,0,0,0]", "2")] * 5
+
+
+def test_search_of_a_huge_odd_length_within_a_cpu_limit():
+    # every row of n = 10^9 + 7 is written from integers (n' is odd), and
+    # the first length is checked at n = 1; deriving the first printed
+    # instance walked the powers of q mod n'r, past 20 s of CPU
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    argv = [sys.executable, "-m", "constagalois.cli", "search", "--p-list", "2,3",
+            "--e-list", "1", "--n-min", "1000000007", "--n-max", "1000000007",
+            "--format", "csv"]
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+
+    child = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                           preexec_fn=limit_cpu, env=dict(os.environ, PYTHONPATH=src))
+    assert (child.returncode, child.stderr) == (0, "")
+    lines = child.stdout.splitlines()
+    assert lines[0].startswith("p,e,n,lambda,r,nprime,nu,h,")
+    assert lines[1:] == [f"{p},1,1000000007,{lam},{r},1000000007,0,{h},,,,false,"
+                         for p, lam, r in ((2, "1", 1), (3, "1", 1), (3, "g^1", 2))
+                         for h in (0, 1)]
 
 
 def test_internal_error_mid_search_follows_the_rows_before_it(capsys, monkeypatch):

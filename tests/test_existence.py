@@ -134,7 +134,9 @@ def test_memoised_iso_verdict_equal_for_all_h_and_checks_h():
         first = iso_selfdual_exists(params, 0)
         for h in range(1, params.e + 1):
             again = iso_selfdual_exists(params, h)
-            assert again == first and again is not first
+            # a verdict that exists is built per call; every absent one is
+            # the shared "no such codes"
+            assert again == first and (again is first) == (not first)
         label, phi, s = selfdual_families(params).iso
         assert (label, phi) == (first.matched_condition, first.witness_phi)
         assert s == (None if phi is None else iso_witness_for(params, phi))
@@ -280,6 +282,22 @@ def test_verdict_json_shape():
     data = galois_selfdual_exists(params, 0).to_json()
     assert data["exists"] is True
     assert set(data) == {"exists", "matched_condition", "witness_phi"}
+
+
+def test_every_absent_verdict_is_the_shared_one():
+    # "no such codes" is one object, from each of the five predicates,
+    # on the census grid and on odd e past it
+    odd_e = grid_instances([(2, 5), (3, 5), (5, 5)], 24, math.inf, math.inf)
+    absent = 0
+    for params in itertools.chain(census_instances(), odd_e):
+        verdicts = [*(galois_selfdual_exists(params, h) for h in range(params.e + 1)),
+                    iso_selfdual_exists(params), euclidean_selfdual_exists(params),
+                    hermitian_selfdual_exists(params), duadic_exists(params)]
+        for verdict in verdicts:
+            if not verdict:
+                assert verdict is existence._ABSENT, (params, verdict)
+                absent += 1
+    assert absent == 57584, absent
 
 
 def _ruled_out_instances():

@@ -2,8 +2,9 @@
 used, the modules import one way down a fixed order and only at module
 level, importing the package and its CLI loads no heavy standard module,
 only cosets.py reads a coset function's rep-keyed view or names the coset
-table's memo, the library's memos, at any depth, are the seven listed, and
-each domain-rule message is raised from one place.
+table's memo, only codes.py sets a code's polynomials, the library's
+memos, at any depth, are the seven listed, and each domain-rule message
+is raised from one place.
 
 Each ``src/constagalois/*.py`` except the package's ``__init__.py``
 (whose imports are its re-exports) is parsed with ``ast``; an imported
@@ -124,6 +125,41 @@ def test_only_cosets_reads_a_coset_function_by_rep():
             continue
         with open(path, encoding="utf-8") as fh:
             lines = attribute_reads(fh.read(), "assignment")
+        if lines:
+            offenders[os.path.basename(path)] = lines
+    assert offenders == {}
+
+
+def attribute_writes(source: str, attrs):
+    """Line numbers where the module assigns or deletes ``<anything>.attr``
+    for an attr of ``attrs``, also as one target of a tuple."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in attrs
+                  and isinstance(node.ctx, (ast.Store, ast.Del)))
+
+
+# ConstaCode's polynomial slot, and the two it replaced
+POLY_SLOTS = ("_polys", "_generator", "_check")
+
+
+def test_guard_sees_each_attribute_write():
+    source = ("code._polys = pair\nx = code._polys\ncode._check, y = 1, 2\n"
+              "code._generator += g\ndel code._polys\n")
+    assert attribute_writes(source, POLY_SLOTS) == [1, 3, 4, 5]
+
+
+def test_only_codes_sets_a_code_polynomial():
+    # a code's (generator, check) pair is built by the code or passed to
+    # its constructor, as a Galois dual's is; no other module writes it
+    from constagalois.codes import ConstaCode
+
+    assert [slot for slot in ConstaCode.__slots__ if slot in POLY_SLOTS] == ["_polys"]
+    offenders = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "codes.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            lines = attribute_writes(fh.read(), POLY_SLOTS)
         if lines:
             offenders[os.path.basename(path)] = lines
     assert offenders == {}
