@@ -291,7 +291,8 @@ def cmd_search(args) -> Iterator[List[str]]:
             lams = sorted((format_element(lam), lam, r) for lam, r in powers)
             hs = range(e + 1) if h_set is None else sorted(h_set)
             if lengths:
-                # derive_params is the one check of a length; n = 1 costs alike for all n_min
+                # derive_params is the one check of a length; at n = 1 it
+                # costs the same for every n_min
                 derive_params(p, e, min(args.n_min, 1), field.one)
                 if lams:
                     for h in hs:
