@@ -127,6 +127,10 @@ def _header(fmt: str, columns: List[str]) -> List[str]:
     return [] if label else [sep.join(map(value_text, columns))]
 
 
+# search's header in each format, written once
+_SEARCH_HEADERS = {fmt: _header(fmt, CSV_COLUMNS) for fmt in _ROW_STYLES}
+
+
 def emit(records: list, fmt: str) -> str:
     """The records as text, one line each, with no final newline.
 
@@ -311,7 +315,7 @@ def _search_rows(args, blocks, lengths) -> Iterator[List[str]]:
     with no params, unless --max-cosets must count its cosets."""
     max_cosets, max_mult = args.max_cosets, args.max_multiplicity
     cell, prefix, suffix = row_split(args.format, CSV_COLUMNS, "h")
-    if header := _header(args.format, CSV_COLUMNS):
+    if header := _SEARCH_HEADERS[args.format]:
         yield header
 
     def tail(params, phi, selfdual, iso_witness, weights):

@@ -8,6 +8,14 @@ coefficient-vector order.  Repeated calls to ``make_field(p, m)`` return
 the identical interned ``Field`` object, so element encodings like "g^k"
 mean the same thing across runs and machines.
 
+``make_field`` walks the candidate moduli lazily, for any p.  For p < 32
+a factor of degree 1 or 2, found by dot products mod p, rejects most of
+them; the rest take Rabin's test in their packed rings, each on the one
+slot layout of (p, m), and the ring of the first irreducible one becomes
+the field's.  The generator search walks the elements as scalar
+multiples of directions and decides each direction once
+(``Field._first_primitive``).
+
 Every element is an int owned by its field (``FieldElement.v``): its
 coefficients packed in W-bit base-p slots (``packed.PackedRing``), so
 0, 1 and every constant c of GF(p) are the ints 0, 1 and c.  The field's
@@ -39,10 +47,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from typing import Iterable, Iterator, Optional
 
-from .numtheory import _group_order_factors, _isprime, _prime_factors
+from .numtheory import _group_order_factors, _isprime
 from .packed import PackedRing
 
 # Fields up to this size run on log/antilog tables; discrete logs (the
@@ -60,36 +69,43 @@ def _horner(coeffs, x, add, mul):
     return acc
 
 
-def _is_irreducible(f, p):
-    """Rabin's irreducibility test for a monic f of degree m over GF(p).
+def _lex(p, k, low=0):
+    """The k-tuples over range(p) whose first entry is at least ``low``, in
+    the lexicographic order of ``itertools.product``, which would hold
+    range(p) as a tuple: this walk holds no range."""
+    walk = iter(((),))
+    for i in range(k):
+        walk = _then(walk, range(low if i == 0 else 0, p))
+    return walk
 
-    f is irreducible iff X^(p^m) = X mod f and X^(p^(m/r)) - X is coprime
-    to f for every prime r dividing m (Rabin, SIAM J. Comput. 9, 1980).
-    For p < 32 a root in GF(p), found by evaluating f at 1, ..., p - 1
-    over the integers mod p, rejects most reducible candidates before any
-    power is taken.  Each X^(p^k), k = 1, ..., m, is the ring's Frobenius
-    step x -> x^p from the one before.  Coprimality is decided in the packed
-    ring GF(p)[X]/(f): once X^(p^m) = X mod f, f divides X^(p^m) - X, so
-    it is squarefree with factors of degrees d | m and the ring is a
-    product of fields GF(p^d); a residue is then coprime to f iff it is a
-    unit, iff its (p^m - 1)-th power is 1.
-    """
-    m = len(f) - 1
-    if m == 1:
-        return True
-    if p < 32 and any(_horner(f, a, int.__add__, int.__mul__) % p == 0
-                      for a in range(1, p)):
-        return False
-    ring = PackedRing(p, f)
-    x = ring.encode((0, 1))
-    frob_powers = [x]  # X^(p^k)
-    for _ in range(m):
-        frob_powers.append(ring.frob(frob_powers[-1], 1))
-    if frob_powers[m] != x:
-        return False
-    unit_order = p ** m - 1
-    return all(ring.power(ring.sub(frob_powers[m // r], x), unit_order) == 1
-               for r in _prime_factors(m))
+
+def _then(walk, values):
+    return (t + (a,) for t in walk for a in values)
+
+
+def _small_factors(p, m):
+    """For each monic irreducible g over GF(p) of degree 1 other than X and,
+    when they pay, of degree 2: the coordinate rows of X^0, ..., X^m mod g.
+
+    g divides a polynomial of degree m iff its coefficients are orthogonal
+    mod p to every row, so ``make_field`` rejects most reducible candidates
+    (for p < 32) with a few dot products before any ring is built.  A
+    quadratic factor can only divide a root-free f for m > 3; the (p^2 -
+    p)/2 quadratics cost about a dot product each and spare about two in
+    five root-free candidates Rabin's m Frobenius steps, so they are
+    screened only while there are at most 2m of them."""
+    factors = [[[pow(a, i, p) for i in range(m + 1)]] for a in range(1, p)]
+    if m > 3 and p * (p - 1) <= 4 * m:
+        split = {((-a - b) % p, a * b % p) for a in range(p) for b in range(p)}
+        for b, c in itertools.product(range(p), range(1, p)):
+            if (b, c) not in split:  # X^2 + bX + c has no root
+                rows, u, v = ([], []), 1, 0  # X^i = u + vX mod X^2 + bX + c
+                for _ in range(m + 1):
+                    rows[0].append(u)
+                    rows[1].append(v)
+                    u, v = -c * v % p, (u - b * v) % p
+                factors.append(rows)
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +227,13 @@ class Field:
     field, as ``make_field`` interns them.
     """
 
-    def __init__(self, p: int, m: int, modulus):
+    def __init__(self, p: int, m: int, modulus, ring: Optional[PackedRing] = None):
         self.p = p
         self.m = m
         self.order = p ** m
         self.modulus = tuple(modulus)          # length m+1, monic, ascending
         self._dlog_table: Optional[dict] = None
-        ring = PackedRing(p, self.modulus)
+        ring = ring or PackedRing(p, self.modulus)
         self.encode, self.decode = ring.encode, ring.decode
         generator = self._first_primitive(ring)
         if self.order <= _TABLE_MAX:
@@ -232,28 +248,74 @@ class Field:
 
     def _first_primitive(self, ring: PackedRing) -> int:
         """The canonical generator: first primitive element in coefficient
-        order, as a packed int of ``ring``.
+        order, as a packed int of ``ring``, found by direction (Shoup,
+        "Searching for primitive roots in finite fields", Math. Comp. 58,
+        1992).
 
         x is primitive iff x^((q-1)/l) != 1 for every prime l | q - 1.  The
-        primes share their exponents (Shoup, Math. Comp. 58, 1992): from
-        z = x^((q-1)/rad), rad the product of the primes, the primes split
-        into halves A and B, A is tested on z^(prod B), B on z^(prod A),
-        and so on down to single primes."""
-        power, primes = ring.power, self.group_factors
+        order puts the nonzero x by the position i0 of their first nonzero
+        coefficient, from X^(m-1) down to the constant term, then by that
+        coefficient c, then by the rest; so x = c*y, y a direction whose
+        coefficient at i0 is 1.  Write v_l for the l-adic valuation.  As
+        c^(p-1) = 1, a prime l with v_l(q-1) > v_l(p-1) has p - 1 dividing
+        (q-1)/l, and x^((q-1)/l) = y^((q-1)/l) does not depend on c: a
+        direction that fails such a prime rules out all its multiples at
+        once.  For m > 1 every prime of (q-1)/(p-1) is such an l, so the
+        constants are one failed direction, y = 1.  Every other l divides
+        p - 1 (and not m, as (q-1)/(p-1) = m mod p - 1), y^((q-1)/l) lies
+        in GF(p), and x^((q-1)/l) = (c^m N(y))^((p-1)/l), N the norm, is
+        that constant times one integer power of c mod p.
 
-        def orders_full(z, primes):
-            """Whether z^(prod(primes)/l) != 1 for every l in primes."""
-            if len(primes) < 2:  # q - 1 = 1 leaves no prime to test
-                return not primes or z != 1
-            half = len(primes) // 2
-            a, b = primes[:half], primes[half:]
-            return (orders_full(power(z, math.prod(b)), a)
-                    and orders_full(power(z, math.prod(a)), b))
+        A direction's powers share their exponents: from z = y^((q-1)/rad),
+        rad the product of the primes, the primes split into halves A and
+        B, A takes z^(prod B), B takes z^(prod A), and so on down to single
+        primes; a failed prime that does not involve c stops the split.
+        Within one i0 the row c = 1 tries each direction once, in order;
+        past it only the directions that passed every prime free of c are
+        tried, each at its multiple c*y.
+        """
+        p, m, n1 = self.p, self.m, self.order - 1
+        power, primes, encode = ring.power, self.group_factors, ring.encode
+        # the exponent of c in x^((q-1)/l), mod p - 1; 0 where c drops out
+        c_exps = [n1 // l % (p - 1) for l in primes]
+        cofactor = n1 // math.prod(primes)
 
-        cofactor = (self.order - 1) // math.prod(primes)
-        for x in self.ints():
-            if x and orders_full(power(x, cofactor), primes):
-                return x
+        def leaves(z, primes):
+            """z^(prod(primes)/l) for each l in primes, in turn."""
+            if len(primes) > 1:
+                half = len(primes) // 2
+                a, b = primes[:half], primes[half:]
+                yield from leaves(power(z, math.prod(b)), a)
+                yield from leaves(power(z, math.prod(a)), b)
+            elif primes:
+                yield z
+
+        def c_tests(y):
+            """(exponent of c, y^((q-1)/l)) for the primes that involve c,
+            or None if y fails a prime that does not."""
+            tests = []
+            for k, v in zip(c_exps, leaves(power(y, cofactor), primes)):
+                if k:
+                    tests.append((k, v))
+                elif v == 1:
+                    return None
+            return tests
+
+        for i0 in reversed(range(m)):
+            head = (0,) * i0
+            passed = []  # (tail, tests) of the directions that pass every c-free prime
+            for tail in _lex(p, m - 1 - i0):
+                tests = c_tests(encode(head + (1,) + tail))
+                if tests is None:
+                    continue
+                if all(v != 1 for _, v in tests):  # c = 1
+                    return encode(head + (1,) + tail)
+                passed.append((tail, tests))
+            for c in range(2, p) if passed else ():
+                tails = [tuple(c * a % p for a in tail) for tail, tests in passed
+                         if all(pow(c, k, p) * v % p != 1 for k, v in tests)]
+                if tails:
+                    return encode(head + (c,) + min(tails))
         raise AssertionError("no primitive element: the modulus is reducible")
 
     def _bind_packed(self, ring: PackedRing) -> None:
@@ -346,13 +408,9 @@ class Field:
         return self.wrap(value % self.p)
 
     def ints(self) -> Iterator[int]:
-        """The ints of all p^m elements in canonical (lexicographic) order.
-
-        A prime field's ints are its residues, walked lazily: a tuple of
-        range(p) would not fit in memory for large p."""
-        if self.m == 1:
-            return iter(range(self.p))
-        return map(self.encode, itertools.product(range(self.p), repeat=self.m))
+        """The ints of all p^m elements in canonical (lexicographic) order,
+        walked lazily for any p."""
+        return map(self.encode, _lex(self.p, self.m))
 
     def elements(self) -> Iterator[FieldElement]:
         """All p^m elements in canonical (lexicographic) order."""
@@ -402,12 +460,18 @@ def make_field(p: int, m: int, /) -> Field:
 
     if m == 1:
         return Field(p, 1, (0, 1))
-    if p > sys.maxsize:  # the modulus walk and Field.ints() take range(p) as a tuple
+    if p > sys.maxsize:  # the tested domain; the walks below hold no range(p)
         raise ValueError(f"GF(p^{m}) with m >= 2 needs p <= sys.maxsize = {sys.maxsize}")
-    # c0 = 0 would make X a factor
-    for low in itertools.product(range(1, p), *[range(p)] * (m - 1)):
-        if _is_irreducible(low + (1,), p):
-            return Field(p, m, low + (1,))
+    layout = PackedRing.layout(p, m)
+    factors = _small_factors(p, m) if p < 32 else ()
+    for low in _lex(p, m, 1):  # c0 = 0 would make X a factor
+        f = low + (1,)
+        if any(all(sum(map(operator.mul, f, row)) % p == 0 for row in rows)
+               for rows in factors):
+            continue
+        ring = PackedRing(p, f, layout)
+        if ring.is_field():
+            return Field(p, m, f, ring)
     raise AssertionError("no monic irreducible polynomial of degree m")
 
 

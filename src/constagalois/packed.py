@@ -11,6 +11,8 @@ its ints.
 
 from __future__ import annotations
 
+from .numtheory import _prime_factors
+
 
 class PackedRing:
     """Arithmetic in GF(p)[X]/(f) for a monic f of degree m, on packed ints.
@@ -25,21 +27,26 @@ class PackedRing:
     correction's m - 1 products, so a low slot holds at most
     ((ACC - 1) * m + m - 1) * (p - 1)^2 < ACC * m * (p - 1)^2.  The
     guard-bit sums need residues below p and the top bit of every slot
-    clear.  f need not be irreducible: ``gf._is_irreducible`` runs its
-    candidates through here.  For m = 1 the packed int is the residue
-    itself.
+    clear.  f need not be irreducible: ``is_field`` decides it, and
+    ``gf.make_field`` builds each candidate with ``PackedRing(p, f,
+    layout)`` on the one ``PackedRing.layout(p, m)``: W, the slots and the
+    mod-p constants depend on p and m only.  The Barrett quotient
+    mu = X^(2m-2) div f is long division on one packed remainder whose
+    slots are reduced only when read: each of its m - 1 steps adds at most
+    (p - 1)^2 to a slot, and (m - 1) * (p - 1)^2 + 1 is far below
+    2^(W - 1).  For m = 1 the packed int is the residue itself.
     """
 
     ACC = 32
     TERM_LIMIT = ACC - 1
 
-    def __init__(self, p: int, f):
-        m = len(f) - 1
-        W = (self.ACC * m * (p - 1) ** 2).bit_length() + 1
+    @classmethod
+    def layout(cls, p: int, m: int) -> tuple:
+        """W, the slot offsets and the mod-p constants of every ring of
+        degree m over GF(p), as ``PackedRing(p, f, layout)`` takes them."""
+        W = (cls.ACC * m * (p - 1) ** 2).bit_length() + 1
         mask = (1 << W) - 1
         slots = [W * i for i in range(m)]
-        ones = sum(1 << slot for slot in slots)
-
         # every slot mod p at once: floor(x / p) is (x * M) >> shift exactly
         # for x < 2^(W-1); even and odd slots are multiplied apart so each
         # product has 2W bits of room
@@ -47,20 +54,26 @@ class PackedRing:
         M = -(-(1 << shift) // p)
         even = sum(mask << (2 * W * j) for j in range(m))
         qmask = sum(((1 << (2 * W - shift)) - 1) << (2 * W * j) for j in range(m))
+        ones = sum(1 << slot for slot in slots)
+        wrap = ((1 << (W - 1)) - p) * ones
+        return W, mask, slots, shift, M, even, qmask, p * ones, wrap
+
+    def __init__(self, p: int, f, layout=None):
+        m = len(f) - 1
+        self.p, self.m = p, m
+        W, mask, slots, shift, M, even, qmask, P, wrap = layout or self.layout(p, m)
 
         def pack(vals):
             return sum((c % p) << slot for c, slot in zip(vals, slots))
 
-        # Barrett division by f: mu = X^(2m-2) div f over GF(p)
-        rem = [0] * (2 * m - 2) + [1]
-        mu = [0] * (m - 1)
-        for i in range(2 * m - 2, m - 1, -1):
-            c = rem[i] % p
+        # Barrett division by f: mu = X^(2m-2) div f over GF(p), quotient
+        # slot i from the top
+        NEG_F, MU, rem = pack([-c for c in f[:m]]), 0, 1 << W * (2 * m - 2)
+        for i in range(m - 2, -1, -1):
+            c = (rem >> W * (i + m) & mask) % p
             if c:
-                mu[i - m] = c
-                for j in range(m + 1):
-                    rem[i - m + j] -= c * f[j]
-        MU, NEG_F = pack(mu), pack([-c for c in f[:m]])
+                MU |= c << W * i
+                rem += c * NEG_F << W * i
         low_bits, q_shift = W * m, W * (m - 2)
         low = (1 << low_bits) - 1
 
@@ -82,8 +95,6 @@ class PackedRing:
             return u - p * (((((u & even) * M) >> shift) & qmask)
                             | (((((u >> W) & even) * M) >> shift) & qmask) << W)
 
-        P = p * ones
-        wrap = ((1 << (W - 1)) - p) * ones
         guard = wrap + P
 
         def add(a, b):
@@ -117,8 +128,8 @@ class PackedRing:
         rows = [1]
         if m > 1:
             rows.append(power(1 << W, p))
-            for _ in range(m - 2):
-                rows.append(reduce(rows[-1] * rows[1]))
+            for i in range(2, m):  # below X^m, X^(ip) is its own residue
+                rows.append(1 << W * i * p if i * p < m else reduce(rows[-1] * rows[1]))
 
         def frob(a, t):
             """a^(p^t) for 0 <= t < m: t passes of x -> x^p, each the sum
@@ -172,3 +183,34 @@ class PackedRing:
         self.frob, self.poly_mul, self.add_scaled = frob, poly_mul, add_scaled
         self.encode, self.W = pack, W
         self.decode = lambda v: tuple([(v >> slot) & mask for slot in slots])
+
+    def is_field(self) -> bool:
+        """Whether f is irreducible, so that the ring is GF(p^m): Rabin's test.
+
+        f is irreducible iff X^(p^m) = X mod f and X^(p^(m/r)) - X is
+        coprime to f for every prime r dividing m (Rabin, SIAM J. Comput. 9,
+        1980).  Each X^(p^k), k = 1, ..., m, is the Frobenius step x -> x^p
+        from the one before.  Coprimality is decided in the ring: once
+        X^(p^m) = X mod f, f divides X^(p^m) - X, so it is squarefree with
+        factors of degrees d | m and the ring is a product of fields
+        GF(p^d); a residue u is then coprime to f iff it is a unit, iff
+        u^(p^m - 1) = N^(p - 1) is 1, N the product of the m images
+        u^(p^i).  For u = X^(p^s) - X those are X^(p^(s+i)) - X^(p^i), read
+        off the Frobenius steps, so N takes m products and no power of X.
+        """
+        p, m = self.p, self.m
+        if m == 1:
+            return True
+        x, mul, sub = self.encode((0, 1)), self.mul, self.sub
+        frob_powers = [x]  # X^(p^k)
+        for _ in range(m):
+            frob_powers.append(self.frob(frob_powers[-1], 1))
+        if frob_powers[m] != x:
+            return False
+        for r in _prime_factors(m):
+            norm = 1
+            for i in range(m):
+                norm = mul(norm, sub(frob_powers[(i + m // r) % m], frob_powers[i]))
+            if self.power(norm, p - 1) != 1:
+                return False
+        return True

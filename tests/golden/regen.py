@@ -211,6 +211,22 @@ CASES = [
     ("search_huge_odd_length", ["search", "--p-list", "2,3", "--e-list", "1",
                                 "--n-min", "1000000007", "--n-max", "1000000007",
                                 "--format", "csv"]),
+    # GF(65537^2), the splitting field of n = 3: the first primitive element
+    # in coefficient order, 1 + 3X, follows the p - 1 multiples of X
+    ("params_gf65537_n3_generator", ["params", "--p", "65537", "--e", "1", "--n", "3",
+                                     "--lambda", "-1"]),
+    # GF(1000003^2) as the base field and GF(1000003^4) as the splitting
+    # field: each generator follows the p - 1 multiples of one failed
+    # direction (X, X^3), which the search by direction rules out at once
+    ("exist_gf1000003e2_generator", ["exist", "--p", "1000003", "--e", "2", "--n", "5",
+                                     "--lambda", "-1"]),
+    ("cosets_gf1000003e2_generator", ["cosets", "--p", "1000003", "--e", "2", "--n", "5",
+                                      "--lambda", "-1"]),
+    ("params_gf1000003e4_generator", ["params", "--p", "1000003", "--e", "1", "--n", "10",
+                                      "--lambda", "-1"]),
+    # p = 2^61 - 1 < sys.maxsize: GF(p^2) is built with no range(p) held
+    ("params_prime_2e61_minus_1_e2", ["params", "--p", "2305843009213693951", "--e", "2",
+                                      "--n", "1", "--lambda", "1"]),
 ]
 
 

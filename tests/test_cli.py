@@ -348,6 +348,28 @@ def test_search_of_a_huge_odd_length_within_a_cpu_limit():
                          for h in (0, 1)]
 
 
+def test_splitting_field_of_a_prime_near_2_61_within_cpu_and_memory_limits():
+    # p = 2^61 - 1 < sys.maxsize: the modulus walk and the generator search
+    # hold no range(p), and the search by direction rules out the p - 1
+    # multiples of X and the constants as two failed directions; a tuple
+    # of range(p) ended in a MemoryError under this address-space limit
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    p = 2 ** 61 - 1
+    argv = [sys.executable, "-m", "constagalois.cli", "params", "--p", str(p),
+            "--e", "2", "--n", "1", "--lambda", "1"]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+        resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+
+    child = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                           preexec_fn=limit, env=dict(os.environ, PYTHONPATH=src))
+    assert (child.returncode, child.stderr) == (0, "")
+    record = json.loads(child.stdout)
+    assert (record["q"], record["d"], record["big_field"]) == (p * p, 1, f"GF({p}^2)")
+    assert record["theta"] == "g^0"
+
+
 def test_internal_error_mid_search_follows_the_rows_before_it(capsys, monkeypatch):
     import constagalois.cli as cli_module
     verdicts = cli_module.galois_selfdual_verdicts

@@ -10,9 +10,11 @@ import pytest
 
 from constagalois import (embed, format_element, frobenius, make_field,
                           mult_order, parse_element, section)
-from constagalois.gf import Field, _is_irreducible
+from constagalois.gf import Field, _lex, _small_factors
 from constagalois.numtheory import (_PSI_13, _group_order_factors, _isprime,
                                     _prime_factors, _strong_lucas_probable_prime)
+from constagalois.packed import PackedRing
+from constagalois.polyring import Poly
 from exhaustive import (brute_monic_irreducibles, factor_walk_order,
                         gauss_irreducible_count, reference_is_irreducible,
                         reference_map_int)
@@ -51,24 +53,63 @@ def test_modulus_minimality_general(p, m):
 
 
 # the top degree tested per p: degrees 5 and 6 over GF(2) run the
-# coprimality step for one and two primes of m; GF(37) has no root
-# screen, so every quadratic reaches it
+# coprimality step for one and two primes of m; the small-factor screens
+# are make_field's, so every polynomial reaches Rabin's test here
 RABIN_DEGREES = {2: 6, 3: 4, 5: 4, 37: 2}
 
 
 @pytest.mark.parametrize("p", sorted(RABIN_DEGREES))
 def test_irreducibility_matches_rabin_by_powers(p):
     # every monic polynomial of degree 1 up to RABIN_DEGREES[p]: the
-    # Frobenius steps and unit powers of _is_irreducible against m powers
-    # by p and gcds, and the count of irreducibles against Gauss's formula
+    # Frobenius steps and unit norms of PackedRing.is_field against m
+    # powers by p and gcds, and the count of irreducibles against Gauss's
+    # formula; the rings share one layout per degree, as make_field's
+    # candidates do
     for m in range(1, RABIN_DEGREES[p] + 1):
         count = 0
+        layout = PackedRing.layout(p, m)
         for low in itertools.product(range(p), repeat=m):
             f = low + (1,)
             want = reference_is_irreducible(f, p)
-            assert _is_irreducible(f, p) == want, f
+            assert PackedRing(p, f, layout).is_field() == want, f
             count += want
         assert count == gauss_irreducible_count(p, m), (p, m)
+
+
+# the quadratics are screened while there are at most 2m of them, and for
+# m > 3 only: GF(7^10) and GF(3^3) get the linear factors alone
+@pytest.mark.parametrize("p,m,quadratic", [(2, 6, True), (3, 5, True), (5, 5, True),
+                                           (7, 11, True), (7, 10, False), (3, 3, False)])
+def test_small_factor_rows_find_the_factors_of_degree_one_and_two(p, m, quadratic):
+    # a polynomial is orthogonal mod p to every row of a small factor g iff
+    # g divides it, against Poly division: g runs over X - a, a != 0, then
+    # the irreducible X^2 + bX + c by (b, c)
+    gf_p = make_field(p, 1)
+    quadratics = set(brute_monic_irreducibles(p, 2)) if quadratic else set()
+    small = [(-a % p, 1) for a in range(1, p)] + [
+        (c, b, 1) for b in range(p) for c in range(1, p) if (c, b, 1) in quadratics]
+    factors = _small_factors(p, m)
+    assert len(factors) == len(small)
+    rng = random.Random(f"small factors {p}^{m}")
+    cases = [tuple(rng.randrange(p) for _ in range(m)) + (1,) for _ in range(60)]
+    for f in cases + [(1,) + (0,) * (m - 1) + (1,)]:
+        want = [(Poly.wrap(gf_p, f) % Poly.wrap(gf_p, g)).is_zero() for g in small]
+        got = [all(sum(c * r for c, r in zip(f, row)) % p == 0 for row in rows)
+               for rows in factors]
+        assert got == want, f
+
+
+def test_lazy_walks_keep_the_product_order_and_hold_no_range():
+    for p, k, low in [(2, 3, 0), (3, 2, 1), (5, 3, 1), (7, 1, 0), (3, 0, 0)]:
+        ranges = [range(low, p)] + [range(p)] * (k - 1) if k else []
+        assert list(_lex(p, k, low)) == list(itertools.product(*ranges))
+    field = make_field(3, 3)
+    walk = itertools.product(range(3), repeat=3)
+    assert list(field.ints()) == list(map(field.encode, walk))
+    # p = 2^61 - 1: a tuple of range(p) would not fit in memory
+    big = make_field(2 ** 61 - 1, 2)
+    first = [0, big.encode((0, 1)), big.encode((0, 2))]
+    assert list(itertools.islice(big.ints(), 3)) == first
 
 
 def test_additive_identity():

@@ -18,7 +18,7 @@ import pytest
 
 from constagalois import Poly, make_field, poly_gcd
 from constagalois.gf import _DLOG_MAX, _TABLE_MAX, Field
-from constagalois.numtheory import _isprime
+from constagalois.numtheory import _isprime, _prime_factors
 from constagalois.oracle import Matrix
 from constagalois.packed import PackedRing
 from exhaustive import ReferenceField, poly_coeffs, reference_first_primitive
@@ -173,7 +173,10 @@ def test_canonical_fields_match_the_recorded_table():
     # p^m <= 2^20 and every splitting field of the construct benchmark,
     # recorded from the coefficient-tuple implementation; then four fields
     # with p >= 32, where the modulus search has no root screen, recorded
-    # while Rabin's coprimality step still ran as a gcd over Poly
+    # while Rabin's coprimality step still ran as a gcd over Poly; then
+    # GF(65537^2), recorded from the candidate-by-candidate generator walk,
+    # and GF(1000003^2) and GF(1000003^4), whose first primitive elements
+    # follow the p - 1 multiples of X and of X^3
     with open(os.path.join(HERE, "golden", "fields.json")) as fh:
         table = json.load(fh)
     for p, m, modulus, generator in table:
@@ -183,15 +186,52 @@ def test_canonical_fields_match_the_recorded_table():
 
 
 def test_generator_search_matches_the_all_cofactor_walk():
-    # the split exponents of _first_primitive against one power per prime
-    # of q - 1, on every recorded field: GF(2) (q - 1 = 1, no prime) and
-    # GF(2^13), GF(2^17), GF(2^19) (q - 1 prime) among them
+    # the search by direction of _first_primitive against one power per
+    # prime of q - 1 on each candidate in turn, on every recorded field:
+    # GF(2) (q - 1 = 1, no prime) and GF(2^13), GF(2^17), GF(2^19) (q - 1
+    # prime) among them.  Over p = 1000003 that walk visits about 10^6
+    # candidates, minutes of CPU: those two fields are held to it outside
+    # this suite
     with open(os.path.join(HERE, "golden", "fields.json")) as fh:
         table = json.load(fh)
     assert {(2, 1), (2, 13), (2, 17), (2, 19)} <= {(p, m) for p, m, _, _ in table}
     for p, m, _, _ in table:
+        if p == 1000003:
+            continue
         field = make_field(p, m)
         assert field.generator.v == reference_first_primitive(field), (p, m)
+
+
+def valuation(l, k):
+    v = 0
+    while k % l == 0:
+        k //= l
+        v += 1
+    return v
+
+
+def test_direction_identities_on_random_fields():
+    # x = c * y, c the first nonzero coefficient of x: for a prime l | q - 1
+    # with v_l(q-1) > v_l(p-1), x^((q-1)/l) = y^((q-1)/l); for every other l,
+    # x^((q-1)/l) = (c^m N(y))^((p-1)/l) mod p, N(y) = y^((q-1)/(p-1)); on
+    # every element of six seeded random fields with m >= 2
+    rng = random.Random("directions")
+    fields = rng.sample([pm for pm in fields_up_to(4096) if pm[1] > 1], 6)
+    for p, m in fields:
+        field = make_field(p, m)
+        power, n1 = PackedRing(p, field.modulus).power, field.order - 1
+        for x in itertools.islice(field.ints(), 1, None):
+            coeffs = field.decode(x)
+            c = next(a for a in coeffs if a)
+            y = field.mul(x, field.inv(c))
+            norm = power(y, n1 // (p - 1))
+            assert norm < p, (p, m, coeffs)
+            for l in _prime_factors(n1):
+                if valuation(l, n1) > valuation(l, p - 1):
+                    assert power(x, n1 // l) == power(y, n1 // l), (p, m, coeffs, l)
+                else:
+                    want = pow(pow(c, m, p) * norm, (p - 1) // l, p)
+                    assert power(x, n1 // l) == want, (p, m, coeffs, l)
 
 
 # -- polynomials and matrices --------------------------------------------------
@@ -305,11 +345,13 @@ def test_products_at_the_term_limit_fill_every_slot(p, m):
 # (257, 6) and (1009, 3) come out wrong
 @pytest.mark.parametrize("p,m", [(257, 6), (1009, 3), (101, 8)])
 def test_products_with_large_p_against_schoolbook(p, m):
-    # five seeded random monic f, reducible or not, 300 products on each
+    # five seeded random monic f, reducible or not, 300 products on each;
+    # the rings share one layout, as make_field's candidates do
     rng = random.Random(f"barrett {p}^{m}")
+    layout = PackedRing.layout(p, m)
     for _ in range(5):
         f = [rng.randrange(p) for _ in range(m)] + [1]
-        ring = PackedRing(p, f)
+        ring = PackedRing(p, f, layout)
         for _ in range(300):
             a = [rng.randrange(p) for _ in range(m)]
             b = [rng.randrange(p) for _ in range(m)]
@@ -319,15 +361,16 @@ def test_products_with_large_p_against_schoolbook(p, m):
 
 @pytest.mark.parametrize("p,m", [(2, 12), (3, 8), (7, 6), (257, 3)])
 def test_frobenius_and_powers_on_random_rings(p, m):
-    # the rings _is_irreducible builds, on seeded random monic f, mostly
-    # reducible: x -> x^(p^t) is a ring map on each, so t passes of the
-    # ring's one table must give the power p^t for every t < m, and a
-    # power must be the repeated product
+    # the rings make_field tests, on one layout, for seeded random monic
+    # f, mostly reducible: x -> x^(p^t) is a ring map on each, so t
+    # passes of the ring's one table must give the power p^t for every
+    # t < m, and a power must be the repeated product
     rng = random.Random(f"frobenius {p}^{m}")
     exponents = {1, 2, 3} | {2 ** j + d for j in range(2, 7) for d in (-1, 0, 1)}
+    layout = PackedRing.layout(p, m)
     for _ in range(5):
         f = [rng.randrange(p) for _ in range(m)] + [1]
-        ring = PackedRing(p, f)
+        ring = PackedRing(p, f, layout)
         for a in [ring.encode((0, 1)), ring.encode([p - 1] * m)] + [
                 ring.encode([rng.randrange(p) for _ in range(m)]) for _ in range(6)]:
             for t in range(m):
