@@ -72,10 +72,6 @@ def load_config(path: str) -> dict:
 
 
 def params_from_args(args) -> CodeParams:
-    for flag in ("p", "e", "n", "lam"):
-        if getattr(args, flag, None) is None:
-            name = "lambda" if flag == "lam" else flag
-            raise UsageError(f"--{name} is required (flag or config file)")
     return derive_params(args.p, args.e, args.n, args.lam)
 
 
@@ -226,10 +222,8 @@ def cmd_factor(args) -> List[dict]:
 
 
 def _code_from_args(args) -> ConstaCode:
-    """The code of --phi under the params flags (code, dual, check)."""
+    """The code of --phi under the params flags (code, dual, check, verify)."""
     params = params_from_args(args)
-    if not args.phi:
-        raise UsageError("--phi is required (flag or config file)")
     return build_code(params, parse_phi(params, args.phi))
 
 
@@ -396,16 +390,19 @@ def cmd_verify(args) -> List[dict]:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-class UsageError(Exception):
-    pass
-
-
-_PARAMS_FLAGS = (  # not argparse-required so --config files can supply them
+_GLOBAL_FLAGS = (
+    ("--config", dict(help="flat key=value file with default flags")),
+    ("--format", dict(choices=list(_ROW_STYLES), default="json")),
+    ("--cap", dict(type=int, default=None,
+                   help="codeword enumeration cap (default 2^20, or CONSTAGALOIS_ENUM_CAP)")),
+)
+_PARAMS_FLAGS = (
     ("--p", dict(type=int, help="characteristic prime")),
     ("--e", dict(type=int, help="extension degree, q = p^e")),
     ("--n", dict(type=int, help="code length")),
     ("--lambda", dict(dest="lam", help='unit: "1", "-1", "g^K", or "[c0,...,c_{e-1}]"')),
 )
+_PHI_FLAG = ("--phi", dict(help='coset function "rep:val,..."'))
 _H_FLAG = ("--h", dict(type=int, default=0))
 
 
@@ -413,56 +410,52 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
     """The CLI parser with the values of a config file (``load_config``
     keys) as defaults, so an explicit flag wins in any spelling.
 
-    ``parser.exact_flags`` is the table :func:`parse_exact` reads: each
-    subcommand's name -> (the namespace argparse starts it from, its
-    option strings -> actions, the dests it requires), built from the
-    actions ``add_argument`` returns."""
+    ``parser.exact_flags`` is the table :func:`parse_exact` and ``main``
+    read: each subcommand's name -> (the namespace argparse starts it
+    from, its option strings -> actions, the actions of its required
+    flags), built from the actions ``add_argument`` returns.  argparse
+    requires no flag, so a config file can supply any; ``main`` checks
+    the required ones once, after the config file."""
     parser = argparse.ArgumentParser(
         prog="constagalois",
         description="constacyclic codes over GF(p^e) under Galois inner products")
-    top = _add_flags(parser, config, (
-        ("--config", dict(help="flat key=value file with default flags")),
-        ("--format", dict(choices=list(_ROW_STYLES), default="json")),
-        ("--cap", dict(type=int, default=None,
-                       help="codeword enumeration cap (default 2^20, or "
-                            "CONSTAGALOIS_ENUM_CAP)"))))
+    top = _add_flags(parser, config, _GLOBAL_FLAGS)
     known = {_config_key(action) for action in top}
     subs = parser.add_subparsers(dest="command", required=True)
     parser.exact_flags = {}
 
-    def command(name, func, help, *flags, params=True):
+    def command(name, func, help, required, *flags):
         sub = subs.add_parser(name, help=help)
-        actions = _add_flags(sub, config, (_PARAMS_FLAGS if params else ()) + flags)
+        marked = [(flag, {**options, "help": options["help"] + " (required)"})
+                  for flag, options in required]
+        actions = _add_flags(sub, config, marked + list(flags))
         known.update(map(_config_key, actions))
-        # duplicated on each subcommand (SUPPRESS keeps the global defaults)
-        actions += [sub.add_argument("--format", choices=list(_ROW_STYLES),
-                                     default=argparse.SUPPRESS),
-                    sub.add_argument("--cap", type=int, default=argparse.SUPPRESS),
-                    sub.add_argument("--config", default=argparse.SUPPRESS)]
+        # the global flags again, so they may follow the subcommand;
+        # SUPPRESS keeps the global defaults
+        actions += [sub.add_argument(flag, **{**options, "default": argparse.SUPPRESS})
+                    for flag, options in _GLOBAL_FLAGS]
         sub.set_defaults(func=func)
         start = {action.dest: action.default for action in top + actions
                  if action.default is not argparse.SUPPRESS}
         start.update(command=name, func=func)
         parser.exact_flags[name] = (
             start, {flag: action for action in actions for flag in action.option_strings},
-            {action.dest for action in actions if action.required})
+            actions[:len(required)])
 
-    command("params", cmd_params, "derived parameters incl. theta")
-    command("cosets", cmd_cosets, "q-coset table and optional s-orbits",
+    phi_params = _PARAMS_FLAGS + (_PHI_FLAG,)
+    command("params", cmd_params, "derived parameters incl. theta", _PARAMS_FLAGS)
+    command("cosets", cmd_cosets, "q-coset table and optional s-orbits", _PARAMS_FLAGS,
             ("--s", dict(type=int, default=None, help="multiplier for orbits")))
-    command("factor", cmd_factor, "irreducible factor for every coset")
-    command("code", cmd_code, "build the code of a coset function",
-            ("--phi", dict(help='coset function "rep:val,..."')))
-    command("dual", cmd_dual, "the p^h-dual code", ("--phi", {}), _H_FLAG)
-    command("check", cmd_check, "self-duality certificate", ("--phi", {}), _H_FLAG)
-    command("exist", cmd_exist, "existence predicates", _H_FLAG)
+    command("factor", cmd_factor, "irreducible factor for every coset", _PARAMS_FLAGS)
+    command("code", cmd_code, "build the code of a coset function", phi_params)
+    command("dual", cmd_dual, "the p^h-dual code", phi_params, _H_FLAG)
+    command("check", cmd_check, "self-duality certificate", phi_params, _H_FLAG)
+    command("exist", cmd_exist, "existence predicates", _PARAMS_FLAGS, _H_FLAG)
     command("search", cmd_search, "grid census of self-dual families",
-            ("--p-list", dict(required=True, type=parse_int_set,
-                              help="comma-separated primes")),
-            ("--e-list", dict(required=True, type=parse_int_set,
-                              help="comma-separated degrees")),
+            (("--p-list", dict(type=parse_int_set, help="comma-separated primes")),
+             ("--e-list", dict(type=parse_int_set, help="comma-separated degrees")),
+             ("--n-max", dict(type=int, help="largest length"))),
             ("--n-min", dict(type=int, default=1)),
-            ("--n-max", dict(type=int, required=True)),
             ("--orders", dict(default=None, type=parse_int_set,
                               help="restrict lambda orders")),
             ("--h-list", dict(default=None, type=parse_int_set,
@@ -471,10 +464,9 @@ def _make_parser(config: dict) -> argparse.ArgumentParser:
             ("--max-multiplicity", dict(type=int, default=None,
                                         help="skip instances with p^nu above this")),
             ("--with-weights", dict(action="store_true",
-                                    help="compute exact minimum weights (enumerative)")),
-            params=False)
-    command("verify", cmd_verify, "cross-check closed forms vs oracle",
-            ("--phi", dict(default=None)), _H_FLAG)
+                                    help="compute exact minimum weights (enumerative)")))
+    command("verify", cmd_verify, "cross-check closed forms vs oracle", _PARAMS_FLAGS,
+            _PHI_FLAG, _H_FLAG)
     unknown = sorted(key.replace("_", "-") for key in set(config) - known)
     if unknown:
         raise ValueError(f"unknown config key {', '.join(unknown)}")
@@ -543,14 +535,13 @@ def parse_exact(parser: argparse.ArgumentParser,
     is followed by one that does not start with "-", or is "-" and
     digits.  It declines everything else (an abbreviation, a
     ``--flag=value``, "--", -h and --help, a flag before the
-    subcommand, a missing value or required flag, a value its type or
-    choices refuse), so help, usage errors and exit codes come from
-    argparse alone."""
+    subcommand, a missing value, a value its type or choices refuse), so
+    help and argparse's usage errors come from argparse alone."""
     entry = parser.exact_flags.get(argv[0]) if argv else None
     if entry is None:
         return None
-    start, flags, required = entry
-    values, seen = dict(start), set()
+    start, flags, _ = entry
+    values = dict(start)
     tokens = iter(argv[1:])
     for token in tokens:
         action = flags.get(token)
@@ -567,9 +558,6 @@ def parse_exact(parser: argparse.ArgumentParser,
                 values[action.dest] = _convert(action, text)
             except ValueError:
                 return None
-        seen.add(action.dest)
-    if not required <= seen:
-        return None
     return argparse.Namespace(**values)
 
 
@@ -586,6 +574,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.config:
             args = _make_parser(load_config(args.config)).parse_args(argv)
         args.cap = _enum_cap(args.cap)
+        for action in parser.exact_flags[args.command][2]:
+            if getattr(args, action.dest) is None:
+                raise ValueError(f"{action.option_strings[0]} is required "
+                                 "(flag or config file)")
     except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -597,9 +589,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if out:
                 print(out)
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -58,18 +58,19 @@ class CodeParams:
     mod r), like every result computed from the params elsewhere (coset
     polynomials, minimum weights, the isometric family), is memoised by
     the function that computes it, keyed on the interned params that
-    :func:`derive_params` returns; theta powers have no memo.  lambda is
-    held as its int ``lam_v``; :attr:`lam` wraps it on demand.
+    :func:`derive_params` returns; theta powers have no memo.  The
+    params are built from their intern key (GF(p^e), n, lambda's int):
+    lambda is held as its int ``lam_v``; :attr:`lam` wraps it on demand.
     """
 
-    def __init__(self, p: int, e: int, n: int, lam: FieldElement):
-        self.p = p
-        self.e = e
-        self.q = p ** e
+    def __init__(self, field: Field, n: int, lam_v: int):
+        self.p = p = field.p
+        self.e = field.m
+        self.q = field.order
         self.n = n
-        self.lam_v = lam.v
-        self.field = lam.field
-        self.r = mult_order(lam)
+        self.lam_v = lam_v
+        self.field = field
+        self.r = mult_order(field.wrap(lam_v))
         nu, nprime = p_split(p, n)
         self.nu = nu
         self.nprime = nprime
@@ -231,13 +232,10 @@ def _coset_class(params: CodeParams, c: int) -> Tuple[List[QCoset], List[QCoset]
     return cosets, table
 
 
-@cache
-def _interned_params(field: Field, n: int, lam_v: int) -> CodeParams:
-    """Interned CodeParams, keyed on (GF(p^e), n, lambda's int) for the
-    life of the process: fields are interned and hash by identity, so the
-    lookup hashes and compares no FieldElement.  ``cache_info()`` reads
-    hits and misses."""
-    return CodeParams(field.p, field.m, n, field.wrap(lam_v))
+# One CodeParams per (GF(p^e), n, lambda's int) for the life of the
+# process: fields are interned and hash by identity, so the lookup hashes
+# and compares no FieldElement.  ``cache_info()`` reads hits and misses.
+_interned_params = cache(CodeParams)
 
 
 def derive_params(p: int, e: int, n: int, lam) -> CodeParams:

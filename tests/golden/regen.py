@@ -227,6 +227,8 @@ CASES = [
     # p = 2^61 - 1 < sys.maxsize: GF(p^2) is built with no range(p) held
     ("params_prime_2e61_minus_1_e2", ["params", "--p", "2305843009213693951", "--e", "2",
                                       "--n", "1", "--lambda", "1"]),
+    # a config file supplies every flag search requires; none is on the line
+    ("config_search_required_flags", ["--config", "search.cfg", "search", "--format", "csv"]),
 ]
 
 

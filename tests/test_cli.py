@@ -470,6 +470,57 @@ def test_missing_required_key_is_usage_error(capsys):
     assert "lambda" in err
 
 
+# each subcommand's required flags, with a value, in the order main checks them
+_PARAMS_ARGV = ["--p", "3", "--e", "2", "--n", "4", "--lambda", "-1"]
+_PHI_ARGV = [*_PARAMS_ARGV, "--phi", "1:0,3:0,5:1,7:1"]
+REQUIRED_ARGV = {
+    "params": _PARAMS_ARGV, "cosets": _PARAMS_ARGV, "factor": _PARAMS_ARGV,
+    "code": _PHI_ARGV, "dual": _PHI_ARGV, "check": _PHI_ARGV,
+    "exist": _PARAMS_ARGV, "verify": _PARAMS_ARGV,
+    "search": ["--p-list", "3", "--e-list", "1", "--n-max", "4"],
+}
+
+
+def test_each_missing_required_flag_is_one_usage_error(capsys):
+    parser = build_parser()
+    assert set(REQUIRED_ARGV) == set(parser.exact_flags)
+    for name, flags in REQUIRED_ARGV.items():
+        required = [action.option_strings[0] for action in parser.exact_flags[name][2]]
+        assert required == flags[::2], name
+        assert run_cli(capsys, name, *flags)[0] == 0, name
+        for i in range(0, len(flags), 2):
+            argv = [name, *flags[:i], *flags[i + 2:]]
+            message = f"usage error: {flags[i]} is required (flag or config file)\n"
+            assert run_cli(capsys, *argv) == (2, "", message), argv
+
+
+def test_config_file_alone_supplies_search_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text("p-list = 3\ne-list = 1\nn-max = 4\n")
+    flags = run_cli(capsys, "search", *REQUIRED_ARGV["search"], "--format", "csv")
+    assert flags[0] == 0 and flags[1]
+    assert run_cli(capsys, "--config", str(cfg), "search", "--format", "csv") == flags
+    cfg.write_text("p-list = 3\ne-list = 1\n")
+    assert run_cli(capsys, "--config", str(cfg), "search") == (
+        2, "", "usage error: --n-max is required (flag or config file)\n")
+
+
+def test_help_says_which_flags_are_required(capsys):
+    # argparse requires no flag, so its usage line marks none; the help says
+    code, out, _ = run_cli(capsys, "search", "-h")
+    assert code == 0
+    lines = [" ".join(line.split()) for line in out.splitlines()]
+    for flag, help_text in (("--p-list P_LIST", "comma-separated primes"),
+                            ("--e-list E_LIST", "comma-separated degrees"),
+                            ("--n-max N_MAX", "largest length")):
+        assert f"{flag} {help_text} (required)" in lines, flag
+    assert sum("(required)" in line for line in lines) == 3
+    for name, flags in REQUIRED_ARGV.items():
+        for action in build_parser().exact_flags[name][1].values():
+            required = action.option_strings[0] in flags[::2]
+            assert (action.help or "").endswith(" (required)") == required, (name, action)
+
+
 def test_text_format(capsys):
     code, out, err = run_cli(capsys, "--format", "text", "exist", "--p", "3",
                              "--e", "2", "--n", "4", "--lambda", "-1")

@@ -208,7 +208,7 @@ def test_code_polys_match_both_products_with_repeated_roots():
 
 def test_zero_and_full_codes_build_no_coset_poly_or_field():
     field = make_field(7, 2)
-    params = CodeParams(7, 2, 35, field.generator ** 8)  # not interned
+    params = CodeParams(field, 35, (field.generator ** 8).v)  # not interned
     one = Poly.wrap(params.field, [1])
     zero = build_code(params, CosetFunction.constant(params, 0))
     full = build_code(params, CosetFunction.constant(params, params.mult_cap))

@@ -107,7 +107,7 @@ def test_theta_builds_no_dlog_table():
     try:
         for n, lam in [(3, field.one), (17, field.one),
                        (5, field.generator ** (65535 // 3))]:
-            params = CodeParams(2, 16, n, lam)      # not interned: theta is fresh
+            params = CodeParams(field, n, lam.v)    # not interned: theta is fresh
             assert params.big_field is field
             theta = params.theta
             assert theta ** n == lam and mult_order(theta) == params.period
