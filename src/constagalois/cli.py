@@ -21,9 +21,8 @@ from .codes import ConstaCode, _enum_cap, build_code, coset_poly, min_weight
 from .cosets import CodeParams, CosetFunction, derive_params, q_cosets, s_orbits
 from .duality import _galois_h, galois_dual, is_galois_selfdual, is_iso_galois_selfdual
 from .existence import (duadic_exists, euclidean_selfdual_exists, family_possible,
-                        galois_selfdual_exists, galois_selfdual_verdicts,
-                        hermitian_selfdual_exists, iso_selfdual_exists,
-                        selfdual_families)
+                        galois_selfdual_exists, hermitian_selfdual_exists,
+                        iso_selfdual_exists, selfdual_families)
 from .gf import format_element, make_field
 from .numtheory import p_split
 from .oracle import brute_dual, brute_equal_codes, dual_basis, naive_cosets, spans_equal
@@ -201,8 +200,8 @@ def cmd_cosets(args) -> List[dict]:
         "cosets": [list(Q.members) for Q in q_cosets(params, 1)],
     }
     if args.s is not None:
-        orbits = s_orbits(params, int(args.s))
-        record["s"] = int(args.s)
+        orbits = s_orbits(params, args.s)
+        record["s"] = args.s
         record["orbits"] = [[Q.rep for Q in orbit] for orbit in orbits]
     return [record]
 
@@ -345,17 +344,17 @@ def _search_rows(args, blocks, lengths) -> Iterator[List[str]]:
                 params = derive_params(p, e, n, lam)
                 if max_cosets is not None and len(q_cosets(params, 1)) > max_cosets:
                     continue
-                _, iso_phi, iso_witness = selfdual_families(params).iso
-                # a verdict's witness -> the row's text after h; h of one action
+                (_, iso_phi, iso_witness), galois = selfdual_families(params)
+                # a Galois witness -> the row's text after h; h of one action
                 # share a witness, and every h without one (None) shows the iso witness
                 tails, weights = {}, {}
-                for h, verdict in zip(hs, galois_selfdual_verdicts(params, hs)):
-                    phi = verdict.witness_phi
+                for h in hs:
+                    phi = None if galois is None else galois[h].witness_phi
                     text = tails.get(phi)
                     if text is None:
                         shown = iso_phi if phi is None else phi
                         text = tails[phi] = (no_witness if shown is None else
-                                             tail(params, shown, verdict.exists, iso_witness,
+                                             tail(params, shown, phi is not None, iso_witness,
                                                   weights))
                     rows.append(f"{head}{h}{text}")
             if rows:

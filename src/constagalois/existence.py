@@ -10,7 +10,7 @@ against the duality predicate before returning it.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .cosets import CodeParams, CosetFunction, s_orbits
 from .duality import _galois_h
@@ -116,31 +116,33 @@ def iso_selfdual_exists(params: CodeParams, h: int = 0) -> ExistenceVerdict:
 
 
 class SelfDualFamilies(NamedTuple):
-    """Both self-dual families of one instance, one record per params."""
+    """Both self-dual families of one instance, built whole, one record
+    per params."""
 
     iso: tuple  # (label, witness phi, witness s) of the isometric family
-    labels: Optional[tuple]  # the Galois label of each h in [0, e], or None
-    witnesses: dict  # the q-coset of -p^h -> its witness, filled on first ask
+    galois: Optional[tuple]  # the verdict of each h in [0, e], or None
 
 
-# every instance with neither family shares this record; with no label,
-# its witnesses stay empty
-_NO_FAMILIES = SelfDualFamilies((None, None, None), None, {})
+# every instance with neither family shares this record
+_NO_FAMILIES = SelfDualFamilies((None, None, None), None)
 
 
 @functools.cache
 def selfdual_families(params: CodeParams) -> SelfDualFamilies:
-    """The isometric family, the Galois label of every h and the Galois
-    witnesses built so far, of params.
+    """The isometric family and the Galois verdict of every h of params.
 
     The isometric family is (label, phi, s), or three None.  s is the
     first multiplier with a :func:`_witness`, s = 1 in (i); elsewhere phi
     alternates 0 and p^nu along the orbits of any witness, so s is the
-    smallest, as :func:`iso_witness_for` finds it.  A Galois label is None
-    where no p^h-self-dual code exists, and the tuple is None when no h
-    has one.  The verdict depends on h only through h mod 2, r | p^h + 1
-    and the q-coset of -p^h, so the labels of every h are worked out at
-    once and each witness is built on the first ask of its coset.
+    smallest, as :func:`iso_witness_for` finds it.  The Galois verdicts
+    are a tuple over h in [0, e], or None when no h has a family.  A
+    verdict depends on h only through h mod 2, r | p^h + 1 and the action
+    of -p^h, and multiplication by q fixes every q-coset, so -p^h and
+    -p^h' act alike when they lie in one <q>-orbit mod n'r, as h = 0 and
+    h = e always do.  Once r | p^h + 1, t = -p^h is 1 mod r and coprime
+    to n'r, so its orbit is the q-coset that holds t,
+    :meth:`CodeParams.coset_of`: the witness is built and checked once
+    per such coset, and the verdicts of its h share that one phi.
     Memoised on the params for the process, as interned params live.
     """
     p, e, r = params.p, params.e, params.r
@@ -156,54 +158,36 @@ def selfdual_families(params: CodeParams) -> SelfDualFamilies:
         else:
             iv = "(iv)" if nu(2, params.nprime * r) > nu(2, p + 1) else None
             by_parity = ("(iii)" if e % 2 == 0 else iv, iv)
-    labels = tuple(by_parity[h % 2] if (p ** h + 1) % r == 0 else None
-                   for h in range(e + 1))
-    labels = labels if any(labels) else None
-    if iso_label is None:
-        return SelfDualFamilies(_NO_FAMILIES.iso, labels, {}) if labels else _NO_FAMILIES
-    for s in params.multipliers():  # s = 1 first: the constant of (i)
-        phi = _witness(params, s)
-        if phi is not None:
-            return SelfDualFamilies((iso_label, phi, s), labels, {})
-    raise AssertionError("even-orbit multiplier promised but not found")
-
-
-def galois_selfdual_verdicts(params: CodeParams,
-                             hs: Iterable[int]) -> List[ExistenceVerdict]:
-    """:func:`galois_selfdual_exists` for every h of ``hs``, in order, read
-    off :func:`selfdual_families`.
-
-    Multiplication by q fixes every q-coset, so -p^h and -p^h' act alike
-    when they lie in one <q>-orbit mod n'r, as h = 0 and h = e always do.
-    Once r | p^h + 1, t = -p^h is 1 mod r and coprime to n'r, so its orbit
-    is the q-coset that holds t, :meth:`CodeParams.coset_of`.  The
-    witness is built and checked once per such coset, and the verdicts of
-    its h share that one phi.
-    """
-    p, e = params.p, params.e
-    _, labels, witnesses = selfdual_families(params)
-    verdicts = []
-    for h in hs:
-        _galois_h(e, h)
-        label = None if labels is None else labels[h]
+    galois, witnesses = [], {}  # the q-coset of -p^h -> its witness
+    for h in range(e + 1):
+        label = by_parity[h % 2] if (p ** h + 1) % r == 0 else None
         if label is None:
-            verdicts.append(_ABSENT)
+            galois.append(_ABSENT)
             continue
         t = -(p ** h)
         orbit = params.coset_of(t)
         phi = witnesses.get(orbit)
         if phi is None:
-            phi = _witness(params, t)
+            phi = witnesses[orbit] = _witness(params, t)
             if phi is None:
                 raise AssertionError("-p^h has an odd orbit in a family that exists")
-            witnesses[orbit] = phi
-        verdicts.append(ExistenceVerdict(True, label, phi))
-    return verdicts
+        galois.append(ExistenceVerdict(True, label, phi))
+    galois = tuple(galois) if witnesses else None
+    if iso_label is None:
+        return SelfDualFamilies(_NO_FAMILIES.iso, galois) if galois else _NO_FAMILIES
+    for s in params.multipliers():  # s = 1 first: the constant of (i)
+        phi = _witness(params, s)
+        if phi is not None:
+            return SelfDualFamilies((iso_label, phi, s), galois)
+    raise AssertionError("even-orbit multiplier promised but not found")
 
 
 def galois_selfdual_exists(params: CodeParams, h: int) -> ExistenceVerdict:
-    """Existence of p^h-self-dual lambda-constacyclic codes of length n."""
-    return galois_selfdual_verdicts(params, (h,))[0]
+    """Existence of p^h-self-dual lambda-constacyclic codes of length n,
+    read off :func:`selfdual_families`."""
+    _galois_h(params.e, h)
+    galois = selfdual_families(params).galois
+    return _ABSENT if galois is None else galois[h]
 
 
 # galois_selfdual_exists labels -> labels of its h = 0 and h = e/2 cases.

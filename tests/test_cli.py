@@ -372,15 +372,15 @@ def test_splitting_field_of_a_prime_near_2_61_within_cpu_and_memory_limits():
 
 def test_internal_error_mid_search_follows_the_rows_before_it(capsys, monkeypatch):
     import constagalois.cli as cli_module
-    verdicts = cli_module.galois_selfdual_verdicts
+    families = cli_module.selfdual_families
 
-    def broken(params, hs):
+    def broken(params):
         if params.n == 4:
             raise AssertionError("witness fails")
-        return verdicts(params, hs)
+        return families(params)
 
-    monkeypatch.setattr(cli_module, "galois_selfdual_verdicts", broken)
-    # n = 4, r = 2 has n' and r even, so it reaches the verdicts; the
+    monkeypatch.setattr(cli_module, "selfdual_families", broken)
+    # n = 4, r = 2 has n' and r even, so it reaches the record; the
     # lengths before it have n' odd and no family, so they make no call
     code, out, err = run_cli(capsys, "search", "--p-list", "3", "--e-list", "1",
                              "--n-max", "4", "--format", "csv")
@@ -462,12 +462,6 @@ def test_search_zero_limits_are_limits(capsys):
     assert (code, out) == (0, "")
     # p^nu <= 1 keeps n = 1, 2, 4, 5 (nu = 1 at n = 3, 6): 4 lengths x 2 orders x 2 h
     assert len(run_json(capsys, *search, "--max-multiplicity", "1")) == 4 * 2 * 2
-
-
-def test_missing_required_key_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "params", "--p", "5", "--e", "2", "--n", "26")
-    assert code == 2
-    assert "lambda" in err
 
 
 # each subcommand's required flags, with a value, in the order main checks them
@@ -764,17 +758,37 @@ def spy_galois_witnesses(monkeypatch):
     return built
 
 
+def record_values(record):
+    """A self-duality record as plain values: labels, s, and the values of
+    each witness."""
+    def values(phi):
+        return None if phi is None else phi.values()
+
+    (label, phi, s), galois = record
+    return ((label, values(phi), s), galois and tuple(
+        (v.exists, v.matched_condition, values(v.witness_phi)) for v in galois))
+
+
 def test_search_builds_each_instance_record_once_per_process(capsys, monkeypatch):
-    # a second census in one process reads every verdict off the records
+    # a second census in one process reads every verdict off the records;
+    # each record is built whole when it is made, so it hashes, and no
+    # read writes to it
     existence.selfdual_families.cache_clear()
     built = spy_galois_witnesses(monkeypatch)
     code, first, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
     assert code == 0, err
     assert len(built) == 839
+    records = {params: existence.selfdual_families(params) for params in census_instances()}
+    assert len(records) == 8040
+    snapshot = {params: (hash(record), record_values(record))
+                for params, record in records.items()}
     built.clear()
     code, second, err = run_cli(capsys, *CENSUS_ARGV, "--format", "csv")
     assert code == 0, err
     assert built == [] and second == first
+    for params, record in records.items():
+        assert existence.selfdual_families(params) is record, params
+        assert (hash(record), record_values(record)) == snapshot[params], params
 
 
 def spy_derive_params(monkeypatch):
@@ -807,17 +821,6 @@ def test_search_with_max_cosets_derives_every_instance(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *CENSUS_ARGV, "--max-cosets", "4", "--format", "csv")
     assert code == 0, err
     assert len(calls) == 8040 + 18
-
-
-def test_search_builds_the_witnesses_of_the_asked_h_only(capsys, monkeypatch):
-    # a record works out the labels of every h at once, but the witness of
-    # an h only when that h is asked: here t = -p^0 alone, once per instance
-    existence.selfdual_families.cache_clear()
-    built = spy_galois_witnesses(monkeypatch)
-    code, _, err = run_cli(capsys, *CENSUS_ARGV, "--h-list", "0", "--format", "csv")
-    assert code == 0, err
-    assert built and {t for _, t in built} == {-1}
-    assert len(built) == len({params for params, _ in built})
 
 
 # a lambda printed [c0,...] (a quoted csv cell), weights with a number and an

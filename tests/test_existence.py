@@ -11,8 +11,7 @@ from constagalois import (CosetFunction, build_code, derive_params,
                           iso_selfdual_exists, make_field, nu, q_cosets,
                           s_orbits)
 from constagalois.duality import iso_witness_for
-from constagalois.existence import (_NO_FAMILIES, family_possible,
-                                    galois_selfdual_verdicts, selfdual_families)
+from constagalois.existence import _NO_FAMILIES, family_possible, selfdual_families
 from constagalois.numtheory import p_split
 from exhaustive import (PE_PAIRS, brute_galois_selfdual_exists,
                         brute_iso_selfdual_exists, census_instances,
@@ -201,10 +200,9 @@ def test_per_params_verdicts_match_the_one_h_reference_on_the_census_grid():
     for params in census_instances():
         hs = range(params.e + 1)
         expected = [reference_galois_verdict(params, h) for h in hs]
-        verdicts = galois_selfdual_verdicts(params, hs)
+        verdicts = [galois_selfdual_exists(params, h) for h in hs]
         # equal verdicts: exists, label, and the witness's values on the same params
         assert verdicts == expected, params
-        assert [galois_selfdual_exists(params, h) for h in hs] == expected, params
         rejected.update(id(v) for v in verdicts if not v.exists)
         if verdicts[0].exists:  # -1 and -q act alike
             assert verdicts[0].witness_phi is verdicts[-1].witness_phi, params
@@ -222,7 +220,7 @@ def test_per_params_verdicts_match_the_one_h_reference_on_the_census_grid():
 def test_verdicts_asked_in_any_order_share_one_witness_per_action(monkeypatch):
     # descending and repeated h on cleared records: -p^h and -p^h' act alike
     # when one <q>-orbit mod n'r holds both, so those h share one phi, built
-    # on the first ask of the orbit and read off the record after it
+    # once when the record is made and read off the record after it
     built = []  # the t of every witness build
     witness = existence._witness
 
@@ -238,7 +236,7 @@ def test_verdicts_asked_in_any_order_share_one_witness_per_action(monkeypatch):
             continue
         hs = [*range(params.e, -1, -1), 0]
         built.clear()
-        verdicts = galois_selfdual_verdicts(params, hs)
+        verdicts = [galois_selfdual_exists(params, h) for h in hs]
         assert verdicts == [reference_galois_verdict(params, h) for h in hs], params
         shared = {}  # the <q>-orbit of -p^h -> the ids of its h's witnesses
         for h, verdict in zip(hs, verdicts):
@@ -250,7 +248,7 @@ def test_verdicts_asked_in_any_order_share_one_witness_per_action(monkeypatch):
         assert len([t for t in built if t < 0]) == len(shared), params
         actions += len(shared)
         built.clear()
-        assert galois_selfdual_verdicts(params, hs) == verdicts, params
+        assert [galois_selfdual_exists(params, h) for h in hs] == verdicts, params
         assert built == [], params
     assert actions == 712, actions
 

@@ -325,27 +325,34 @@ def test_each_domain_rule_is_raised_from_one_place():
 
 
 def test_every_existence_witness_goes_through_one_check(monkeypatch):
-    # _witness is the one place that checks t*phi = phibar for a witness
-    from constagalois import CosetFunction, derive_params, galois_selfdual_exists
+    # _witness is the one place that checks t*phi = phibar for a witness.
+    # A record builds its Galois witnesses (t = -p^h) before the isometric
+    # one (t = s >= 1), and a Galois family implies the isometric one, so
+    # the multiplier path alone is reached where no h has a family
+    from constagalois import CosetFunction, derive_params, existence, galois_selfdual_exists
     from constagalois.existence import iso_selfdual_exists, selfdual_families
 
-    cases = [derive_params(2, 1, 2, 1), derive_params(5, 1, 2, -1)]  # (i), (ii)
+    galois_cases = [derive_params(2, 1, 2, 1), derive_params(5, 1, 2, -1)]  # (i), (ii)
+    iso_only = derive_params(2, 3, 2, "g^1")  # (i); r = 7 divides no 2^h + 1
     selfdual_families.cache_clear()
-    assert all(galois_selfdual_exists(params, 0) for params in cases)
-    selfdual_families.cache_clear()
-    for params in cases:  # each record built with the real predicate ...
-        selfdual_families(params).iso
+    assert all(galois_selfdual_exists(params, 0) for params in galois_cases)
+    assert iso_selfdual_exists(iso_only)
+    assert not any(galois_selfdual_exists(iso_only, h) for h in range(4))
+    built = []  # the t of every witness build
+    witness = existence._witness
+
+    def spy(params, t):
+        built.append(t)
+        return witness(params, t)
+
+    monkeypatch.setattr(existence, "_witness", spy)
     monkeypatch.setattr(CosetFunction, "act_is_complement", lambda phi, t: False)
-    for params in cases:
-        # ... builds its Galois witnesses on first ask, so this reaches the
-        # Galois path alone, under the broken predicate
-        with pytest.raises(AssertionError, match="witness"):
-            galois_selfdual_exists(params, 0)
-    selfdual_families.cache_clear()  # every reader rebuilds the record
-    for params in cases:
-        with pytest.raises(AssertionError, match="witness"):
-            iso_selfdual_exists(params)
-        with pytest.raises(AssertionError, match="witness"):
-            galois_selfdual_exists(params, 0)
-        with pytest.raises(AssertionError, match="witness"):
-            selfdual_families(params).iso
+    for params, t in [*((params, -1) for params in galois_cases), (iso_only, 1)]:
+        for read in (lambda: iso_selfdual_exists(params),
+                     lambda: galois_selfdual_exists(params, 0),
+                     lambda: selfdual_families(params).iso):
+            selfdual_families.cache_clear()  # every reader rebuilds the record
+            built.clear()
+            with pytest.raises(AssertionError, match="witness"):
+                read()
+            assert built == [t], params  # the first build raises
