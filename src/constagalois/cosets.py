@@ -320,10 +320,17 @@ class CosetFunction:
 
     def __init__(self, params: CodeParams, assignment: Dict[int, int],
                  residue: int = 1):
-        """phi(Q) = assignment[Q.rep]; the keys must be exactly the reps."""
+        """phi(Q) = assignment[Q.rep]; the keys must be exactly the reps.
+        Otherwise the error names the smallest rep with no value, or else
+        the smallest key that is not a rep."""
         reps = [Q.rep for Q in params.cosets_on(residue)]
-        if set(assignment) != set(reps):
-            raise ValueError("assignment domain must be exactly the coset reps")
+        missing = [k for k in reps if k not in assignment]
+        if missing or len(assignment) != len(reps):
+            where = f"of {residue % params.r} + rZ"
+            if missing:
+                raise ValueError(f"phi has no value for coset rep {missing[0]} {where}")
+            stray = min(set(assignment).difference(reps))
+            raise ValueError(f"phi rep {stray} is not a coset rep {where}")
         self._fill(params, [assignment[k] for k in reps], residue)
 
     @classmethod

@@ -142,8 +142,10 @@ def selfdual_families(params: CodeParams) -> SelfDualFamilies:
     h = e always do.  Once r | p^h + 1, t = -p^h is 1 mod r and coprime
     to n'r, so its orbit is the q-coset that holds t,
     :meth:`CodeParams.coset_of`: the witness is built and checked once
-    per such coset, and the verdicts of its h share that one phi.
-    Memoised on the params for the process, as interned params live.
+    per such coset, and the verdicts of its h share that one phi.  That t
+    is a multiplier with only even orbits, so odd p without duadic codes
+    has neither family.  Memoised on the params for the process, as
+    interned params live.
     """
     p, e, r = params.p, params.e, params.r
     if not family_possible(p, params.nprime, params.nu, r):
@@ -152,7 +154,9 @@ def selfdual_families(params: CodeParams) -> SelfDualFamilies:
         iso_label, by_parity = "(i)", ("(i)", "(i)")  # the label of h even, h odd
     else:
         duadic = duadic_exists(params)
-        iso_label = _ISO_LABELS[duadic.matched_condition] if duadic else None
+        if not duadic:
+            return _NO_FAMILIES
+        iso_label = _ISO_LABELS[duadic.matched_condition]
         if p % 4 == 1:
             by_parity = ("(ii)", "(ii)")
         else:
@@ -173,8 +177,6 @@ def selfdual_families(params: CodeParams) -> SelfDualFamilies:
                 raise AssertionError("-p^h has an odd orbit in a family that exists")
         galois.append(ExistenceVerdict(True, label, phi))
     galois = tuple(galois) if witnesses else None
-    if iso_label is None:
-        return SelfDualFamilies(_NO_FAMILIES.iso, galois) if galois else _NO_FAMILIES
     for s in params.multipliers():  # s = 1 first: the constant of (i)
         phi = _witness(params, s)
         if phi is not None:

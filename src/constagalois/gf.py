@@ -9,10 +9,10 @@ the identical interned ``Field`` object, so element encodings like "g^k"
 mean the same thing across runs and machines.
 
 ``make_field`` walks the candidate moduli lazily, for any p.  For p < 32
-a factor of degree 1 or 2, found by dot products mod p, rejects most of
-them; the rest take Rabin's test in their packed rings, each on the one
-slot layout of (p, m), and the ring of the first irreducible one becomes
-the field's.  The generator search walks the elements as scalar
+a root in GF(p), found by dot products mod p, rejects most of them; the
+rest take Rabin's test in their packed rings, each on the one slot
+layout of (p, m), and the ring of the first irreducible one becomes the
+field's.  The generator search walks the elements as scalar
 multiples of directions and decides each direction once
 (``Field._first_primitive``).
 
@@ -81,31 +81,6 @@ def _lex(p, k, low=0):
 
 def _then(walk, values):
     return (t + (a,) for t in walk for a in values)
-
-
-def _small_factors(p, m):
-    """For each monic irreducible g over GF(p) of degree 1 other than X and,
-    when they pay, of degree 2: the coordinate rows of X^0, ..., X^m mod g.
-
-    g divides a polynomial of degree m iff its coefficients are orthogonal
-    mod p to every row, so ``make_field`` rejects most reducible candidates
-    (for p < 32) with a few dot products before any ring is built.  A
-    quadratic factor can only divide a root-free f for m > 3; the (p^2 -
-    p)/2 quadratics cost about a dot product each and spare about two in
-    five root-free candidates Rabin's m Frobenius steps, so they are
-    screened only while there are at most 2m of them."""
-    factors = [[[pow(a, i, p) for i in range(m + 1)]] for a in range(1, p)]
-    if m > 3 and p * (p - 1) <= 4 * m:
-        split = {((-a - b) % p, a * b % p) for a in range(p) for b in range(p)}
-        for b, c in itertools.product(range(p), range(1, p)):
-            if (b, c) not in split:  # X^2 + bX + c has no root
-                rows, u, v = ([], []), 1, 0  # X^i = u + vX mod X^2 + bX + c
-                for _ in range(m + 1):
-                    rows[0].append(u)
-                    rows[1].append(v)
-                    u, v = -c * v % p, (u - b * v) % p
-                factors.append(rows)
-    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +438,12 @@ def make_field(p: int, m: int, /) -> Field:
     if p > sys.maxsize:  # the tested domain; the walks below hold no range(p)
         raise ValueError(f"GF(p^{m}) with m >= 2 needs p <= sys.maxsize = {sys.maxsize}")
     layout = PackedRing.layout(p, m)
-    factors = _small_factors(p, m) if p < 32 else ()
+    # for p < 32, the powers (a^0, ..., a^m) mod p of each a != 0: f(a) = 0
+    # mod p, a root and so a factor X - a, rejects f before any ring is built
+    roots = [[pow(a, i, p) for i in range(m + 1)] for a in range(1, p)] if p < 32 else ()
     for low in _lex(p, m, 1):  # c0 = 0 would make X a factor
         f = low + (1,)
-        if any(all(sum(map(operator.mul, f, row)) % p == 0 for row in rows)
-               for rows in factors):
+        if any(sum(map(operator.mul, f, row)) % p == 0 for row in roots):
             continue
         ring = PackedRing(p, f, layout)
         if ring.is_field():

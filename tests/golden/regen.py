@@ -229,6 +229,10 @@ CASES = [
                                       "--n", "1", "--lambda", "1"]),
     # a config file supplies every flag search requires; none is on the line
     ("config_search_required_flags", ["--config", "search.cfg", "search", "--format", "csv"]),
+    # GF(101^40): the group order 101^40 - 1 is factored one cyclotomic
+    # factor Phi_d(101), d | 40, at a time
+    ("factor_gf101e40_cyclotomic_split", ["factor", "--p", "101", "--e", "1", "--n", "40",
+                                          "--lambda", "g^1"]),
 ]
 
 

@@ -608,6 +608,22 @@ def test_repeated_phi_rep_is_a_domain_error(capsys):
     assert err == "error: phi rep 7 given twice\n"
 
 
+def test_phi_missing_a_rep_names_the_smallest_one(capsys):
+    # GF(3), n = 4, lambda = -1: the reps of 1 + rZ are 1 and 5
+    for phi in ("1:1,3:0", "1:1"):
+        code, out, err = run_cli(capsys, "code", "--p", "3", "--e", "1", "--n", "4",
+                                 "--lambda", "-1", "--phi", phi)
+        assert (code, out) == (1, ""), phi
+        assert err == "error: phi has no value for coset rep 5 of 1 + rZ\n", phi
+
+
+def test_phi_key_outside_the_reps_names_the_smallest_one(capsys):
+    code, out, err = run_cli(capsys, "code", "--p", "3", "--e", "1", "--n", "4",
+                             "--lambda", "-1", "--phi", "7:0,1:1,5:0,3:0")
+    assert (code, out) == (1, "")
+    assert err == "error: phi rep 3 is not a coset rep of 1 + rZ\n"
+
+
 def test_non_integer_phi_entry_is_named(capsys):
     # a rep or value that is not an int is a bad entry, as a missing colon is
     for entry in ("1:x", "x:1", "1:1:1", "1"):

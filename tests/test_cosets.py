@@ -257,7 +257,7 @@ def test_meet_domain_mismatch_rejected():
 
 def test_assignment_validation():
     params = derive_params(3, 4, 12, "g^20")
-    with pytest.raises(ValueError, match="domain"):
+    with pytest.raises(ValueError, match=r"^phi has no value for coset rep 9 of 1 \+ rZ$"):
         CosetFunction(params, {1: 0, 5: 1})
     with pytest.raises(ValueError, match="outside"):
         CosetFunction(params, {1: 4, 5: 0, 9: 0, 13: 0})

@@ -217,6 +217,30 @@ def test_per_params_verdicts_match_the_one_h_reference_on_the_census_grid():
     assert witnesses == 3124, witnesses
 
 
+def test_a_galois_family_implies_the_isometric_one():
+    # a Galois witness's t = -p^h is 1 mod r and coprime to n'r with only
+    # even orbits, so it is a multiplier of the isometric family: every
+    # record with a Galois family has the isometric one, every Galois
+    # witness is isometrically self-dual, and for odd p without duadic
+    # codes each -p^h with r | p^h + 1 has an odd orbit
+    galois = odd_orbits = 0
+    for params in census_instances():
+        p, r = params.p, params.r
+        record = selfdual_families(params)
+        if record.galois is not None:
+            galois += 1
+            assert record.iso[0] is not None, params
+            for verdict in filter(None, record.galois):
+                assert iso_witness_for(params, verdict.witness_phi) is not None, params
+        elif (p % 2 and family_possible(p, params.nprime, params.nu, r)
+              and not duadic_exists(params)):
+            for h in range(params.e + 1):
+                if (p ** h + 1) % r == 0:
+                    assert any(len(o) % 2 for o in s_orbits(params, -(p ** h))), (params, h)
+                    odd_orbits += 1
+    assert (galois, odd_orbits) == (674, 270), (galois, odd_orbits)
+
+
 def test_verdicts_asked_in_any_order_share_one_witness_per_action(monkeypatch):
     # descending and repeated h on cleared records: -p^h and -p^h' act alike
     # when one <q>-orbit mod n'r holds both, so those h share one phi, built

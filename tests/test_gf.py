@@ -10,11 +10,11 @@ import pytest
 
 from constagalois import (embed, format_element, frobenius, make_field,
                           mult_order, parse_element, section)
-from constagalois.gf import Field, _lex, _small_factors
+from constagalois import gf
+from constagalois.gf import Field, _lex
 from constagalois.numtheory import (_PSI_13, _group_order_factors, _isprime,
                                     _prime_factors, _strong_lucas_probable_prime)
 from constagalois.packed import PackedRing
-from constagalois.polyring import Poly
 from exhaustive import (brute_monic_irreducibles, factor_walk_order,
                         gauss_irreducible_count, reference_is_irreducible,
                         reference_map_int)
@@ -47,14 +47,15 @@ def test_gf25_modulus_is_lex_smallest_irreducible():
     assert make_field(5, 2).modulus == min(f[:-1] + (1,) for f in irreducibles)
 
 
-@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (5, 2), (2, 6), (2, 8),
+                                 (3, 5), (5, 5)])
 def test_modulus_minimality_general(p, m):
     assert make_field(p, m).modulus == min(brute_monic_irreducibles(p, m))
 
 
 # the top degree tested per p: degrees 5 and 6 over GF(2) run the
-# coprimality step for one and two primes of m; the small-factor screens
-# are make_field's, so every polynomial reaches Rabin's test here
+# coprimality step for one and two primes of m; the root screen is
+# make_field's, so every polynomial reaches Rabin's test here
 RABIN_DEGREES = {2: 6, 3: 4, 5: 4, 37: 2}
 
 
@@ -76,27 +77,26 @@ def test_irreducibility_matches_rabin_by_powers(p):
         assert count == gauss_irreducible_count(p, m), (p, m)
 
 
-# the quadratics are screened while there are at most 2m of them, and for
-# m > 3 only: GF(7^10) and GF(3^3) get the linear factors alone
-@pytest.mark.parametrize("p,m,quadratic", [(2, 6, True), (3, 5, True), (5, 5, True),
-                                           (7, 11, True), (7, 10, False), (3, 3, False)])
-def test_small_factor_rows_find_the_factors_of_degree_one_and_two(p, m, quadratic):
-    # a polynomial is orthogonal mod p to every row of a small factor g iff
-    # g divides it, against Poly division: g runs over X - a, a != 0, then
-    # the irreducible X^2 + bX + c by (b, c)
-    gf_p = make_field(p, 1)
-    quadratics = set(brute_monic_irreducibles(p, 2)) if quadratic else set()
-    small = [(-a % p, 1) for a in range(1, p)] + [
-        (c, b, 1) for b in range(p) for c in range(1, p) if (c, b, 1) in quadratics]
-    factors = _small_factors(p, m)
-    assert len(factors) == len(small)
-    rng = random.Random(f"small factors {p}^{m}")
-    cases = [tuple(rng.randrange(p) for _ in range(m)) + (1,) for _ in range(60)]
-    for f in cases + [(1,) + (0,) * (m - 1) + (1,)]:
-        want = [(Poly.wrap(gf_p, f) % Poly.wrap(gf_p, g)).is_zero() for g in small]
-        got = [all(sum(c * r for c, r in zip(f, row)) % p == 0 for row in rows)
-               for rows in factors]
-        assert got == want, f
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 12), (5, 8), (7, 12)])
+def test_root_screen_leaves_rabin_only_root_free_candidates(monkeypatch, p, m):
+    # make_field's search builds a ring only for a candidate f with no root
+    # a != 0 mod p; every ring before the last is on a reducible f, and the
+    # last is on the canonical modulus
+    built = []
+
+    class Spy(PackedRing):
+        def __init__(self, p, f, *args):
+            built.append(tuple(f))
+            super().__init__(p, f, *args)
+
+    monkeypatch.setattr(gf, "PackedRing", Spy)
+    make_field.__wrapped__(p, m)
+    monkeypatch.undo()
+    for f in built:
+        assert all(sum(c * pow(a, i, p) for i, c in enumerate(f)) % p
+                   for a in range(1, p)), f
+    assert not any(reference_is_irreducible(f, p) for f in built[:-1])
+    assert built[-1] == make_field(p, m).modulus
 
 
 def test_lazy_walks_keep_the_product_order_and_hold_no_range():
